@@ -36,8 +36,8 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 		por      = fs.Bool("por", true, "use partial-order reduction (disable only for debugging; implies -explorer sleepset)")
 		explorer = fs.String("explorer", "dpor", "exploration strategy: dpor (stateless source-DPOR, O(depth) memory) or sleepset (visited-table reference)")
 		shards   = fs.Int("shards", 1, "split every cell into this many prefix work units run on the -j pool (programs then run serially; requires the dpor explorer)")
-		stats    = fs.Bool("stats", false, "print a per-cell table (states, wall time, states/sec, allocation); timing columns vary run to run")
-		jsonOut  = fs.String("json", "", "write a machine-readable denovogpu-check/v1 summary of a clean run to this file")
+		stats    = fs.Bool("stats", false, "print a per-cell table (states, wall time, states/sec, allocation); timing columns vary run to run, and allocation is shown only with -j 1 and no -shards (the heap counter is process-wide)")
+		jsonOut  = fs.String("json", "", "write a machine-readable denovogpu-check/v1 summary of a clean run to this file (alloc_mb per cell only with -j 1 and no -shards)")
 		fault    = fs.Bool("fault", false, "inject the acquire-invalidation fault into every configuration (pipeline self-test; violations expected)")
 		nsched   = fs.Int("schedules", 5, "simulator schedules used to reproduce a counterexample")
 	)
@@ -85,6 +85,9 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	// parallelism moves inside the cell (prefix work units on the -j
 	// pool), so programs run serially.
 	wantStats := *stats || *jsonOut != ""
+	// The heap counter is process-wide, so a cell's allocation is its
+	// own only when no other cell or shard runs beside it.
+	wantAlloc := wantStats && *jobs == 1 && *shards <= 1
 	type result struct {
 		viol  *mcheck.Violation
 		cells []checkCell
@@ -102,7 +105,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 		opts := mcheck.Options{Budget: *budget, DisablePOR: !*por, Explorer: ex}
 		for _, cfg := range cfgs {
 			var m0, m1 runtime.MemStats
-			if wantStats {
+			if wantAlloc {
 				runtime.ReadMemStats(&m0)
 			}
 			t0 := time.Now()
@@ -115,7 +118,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 			}
 			wall := time.Since(t0)
 			cell := checkCell{Program: progs[i].name, Config: cfg.Name(), WallMS: float64(wall.Nanoseconds()) / 1e6}
-			if wantStats {
+			if wantAlloc {
 				runtime.ReadMemStats(&m1)
 				cell.AllocMB = float64(m1.TotalAlloc-m0.TotalAlloc) / 1e6
 			}
@@ -175,7 +178,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "litmus check: skipped %s\n", s)
 	}
 	if *stats {
-		printCellStats(stdout, cells)
+		printCellStats(stdout, cells, wantAlloc)
 	}
 	fmt.Fprintf(stdout, "model-checked %d programs x %d configurations: %d states, no invariant or oracle violations", checked, len(cfgs), states)
 	if len(skips) > 0 {
@@ -214,8 +217,9 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 // are deterministic for a given explorer and shard count (States
 // differs between shard counts — different reductions prune
 // differently — but the outcome count and verdict never do). AllocMB
-// is the Go heap allocated while the cell ran; with -j > 1 concurrent
-// cells inflate each other's figure.
+// is the Go heap allocated while the cell ran, recorded only when the
+// cell ran alone (-j 1, no -shards): the counter is process-wide, so
+// cells or shards running beside it would be counted too.
 type checkCell struct {
 	Program      string  `json:"program"`
 	Config       string  `json:"config"`
@@ -223,7 +227,7 @@ type checkCell struct {
 	Outcomes     int     `json:"outcomes"`
 	WallMS       float64 `json:"wall_ms"`
 	StatesPerSec float64 `json:"states_per_sec"`
-	AllocMB      float64 `json:"alloc_mb"`
+	AllocMB      float64 `json:"alloc_mb,omitempty"`
 	Skipped      string  `json:"skipped,omitempty"`
 }
 
@@ -243,17 +247,21 @@ type checkSummary struct {
 	Cells      []checkCell `json:"cells"`
 }
 
-func printCellStats(w io.Writer, cells []checkCell) {
+func printCellStats(w io.Writer, cells []checkCell, withAlloc bool) {
 	fmt.Fprintf(w, "%-10s %-20s %12s %9s %10s %12s %10s\n",
 		"CONFIG", "PROGRAM", "STATES", "OUTCOMES", "WALL(MS)", "STATES/S", "ALLOC(MB)")
 	for _, c := range cells {
+		alloc := "-"
+		if withAlloc {
+			alloc = fmt.Sprintf("%.1f", c.AllocMB)
+		}
 		if c.Skipped != "" {
-			fmt.Fprintf(w, "%-10s %-20s %12d %9s %10.1f %12s %10.1f  SKIP: %s\n",
-				c.Config, c.Program, c.States, "-", c.WallMS, "-", c.AllocMB, c.Skipped)
+			fmt.Fprintf(w, "%-10s %-20s %12d %9s %10.1f %12s %10s  SKIP: %s\n",
+				c.Config, c.Program, c.States, "-", c.WallMS, "-", alloc, c.Skipped)
 			continue
 		}
-		fmt.Fprintf(w, "%-10s %-20s %12d %9d %10.1f %12.0f %10.1f\n",
-			c.Config, c.Program, c.States, c.Outcomes, c.WallMS, c.StatesPerSec, c.AllocMB)
+		fmt.Fprintf(w, "%-10s %-20s %12d %9d %10.1f %12.0f %10s\n",
+			c.Config, c.Program, c.States, c.Outcomes, c.WallMS, c.StatesPerSec, alloc)
 	}
 }
 

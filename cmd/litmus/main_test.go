@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -217,5 +218,62 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if code, _, errb := runCmd(t, "-replay", "/nonexistent/case.json"); code != 1 || !strings.Contains(errb, "no such file") {
 		t.Fatalf("missing file: exit %d, stderr: %s", code, errb)
+	}
+}
+
+// TestCheckAllocOnlyWhenAlone pins when a cell's alloc_mb is reported:
+// the heap counter is process-wide, so only a cell that ran alone (-j 1,
+// no -shards) gets the figure; beside other cells or shards it is
+// omitted from the -json summary and shown as "-" in the -stats table.
+func TestCheckAllocOnlyWhenAlone(t *testing.T) {
+	smallCatalog(t, "MP", "CoWW")
+	for _, tc := range []struct {
+		args      []string
+		wantAlloc bool
+	}{
+		{[]string{"-j", "1"}, true},
+		{[]string{"-j", "2"}, false},
+		{[]string{"-j", "1", "-shards", "2"}, false},
+	} {
+		path := filepath.Join(t.TempDir(), "check.json")
+		args := append([]string{"check", "-stats", "-json", path}, tc.args...)
+		code, out, errb := runCmd(t, args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s\n%s", tc.args, code, errb, out)
+		}
+		js, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum checkSummary
+		if err := json.Unmarshal(js, &sum); err != nil {
+			t.Fatal(err)
+		}
+		if len(sum.Cells) == 0 {
+			t.Fatalf("%v: no cells in the summary", tc.args)
+		}
+		if got := strings.Count(string(js), `"alloc_mb"`); tc.wantAlloc && got != len(sum.Cells) || !tc.wantAlloc && got != 0 {
+			t.Fatalf("%v: alloc_mb on %d of %d cells, want alloc %v:\n%s", tc.args, got, len(sum.Cells), tc.wantAlloc, js)
+		}
+		for _, c := range sum.Cells {
+			if tc.wantAlloc && c.AllocMB <= 0 {
+				t.Fatalf("%v: %s/%s alloc_mb %v, want > 0", tc.args, c.Config, c.Program, c.AllocMB)
+			}
+		}
+		// The -stats table's last column is the allocation.
+		rows := 0
+		for _, line := range strings.Split(out, "\n") {
+			f := strings.Fields(line)
+			if len(f) != 7 || f[0] == "CONFIG" {
+				continue
+			}
+			rows++
+			if (f[6] == "-") == tc.wantAlloc {
+				t.Fatalf("%v: stats row %q, want alloc %v", tc.args, line, tc.wantAlloc)
+			}
+		}
+		if rows != len(sum.Cells) {
+			t.Fatalf("%v: %d stats rows for %d cells:\n%s", tc.args, rows, len(sum.Cells), out)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package mcheck
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"denovogpu/internal/coherence"
@@ -14,11 +15,20 @@ import (
 // legacy explorer (explore.go) prunes with a visited table keyed by a
 // canonical state encoding — memory proportional to the number of
 // distinct states — this explorer keeps only the current execution: a
-// stack of frames, one per depth, each holding a cloned state, the
+// stack of frames, one per depth, each holding the state reached, the
 // happens-before clock of its incoming event, and the backtrack/sleep
 // bookkeeping of the node. Peak memory is O(depth), independent of how
 // many states the search visits, which is what lets the budget rise
 // from state-table scale (~2M) to tens of millions.
+//
+// The stack also makes a node cost no allocation. Each depth owns one
+// state buffer and one set of frame slices for the whole exploration:
+// a child state is the parent's copied into its depth's buffer and
+// advanced in place, and a frame pushed where an earlier one was popped
+// reuses that frame's slices. A depth's state is therefore valid only
+// while its frame is on the stack. Nothing is named per node either:
+// counterexample trace labels are built from the stack's transitions
+// only once a violation is found (model.labels).
 //
 // The transition-id-as-process abstraction: a trans value is treated
 // as a "process" — at any state it denotes at most one enabled action
@@ -195,16 +205,11 @@ func (m *model) deliverFootprint(s *state, src, dst, v uint8) uint64 {
 		return homeBit(v)
 	}
 	fp := slotBit(dst, v)
-	var g *msg
-	for i := range s.msgs {
-		if s.msgs[i].src == src && s.msgs[i].dst == dst && s.msgs[i].v == v {
-			g = &s.msgs[i]
-			break
-		}
-	}
-	if g == nil {
+	idx := s.head(src, dst, v)
+	if idx < 0 {
 		return fp // unreachable: delivery is only enabled on a nonempty channel
 	}
+	g := &s.msgs[idx]
 	switch g.kind {
 	case mReadResp:
 		fp |= tctlBit(g.thread)
@@ -257,10 +262,12 @@ type Unit struct {
 
 // dframe is one depth of the DPOR stack: the state reached, the
 // incoming event's identity/footprint/clock (meaningless at the root),
-// and the node's exploration bookkeeping.
+// and the node's exploration bookkeeping. A frame's state buffer and
+// slices belong to its depth for the whole exploration: popping a frame
+// leaves them in the stack's backing array, and the next frame pushed
+// at that depth overwrites them in place (see push).
 type dframe struct {
-	s     *state
-	trace *traceNode
+	s *state
 
 	t     trans  // incoming transition (event index = depth-1)
 	fp    uint64 // its footprint
@@ -274,29 +281,51 @@ type dframe struct {
 	sleep   []sleepEnt
 }
 
+// dporScratch holds reverseRace's working sets, reused across calls.
+type dporScratch struct {
+	notdep   []int
+	initials []trans
+}
+
+// falses returns b resliced to n elements, all false, reusing its
+// backing array when it is large enough.
+func falses(b []bool, n int) []bool {
+	b = slices.Grow(b[:0], n)[:n]
+	clear(b)
+	return b
+}
+
 // exploreDPOR runs stateless source-DPOR over unit. It returns frames
 // visited below the cut (the prefix was counted once by the split
 // phase), terminal outcomes, and the first violation in deterministic
 // DFS order, or a *BudgetError carrying progress at exhaustion.
 func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit Unit) (int, map[string]litmus.Outcome, *Violation, error) {
 	outcomes := make(map[string]litmus.Outcome)
+	seen := make(map[outKey]struct{}) // outcomes already checked and recorded
 	states := 0
 	start := time.Now()
 	cut := len(unit.Prefix)
+	var sc dporScratch
 
-	violation := func(name, detail string, obs *litmus.Outcome, tn *traceNode) *Violation {
+	stack := make([]dframe, 1, 64)
+	stack[0] = dframe{s: m.initial()}
+
+	// violation builds the counterexample from the live stack: the
+	// transitions of frames 1..top are the execution that reached it.
+	violation := func(name, detail string, obs *litmus.Outcome) *Violation {
+		ts := make([]trans, len(stack)-1)
+		for i := range ts {
+			ts[i] = stack[i+1].t
+		}
 		return &Violation{
 			Invariant: name,
 			Detail:    detail,
 			Config:    m.mcfg,
 			Program:   m.p,
 			Observed:  obs,
-			Trace:     tn.path(),
+			Trace:     m.labels(ts),
 		}
 	}
-
-	stack := make([]dframe, 1, 64)
-	stack[0] = dframe{s: m.initial()}
 
 	for len(stack) > 0 {
 		d := len(stack) - 1
@@ -315,38 +344,42 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 				states++
 			}
 			if s.viol != "" {
-				return states, outcomes, violation(s.viol, s.violDetail, nil, fr.trace), nil
+				return states, outcomes, violation(s.viol, s.violDetail, nil), nil
 			}
 			if name, detail := m.checkInvariants(s); name != "" {
-				return states, outcomes, violation(name, detail, nil, fr.trace), nil
+				return states, outcomes, violation(name, detail, nil), nil
 			}
 			if m.terminal(s) {
-				o, ok := m.outcome(s)
+				key, ok := m.outcomeKey(s)
 				if !ok {
-					return states, outcomes, violation(s.viol, s.violDetail, nil, fr.trace), nil
+					return states, outcomes, violation(s.viol, s.violDetail, nil), nil
 				}
-				k := o.Key()
-				if _, permitted := oracle[k]; !permitted {
-					return states, outcomes, violation("oracle-conformance",
-						fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
-						&o, fr.trace), nil
+				if _, dup := seen[key]; !dup {
+					o := m.outcomeOf(&key)
+					k := o.Key()
+					if _, permitted := oracle[k]; !permitted {
+						return states, outcomes, violation("oracle-conformance",
+							fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
+							&o), nil
+					}
+					outcomes[k] = o
+					seen[key] = struct{}{}
 				}
-				outcomes[k] = o
 				stack = stack[:d]
 				continue
 			}
-			fr.enab = m.enabled(s)
+			fr.enab = m.enabledInto(fr.enab, s)
 			if len(fr.enab) == 0 {
 				return states, outcomes, violation("deadlock",
 					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
-					nil, fr.trace), nil
+					nil), nil
 			}
-			fr.enabFp = make([]uint64, len(fr.enab))
-			for i, t := range fr.enab {
-				fr.enabFp[i] = m.dynFootprint(s, t)
+			fr.enabFp = fr.enabFp[:0]
+			for _, t := range fr.enab {
+				fr.enabFp = append(fr.enabFp, m.dynFootprint(s, t))
 			}
-			fr.back = make([]bool, len(fr.enab))
-			fr.done = make([]bool, len(fr.enab))
+			fr.back = falses(fr.back, len(fr.enab))
+			fr.done = falses(fr.done, len(fr.enab))
 			switch {
 			case d < cut:
 				// Prefix replay: the split phase already branched here; take
@@ -367,9 +400,9 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 				}
 			default:
 				if d == cut && len(unit.Sleep) > 0 {
-					fr.sleep = make([]sleepEnt, len(unit.Sleep))
-					for i, u := range unit.Sleep {
-						fr.sleep[i] = sleepEnt{trans(u), m.dynFootprint(s, trans(u))}
+					fr.sleep = fr.sleep[:0]
+					for _, u := range unit.Sleep {
+						fr.sleep = append(fr.sleep, sleepEnt{trans(u), m.dynFootprint(s, trans(u))})
 					}
 				}
 				seeded := false
@@ -402,56 +435,70 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 			continue
 		}
 		fr.done[sel] = true
-		t, ft := fr.enab[sel], fr.enabFp[sel]
-
-		// Race detection for the new event, and its clock.
-		clock := m.racesOnAppend(stack, t, ft, cut)
-
-		// Child sleep: inherited entries and already-explored siblings,
-		// filtered to those independent of the taken transition.
-		var childSleep []sleepEnt
-		for _, u := range fr.sleep {
-			if independent(u.fp, ft) {
-				childSleep = append(childSleep, u)
-			}
-		}
-		for i := range fr.enab {
-			if fr.done[i] && i != sel && independent(fr.enabFp[i], ft) {
-				childSleep = append(childSleep, sleepEnt{fr.enab[i], fr.enabFp[i]})
-			}
-		}
-
-		n, label := m.applyT(fr.s, t)
-		stack = append(stack, dframe{
-			s:     n,
-			trace: &traceNode{label: label, parent: fr.trace},
-			t:     t,
-			fp:    ft,
-			clock: clock,
-			sleep: childSleep,
-		})
+		stack = m.push(stack, sel, cut, &sc)
 	}
 	return states, outcomes, nil, nil
 }
 
+// push executes the top frame's transition sel into the next depth's
+// reused buffers (see dframe) and returns the stack with the child on
+// top. It allocates only the first time a depth is reached or when a
+// buffer must grow.
+func (m *model) push(stack []dframe, sel, cut int, sc *dporScratch) []dframe {
+	d := len(stack) - 1
+	stack = slices.Grow(stack, 1)
+	fr, ch := &stack[d], &stack[:d+2][d+1]
+	t, ft := fr.enab[sel], fr.enabFp[sel]
+	if ch.s == nil {
+		// First time at this depth: size its buffers like the parent's,
+		// which have already grown to a working size.
+		n := cap(fr.enab)
+		ch.s = &state{msgs: make([]msg, 0, cap(fr.s.msgs))}
+		ch.enab, ch.enabFp = make([]trans, 0, n), make([]uint64, 0, n)
+		ch.back, ch.done = make([]bool, 0, n), make([]bool, 0, n)
+		ch.sleep = make([]sleepEnt, 0, n)
+	}
+
+	// Race detection for the new event, and its clock.
+	ch.clock = m.racesOnAppend(stack, t, ft, cut, ch.clock[:0], sc)
+
+	// Child sleep: inherited entries and already-explored siblings,
+	// filtered to those independent of the taken transition.
+	ch.sleep = ch.sleep[:0]
+	for _, u := range fr.sleep {
+		if independent(u.fp, ft) {
+			ch.sleep = append(ch.sleep, u)
+		}
+	}
+	for i := range fr.enab {
+		if fr.done[i] && i != sel && independent(fr.enabFp[i], ft) {
+			ch.sleep = append(ch.sleep, sleepEnt{fr.enab[i], fr.enabFp[i]})
+		}
+	}
+
+	ch.s.copyFrom(fr.s)
+	m.apply(ch.s, t)
+	ch.t, ch.fp, ch.visited = t, ft, false
+	return stack[:d+2]
+}
+
 // racesOnAppend computes the happens-before clock of the event about
-// to be appended (taken from the current top frame) and schedules a
-// reversal for every race it closes. Scanning backwards, `covered`
-// accumulates the clocks of dependent events: a dependent event not
-// yet covered is adjacent to the new event in happens-before — a race.
-// Races whose frame lies inside a shard's replayed prefix are skipped:
-// the split phase branched every top-region node fully, so the
-// reversed order lives in a sibling unit.
-func (m *model) racesOnAppend(stack []dframe, tn trans, ftn uint64, cut int) ebits {
+// to be appended (taken from the current top frame) into covered, and
+// schedules a reversal for every race it closes. Scanning backwards,
+// `covered` accumulates the clocks of dependent events: a dependent
+// event not yet covered is adjacent to the new event in happens-before
+// — a race. Races whose frame lies inside a shard's replayed prefix are
+// skipped: the split phase branched every top-region node fully, so
+// the reversed order lives in a sibling unit.
+func (m *model) racesOnAppend(stack []dframe, tn trans, ftn uint64, cut int, covered ebits, sc *dporScratch) ebits {
 	d := len(stack) - 1 // index of the new event
-	var covered ebits
 	for i := d - 1; i >= 0; i-- {
 		ev := &stack[i+1] // event i
 		if independent(ev.fp, ftn) {
 			continue
 		}
 		if i >= cut && !covered.test(i) {
-			m.reverseRace(stack, i, tn, covered)
+			m.reverseRace(stack, i, tn, covered, sc)
 		}
 		covered.set(i)
 		covered.or(ev.clock)
@@ -462,22 +509,23 @@ func (m *model) racesOnAppend(stack []dframe, tn trans, ftn uint64, cut int) ebi
 // reverseRace schedules, at frame i, an alternative exploration that
 // runs the new event's side of the race (i, new) first: one initial of
 // v = notdep(i, E)·t_n, unless an initial is already scheduled there.
-func (m *model) reverseRace(stack []dframe, i int, tn trans, covered ebits) {
+func (m *model) reverseRace(stack []dframe, i int, tn trans, covered ebits, sc *dporScratch) {
 	d := len(stack) - 1
 	fr := &stack[i]
 
 	// notdep: events after i that do not happen-after event i.
-	var notdep []int
+	notdep := sc.notdep[:0]
 	for j := i + 1; j < d; j++ {
 		if !stack[j+1].clock.test(i) {
 			notdep = append(notdep, j)
 		}
 	}
+	sc.notdep = notdep
 
 	// Initials of v: events with no happens-before predecessor inside
 	// v. The new event qualifies when nothing in notdep happens-before
 	// it — `covered` holds exactly the events that do.
-	var initials []trans
+	initials := sc.initials[:0]
 	for a, j := range notdep {
 		isInit := true
 		for _, k := range notdep[:a] {
@@ -500,17 +548,13 @@ func (m *model) reverseRace(stack []dframe, i int, tn trans, covered ebits) {
 	if tnInit {
 		initials = append(initials, tn)
 	}
+	sc.initials = initials
 
 	// Source-set check: an initial already scheduled at frame i covers
 	// this race.
 	for idx, bt := range fr.back {
-		if !bt {
-			continue
-		}
-		for _, q := range initials {
-			if fr.enab[idx] == q {
-				return
-			}
+		if bt && slices.Contains(initials, fr.enab[idx]) {
+			return
 		}
 	}
 
@@ -520,11 +564,9 @@ func (m *model) reverseRace(stack []dframe, i int, tn trans, covered ebits) {
 	// to scheduling every enabled transition — the always-sound
 	// Flanagan-Godefroid degenerate case.
 	for _, q := range initials {
-		for idx, e := range fr.enab {
-			if e == q {
-				fr.back[idx] = true
-				return
-			}
+		if idx := slices.Index(fr.enab, q); idx >= 0 {
+			fr.back[idx] = true
+			return
 		}
 	}
 	for idx := range fr.back {

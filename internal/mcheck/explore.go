@@ -2,7 +2,7 @@ package mcheck
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"denovogpu/internal/coherence"
@@ -89,11 +89,16 @@ func (m *model) footprint(t trans) uint32 {
 
 func independent[T uint32 | uint64](fa, fb T) bool { return fa&fb == 0 }
 
-// enabled returns the enabled transitions of s in a fixed deterministic
-// order: thread steps, final releases, background cache actions, then
-// channel deliveries by sorted channel key.
-func (m *model) enabled(s *state) []trans {
-	var ts []trans
+// enabledInto appends the enabled transitions of s to buf[:0] in a
+// fixed deterministic order — thread steps, final releases, background
+// cache actions, then channel deliveries by channel — and returns it.
+// Deliveries sort by trans value, which orders channels exactly as
+// (src, dst, v) does; callers pass a reused buffer so the DPOR hot
+// loop enumerates without allocating.
+func (m *model) enabledInto(buf []trans, s *state) []trans {
+	// At most: every thread, every CU's final release, two background
+	// actions per (CU, word), one delivery per message.
+	ts := slices.Grow(buf[:0], m.nt+m.nc+2*m.nc*m.nv+len(s.msgs))
 	done := m.allOpsDone(s)
 	for ti := range m.p.Threads {
 		if int(s.pcs[ti]) >= len(m.p.Threads[ti].Ops) || s.blocked&(1<<ti) != 0 {
@@ -138,59 +143,81 @@ func (m *model) enabled(s *state) []trans {
 			}
 		}
 	}
-	if len(s.msgs) > 0 {
-		seen := make(map[uint16]bool, len(s.msgs))
-		keys := make([]int, 0, len(s.msgs))
-		for i := range s.msgs {
-			k := s.msgs[i].chanKey()
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, int(k))
-			}
-		}
-		sort.Ints(keys)
-		for _, k := range keys {
-			ts = append(ts, mkTrans(tkDeliver, uint8(k>>8), uint8(k>>4&0xF), uint8(k&0xF)))
+	first := len(ts)
+	for i := range s.msgs {
+		g := &s.msgs[i]
+		t := mkTrans(tkDeliver, g.src, g.dst, g.v)
+		if !slices.Contains(ts[first:], t) {
+			ts = append(ts, t)
 		}
 	}
+	slices.Sort(ts[first:])
 	return ts
 }
 
-// applyT executes transition t on a copy of s and returns it with a
-// human-readable label for counterexample traces.
-func (m *model) applyT(s *state, t trans) (*state, string) {
-	n := s.clone()
+// apply executes transition t on s in place.
+func (m *model) apply(s *state, t trans) {
 	kind, a, b, c := t.parts()
 	switch kind {
 	case tkStep:
-		ti := int(a)
-		op := m.opOf(ti, n)
-		label := fmt.Sprintf("t%d: %s", ti, op)
-		m.step(n, ti)
-		return n, label
+		m.step(s, int(a))
 	case tkFinalRel:
-		m.releaseIssue(n, a)
-		n.finalRel |= 1 << a
-		return n, fmt.Sprintf("cu%d: final release", a)
+		m.releaseIssue(s, a)
+		s.finalRel |= 1 << a
 	case tkEvict:
-		n.cus[a].st[c] = wInvalid
-		return n, fmt.Sprintf("cu%d: evict %s", a, vname(c))
+		s.cus[a].st[c] = wInvalid
 	case tkFlushDirty:
-		cu := &n.cus[a]
-		m.sendWT(n, cu, a, c, cu.val[c])
+		cu := &s.cus[a]
+		m.sendWT(s, cu, a, c, cu.val[c])
 		cu.st[c] = wInvalid
-		return n, fmt.Sprintf("cu%d: flush dirty %s", a, vname(c))
 	case tkWriteBack:
-		m.writeBack(n, a, c)
-		return n, fmt.Sprintf("cu%d: write back %s", a, vname(c))
+		m.writeBack(s, a, c)
 	case tkLazyKick:
-		m.sendRegReq(n, &n.cus[a], a, c)
-		return n, fmt.Sprintf("cu%d: register lazy %s", a, vname(c))
+		m.sendRegReq(s, &s.cus[a], a, c)
 	case tkDeliver:
-		return n, m.deliver(n, a, b, c)
+		m.deliver(s, a, b, c)
+	default:
+		s.fail("model-internal", fmt.Sprintf("unknown transition %#x", uint32(t)))
 	}
-	n.fail("model-internal", fmt.Sprintf("unknown transition %#x", uint32(t)))
-	return n, "?"
+}
+
+// label names transition t taken at state pre for counterexample
+// traces. It is the only place a step is named, and it runs only once
+// a violation is found (see labels).
+func (m *model) label(pre *state, t trans) string {
+	kind, a, b, c := t.parts()
+	switch kind {
+	case tkStep:
+		return fmt.Sprintf("t%d: %s", a, m.opOf(int(a), pre))
+	case tkFinalRel:
+		return fmt.Sprintf("cu%d: final release", a)
+	case tkEvict:
+		return fmt.Sprintf("cu%d: evict %s", a, vname(c))
+	case tkFlushDirty:
+		return fmt.Sprintf("cu%d: flush dirty %s", a, vname(c))
+	case tkWriteBack:
+		return fmt.Sprintf("cu%d: write back %s", a, vname(c))
+	case tkLazyKick:
+		return fmt.Sprintf("cu%d: register lazy %s", a, vname(c))
+	case tkDeliver:
+		if i := pre.head(a, b, c); i >= 0 {
+			return "deliver " + pre.msgs[i].String()
+		}
+		return "deliver(empty)"
+	}
+	return "?"
+}
+
+// labels replays the transition sequence ts from the initial state and
+// names each step: the counterexample trace of the execution ts.
+func (m *model) labels(ts []trans) []string {
+	out := make([]string, len(ts))
+	s := m.initial()
+	for i, t := range ts {
+		out[i] = m.label(s, t)
+		m.apply(s, t)
+	}
+	return out
 }
 
 // encode produces the canonical byte representation of a state.
@@ -240,21 +267,16 @@ func (m *model) encode(s *state) string {
 	// within-channel FIFO order preserved: interleavings of independent
 	// transitions encode identically.
 	if len(s.msgs) > 0 {
-		keys := make([]int, 0, len(s.msgs))
-		seen := make(map[uint16]bool, len(s.msgs))
+		keys := make([]uint16, len(s.msgs))
 		for i := range s.msgs {
-			k := s.msgs[i].chanKey()
-			if !seen[k] {
-				seen[k] = true
-				keys = append(keys, int(k))
-			}
+			keys[i] = s.msgs[i].chanKey()
 		}
-		sort.Ints(keys)
-		for _, k := range keys {
+		slices.Sort(keys)
+		for _, k := range slices.Compact(keys) {
 			b = append(b, 0xFE, byte(k), byte(k>>8))
 			for i := range s.msgs {
 				g := &s.msgs[i]
-				if int(g.chanKey()) != k {
+				if g.chanKey() != k {
 					continue
 				}
 				flags := byte(0)
@@ -275,20 +297,18 @@ func (m *model) encode(s *state) string {
 // traceNode is one step of the path to a state, shared structurally
 // across the DFS so paths cost O(1) per node.
 type traceNode struct {
-	label  string
+	t      trans
 	parent *traceNode
 }
 
-func (n *traceNode) path() []string {
-	var rev []string
+// path returns the transitions from the root to n, outermost first.
+func (n *traceNode) path() []trans {
+	var ts []trans
 	for ; n != nil; n = n.parent {
-		rev = append(rev, n.label)
+		ts = append(ts, n.t)
 	}
-	out := make([]string, len(rev))
-	for i := range rev {
-		out[i] = rev[len(rev)-1-i]
-	}
-	return out
+	slices.Reverse(ts)
+	return ts
 }
 
 // subsetOf reports whether sorted slice a is a subset of sorted b.
@@ -333,7 +353,7 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 			Config:    m.mcfg,
 			Program:   m.p,
 			Observed:  obs,
-			Trace:     tn.path(),
+			Trace:     m.labels(tn.path()),
 		}
 	}
 
@@ -384,7 +404,7 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 			continue
 		}
 
-		ts := m.enabled(s)
+		ts := m.enabledInto(nil, s)
 		if len(ts) == 0 {
 			return expanded, outcomes, violation("deadlock",
 				"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
@@ -400,16 +420,14 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 		// Children are pushed in reverse so the lowest-ordered transition
 		// pops first: exploration order (and therefore which violation is
 		// reported) is deterministic.
-		type child struct {
-			fr frame
-		}
-		var children []child
+		var children []frame
 		var explored []trans
 		for _, t := range ts {
 			if sleepSet[t] {
 				continue
 			}
-			n, label := m.applyT(s, t)
+			n := s.clone()
+			m.apply(n, t)
 			var childSleep []trans
 			if !disablePOR {
 				ft := m.footprint(t)
@@ -423,17 +441,17 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 						childSleep = append(childSleep, u)
 					}
 				}
-				sort.Slice(childSleep, func(i, j int) bool { return childSleep[i] < childSleep[j] })
+				slices.Sort(childSleep)
 				explored = append(explored, t)
 			}
-			children = append(children, child{frame{
+			children = append(children, frame{
 				s:     n,
 				sleep: childSleep,
-				trace: &traceNode{label: label, parent: fr.trace},
-			}})
+				trace: &traceNode{t: t, parent: fr.trace},
+			})
 		}
 		for i := len(children) - 1; i >= 0; i-- {
-			stack = append(stack, children[i].fr)
+			stack = append(stack, children[i])
 		}
 	}
 	return expanded, outcomes, nil, nil

@@ -261,10 +261,17 @@ type state struct {
 	violDetail string
 }
 
+// copyFrom overwrites s with p, reusing s's message backing array so
+// an explorer can keep one state buffer per depth for its whole run.
+func (s *state) copyFrom(p *state) {
+	msgs := s.msgs[:0]
+	*s = *p
+	s.msgs = append(msgs, p.msgs...)
+}
+
 func (s *state) clone() *state {
 	n := new(state)
-	*n = *s
-	n.msgs = append([]msg(nil), s.msgs...)
+	n.copyFrom(s)
 	return n
 }
 
@@ -770,28 +777,31 @@ func (m *model) ownershipArrived(s *state, ci, v uint8, carried uint32) {
 	}
 }
 
-// deliver processes the oldest message of channel (src, dst, v).
-func (m *model) deliver(s *state, src, dst, v uint8) string {
-	idx := -1
+// head returns the index of the oldest message of channel (src, dst,
+// v), or -1 if the channel is empty.
+func (s *state) head(src, dst, v uint8) int {
 	for i := range s.msgs {
 		if s.msgs[i].src == src && s.msgs[i].dst == dst && s.msgs[i].v == v {
-			idx = i
-			break
+			return i
 		}
 	}
+	return -1
+}
+
+// deliver processes the oldest message of channel (src, dst, v).
+func (m *model) deliver(s *state, src, dst, v uint8) {
+	idx := s.head(src, dst, v)
 	if idx < 0 {
 		s.fail("model-internal", fmt.Sprintf("deliver on empty channel %d->%d v%d", src, dst, v))
-		return "deliver(empty)"
+		return
 	}
 	g := s.msgs[idx]
 	s.msgs = append(s.msgs[:idx], s.msgs[idx+1:]...)
-	label := "deliver " + g.String()
 	if dst == home {
 		m.deliverHome(s, g)
 	} else {
 		m.deliverCU(s, g)
 	}
-	return label
 }
 
 // deliverHome processes a message at the variable's registry/L2 home.
@@ -1044,26 +1054,52 @@ func (m *model) terminal(s *state) bool {
 	return true
 }
 
-// outcome reads the terminal state the way the host does: a registered
-// word's authoritative copy lives in its owner's L1, everything else
-// in memory.
-func (m *model) outcome(s *state) (litmus.Outcome, bool) {
-	var o litmus.Outcome
-	o.Loads = make([][]uint32, m.nt)
-	for ti := 0; ti < m.nt; ti++ {
-		o.Loads[ti] = append([]uint32(nil), s.loads[ti][:s.loadLen[ti]]...)
-	}
-	o.Final = make([]uint32, m.nv)
+// outKey is a terminal state's outcome in comparable form, so an
+// explorer can recognize an outcome it has already recorded without
+// building (and allocating) a litmus.Outcome. Load slots past a
+// thread's loadLen are always zero, so equal keys mean equal outcomes.
+type outKey struct {
+	loads   [maxThreads][maxOpsPerThread]uint32
+	loadLen [maxThreads]uint8
+	final   [maxVars]uint32
+}
+
+// outcomeKey reads the terminal state the way the host does: a
+// registered word's authoritative copy lives in its owner's L1,
+// everything else in memory.
+func (m *model) outcomeKey(s *state) (outKey, bool) {
+	k := outKey{loads: s.loads, loadLen: s.loadLen}
 	for v := 0; v < m.nv; v++ {
 		if ow := s.owner[v]; ow >= 0 {
 			if s.cus[ow].st[v] != wReg {
 				s.fail("l2-agreement", fmt.Sprintf("terminal: registry says cu%d owns v%d but its L1 does not hold it", ow, v))
-				return o, false
+				return k, false
 			}
-			o.Final[v] = s.cus[ow].val[v]
+			k.final[v] = s.cus[ow].val[v]
 		} else {
-			o.Final[v] = s.mem[v]
+			k.final[v] = s.mem[v]
 		}
 	}
-	return o, true
+	return k, true
+}
+
+// outcomeOf converts a key to the litmus outcome it stands for.
+func (m *model) outcomeOf(k *outKey) litmus.Outcome {
+	var o litmus.Outcome
+	o.Loads = make([][]uint32, m.nt)
+	for ti := 0; ti < m.nt; ti++ {
+		o.Loads[ti] = append([]uint32(nil), k.loads[ti][:k.loadLen[ti]]...)
+	}
+	o.Final = make([]uint32, m.nv)
+	copy(o.Final, k.final[:])
+	return o
+}
+
+// outcome reads a terminal state's outcome (see outcomeKey).
+func (m *model) outcome(s *state) (litmus.Outcome, bool) {
+	k, ok := m.outcomeKey(s)
+	if !ok {
+		return litmus.Outcome{}, false
+	}
+	return m.outcomeOf(&k), true
 }
