@@ -1,14 +1,14 @@
 package denovogpu
 
-// This file is the model-checking counterpart of matrixspec.go: wire
-// specs for check cells (one litmus program × configuration
-// exploration, optionally one shard of it), the content-addressed
-// cache key for a check result, and the canonical report/verdict
-// encodings. The same determinism contract applies — a check cell's
-// canonical report depends only on (code version, config, program,
-// budget, explorer, shard), never on which worker ran it — so check
-// results cache and distribute through exactly the same sweepd
-// machinery as simulation cells.
+// This file is the model-checking half of the cell surface in
+// matrixspec.go: shards of a check cell (one litmus program ×
+// configuration exploration, a CellSpec with Program set), the split
+// into shard cells, and the canonical report/verdict encodings. The
+// same determinism contract applies — a check cell's canonical report
+// depends only on (code version, config, program, budget, explorer,
+// shard), never on which worker ran it — so check results cache and
+// distribute through exactly the same sweepd machinery as simulation
+// cells.
 //
 // Reports vs verdicts: a *report* is one cell's full result, including
 // its States count and its shard identity; per-shard States is
@@ -23,15 +23,12 @@ package denovogpu
 // each deterministic per-shard result.)
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
 
 	"denovogpu/internal/litmus"
-	"denovogpu/internal/machine"
 	"denovogpu/internal/mcheck"
 )
 
@@ -43,65 +40,6 @@ type CheckShard struct {
 	Index  int      `json:"index"`
 	Prefix []uint32 `json:"prefix,omitempty"`
 	Sleep  []uint32 `json:"sleep,omitempty"`
-}
-
-// CheckCellSpec is the wire form of one model-checking cell: a
-// configuration, a catalog litmus program by name, and the exploration
-// parameters. Budget <= 0 selects mcheck.DefaultBudget and Explorer ""
-// selects "dpor"; both are canonicalized before keying, so specs that
-// spell the defaults differently share a cache key. A nil Shard means
-// the whole exploration.
-type CheckCellSpec struct {
-	Config   ConfigSpec  `json:"config"`
-	Program  string      `json:"program"`
-	Budget   int         `json:"budget,omitempty"`
-	Explorer string      `json:"explorer,omitempty"`
-	Shard    *CheckShard `json:"shard,omitempty"`
-}
-
-// resolve canonicalizes the spec into runnable pieces.
-func (s CheckCellSpec) resolve() (machine.Config, *litmus.Program, mcheck.Options, error) {
-	cfg, err := s.Config.Resolve()
-	if err != nil {
-		return machine.Config{}, nil, mcheck.Options{}, err
-	}
-	p, err := LitmusProgramByName(s.Program)
-	if err != nil {
-		return machine.Config{}, nil, mcheck.Options{}, err
-	}
-	name := s.Explorer
-	if name == "" {
-		name = "dpor"
-	}
-	ex, err := mcheck.ExplorerByName(name)
-	if err != nil {
-		return machine.Config{}, nil, mcheck.Options{}, err
-	}
-	if s.Shard != nil && ex != mcheck.ExplorerDPOR {
-		return machine.Config{}, nil, mcheck.Options{}, fmt.Errorf("denovogpu: sharded check cells require the dpor explorer, not %q", name)
-	}
-	budget := s.Budget
-	if budget <= 0 {
-		budget = mcheck.DefaultBudget
-	}
-	return cfg, p, mcheck.Options{Budget: budget, Explorer: ex}, nil
-}
-
-// Validate rejects unresolvable specs (unknown config, program or
-// explorer) without running anything; the coordinator calls it at
-// submit so a job never discovers a bad cell halfway through.
-func (s CheckCellSpec) Validate() error {
-	_, _, _, err := s.resolve()
-	return err
-}
-
-// DisplayName is the spec's workload-slot label in sweepd progress
-// events: "check:MP", or "check:MP#3" for shard 3.
-func (s CheckCellSpec) DisplayName() string {
-	if s.Shard != nil {
-		return fmt.Sprintf("check:%s#%d", s.Program, s.Shard.Index)
-	}
-	return "check:" + s.Program
 }
 
 // LitmusProgramByName finds a catalog litmus program. Only catalog
@@ -123,40 +61,6 @@ func LitmusProgramNames() []string {
 		names = append(names, e.Program.Name)
 	}
 	return names
-}
-
-// CheckKey returns the canonical content address of one check cell,
-// following the CellKey recipe: hex SHA-256 over length-prefixed
-// (schema, code version, canonicalized config, program, budget,
-// explorer, shard). Budget and explorer are keyed post-canonicalization
-// and the shard part is the canonical JSON of the Shard ("" when nil),
-// so equivalent spellings share a key and anything that changes what
-// the cell explores changes it.
-func CheckKey(codeVersion string, s CheckCellSpec) (string, error) {
-	cfg, p, opts, err := s.resolve()
-	if err != nil {
-		return "", err
-	}
-	cfgJSON, err := json.Marshal(cfg.Defaults())
-	if err != nil {
-		return "", err
-	}
-	shard := ""
-	if s.Shard != nil {
-		b, err := json.Marshal(s.Shard)
-		if err != nil {
-			return "", err
-		}
-		shard = string(b)
-	}
-	h := sha256.New()
-	for _, part := range []string{
-		"denovogpu-check/v1", codeVersion, string(cfgJSON), p.Name,
-		fmt.Sprintf("%d", opts.Budget), opts.Explorer.String(), shard,
-	} {
-		fmt.Fprintf(h, "%d:%s", len(part), part)
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // CheckConfigSpecs returns the full model-checking configuration set
@@ -183,35 +87,38 @@ func CheckConfigSpecs() []ConfigSpec {
 // report is already the cell's complete result. Otherwise the merge of
 // the partial report followed by the per-shard reports, in order, is
 // the cell's verdict (MergeCheckVerdict).
-func SplitCheckCell(s CheckCellSpec, shards int) ([]CheckCellSpec, CheckReport, error) {
-	if s.Shard != nil {
-		return nil, CheckReport{}, fmt.Errorf("denovogpu: splitting an already-sharded check cell (%s)", s.DisplayName())
-	}
-	cfg, p, opts, err := s.resolve()
-	if err != nil {
+func SplitCheckCell(s CellSpec, shards int) ([]CellSpec, CheckReport, error) {
+	r, err := s.resolve()
+	switch {
+	case err != nil:
 		return nil, CheckReport{}, err
+	case r.prog == nil:
+		return nil, CheckReport{}, fmt.Errorf("denovogpu: splitting simulation cell %q; only check cells split", s.Workload)
+	case s.Shard != nil:
+		workload, _ := s.Label()
+		return nil, CheckReport{}, fmt.Errorf("denovogpu: splitting an already-sharded check cell (%s)", workload)
 	}
-	plan, err := mcheck.Split(cfg, p, opts, shards)
+	plan, err := mcheck.Split(r.cfg, r.prog, r.opts, shards)
 	if err != nil {
 		return nil, CheckReport{}, err
 	}
 	base := CheckReport{
 		Schema:    checkReportSchema,
-		Program:   p.Name,
-		Config:    cfg.Name(),
-		Explorer:  opts.Explorer.String(),
-		Budget:    opts.Budget,
+		Program:   r.prog.Name,
+		Config:    r.cfg.Name(),
+		Explorer:  r.opts.Explorer.String(),
+		Budget:    r.opts.Budget,
 		States:    plan.States,
 		Outcomes:  sortedOutcomeKeys(plan.Outcomes),
 		Violation: wireViolation(plan.Violation),
 	}
-	var cells []CheckCellSpec
+	var cells []CellSpec
 	for i, u := range plan.Units {
 		c := s
 		// Canonicalized so every shard of a cell keys against the same
 		// budget and explorer spelling as its siblings.
-		c.Budget = opts.Budget
-		c.Explorer = opts.Explorer.String()
+		c.Budget = r.opts.Budget
+		c.Explorer = r.opts.Explorer.String()
 		c.Shard = &CheckShard{Index: i, Prefix: u.Prefix, Sleep: u.Sleep}
 		cells = append(cells, c)
 	}
@@ -275,43 +182,35 @@ func UnmarshalCheckReport(data []byte) (CheckReport, error) {
 	return r, nil
 }
 
-// RunCheckCell executes one check cell — the whole exploration, or one
-// shard of it — and returns its canonical report bytes plus the states
-// count for progress accounting. A *mcheck.BudgetError (or any other
-// exploration error) is returned as an error, not encoded in a report:
-// budget exhaustion is not a verdict, and sweepd's fail-fast plus
-// lowest-index error semantics handle it exactly as api.RunMatrix
-// would.
-func RunCheckCell(s CheckCellSpec) ([]byte, int, error) {
-	cfg, p, opts, err := s.resolve()
-	if err != nil {
-		return nil, 0, err
-	}
+// check explores a resolved check cell — the whole exploration, or
+// the given shard of it — and returns its canonical report bytes plus
+// the states count.
+func (r resolvedCell) check(shard *CheckShard) ([]byte, uint64, error) {
 	var res *mcheck.Result
-	if s.Shard != nil {
-		res, err = mcheck.CheckShard(cfg, p, opts, mcheck.Unit{Prefix: s.Shard.Prefix, Sleep: s.Shard.Sleep})
+	var err error
+	if shard != nil {
+		res, err = mcheck.CheckShard(r.cfg, r.prog, r.opts, mcheck.Unit{Prefix: shard.Prefix, Sleep: shard.Sleep})
 	} else {
-		res, err = mcheck.Check(cfg, p, opts)
+		res, err = mcheck.Check(r.cfg, r.prog, r.opts)
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	r := CheckReport{
+	data, err := MarshalCheckReport(CheckReport{
 		Schema:    checkReportSchema,
-		Program:   p.Name,
-		Config:    cfg.Name(),
-		Explorer:  opts.Explorer.String(),
-		Budget:    opts.Budget,
-		Shard:     s.Shard,
+		Program:   r.prog.Name,
+		Config:    r.cfg.Name(),
+		Explorer:  r.opts.Explorer.String(),
+		Budget:    r.opts.Budget,
+		Shard:     shard,
 		States:    res.States,
 		Outcomes:  sortedOutcomeKeys(res.Outcomes),
 		Violation: wireViolation(res.Violation),
-	}
-	data, err := MarshalCheckReport(r)
+	})
 	if err != nil {
 		return nil, 0, err
 	}
-	return data, res.States, nil
+	return data, uint64(res.States), nil
 }
 
 func sortedOutcomeKeys(outcomes map[string]litmus.Outcome) []string {

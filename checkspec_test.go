@@ -6,57 +6,9 @@ import (
 	"testing"
 )
 
-func TestCheckKeyCanonicalization(t *testing.T) {
-	base := CheckCellSpec{Config: ConfigSpec{Name: "DD"}, Program: "MP"}
-	k1, err := CheckKey("v1", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Explicitly spelled defaults share the key with omitted ones.
-	spelled := base
-	spelled.Budget = 20_000_000 // mcheck.DefaultBudget
-	spelled.Explorer = "dpor"
-	if k2, err := CheckKey("v1", spelled); err != nil || k2 != k1 {
-		t.Errorf("spelled-out defaults changed the key: %v %v", k2 == k1, err)
-	}
-
-	// Anything that changes what the cell explores changes the key.
-	for name, mut := range map[string]CheckCellSpec{
-		"program":  {Config: ConfigSpec{Name: "DD"}, Program: "LB"},
-		"config":   {Config: ConfigSpec{Name: "DH"}, Program: "MP"},
-		"budget":   {Config: ConfigSpec{Name: "DD"}, Program: "MP", Budget: 1000},
-		"explorer": {Config: ConfigSpec{Name: "DD"}, Program: "MP", Explorer: "sleepset"},
-		"shard":    {Config: ConfigSpec{Name: "DD"}, Program: "MP", Shard: &CheckShard{Index: 1, Prefix: []uint32{7}}},
-	} {
-		k, err := CheckKey("v1", mut)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if k == k1 {
-			t.Errorf("changing %s did not change the key", name)
-		}
-	}
-	if k, _ := CheckKey("v2", base); k == k1 {
-		t.Error("code version not folded into the key")
-	}
-
-	// Unresolvable specs are rejected.
-	for name, bad := range map[string]CheckCellSpec{
-		"program":        {Config: ConfigSpec{Name: "DD"}, Program: "NOPE"},
-		"config":         {Config: ConfigSpec{Name: "NOPE"}, Program: "MP"},
-		"explorer":       {Config: ConfigSpec{Name: "DD"}, Program: "MP", Explorer: "bfs"},
-		"sharded-sleeps": {Config: ConfigSpec{Name: "DD"}, Program: "MP", Explorer: "sleepset", Shard: &CheckShard{}},
-	} {
-		if _, err := CheckKey("v1", bad); err == nil {
-			t.Errorf("bad %s accepted", name)
-		}
-	}
-}
-
 func TestRunCheckCellRoundTrip(t *testing.T) {
-	spec := CheckCellSpec{Config: ConfigSpec{Name: "DD"}, Program: "MP"}
-	data, states, err := RunCheckCell(spec)
+	spec := CellSpec{Config: ConfigSpec{Name: "DD"}, Program: "MP"}
+	data, states, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +19,7 @@ func TestRunCheckCellRoundTrip(t *testing.T) {
 	if r.Program != "MP" || r.Config != "DD" || r.Explorer != "dpor" {
 		t.Errorf("report identity: %+v", r)
 	}
-	if r.States != states || states <= 0 {
+	if uint64(r.States) != states || states == 0 {
 		t.Errorf("states: report %d, returned %d", r.States, states)
 	}
 	if len(r.Outcomes) == 0 || r.Violation != nil {
@@ -81,7 +33,7 @@ func TestRunCheckCellRoundTrip(t *testing.T) {
 		t.Error("report does not round-trip canonically")
 	}
 	// A rerun is byte-identical (exploration determinism on the wire).
-	data2, _, err := RunCheckCell(spec)
+	data2, _, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +47,8 @@ func TestRunCheckCellRoundTrip(t *testing.T) {
 // tries and at two shard counts.
 func TestCheckVerdictShardIdentity(t *testing.T) {
 	for _, prog := range []string{"MP", "SB+sync", "LB"} {
-		spec := CheckCellSpec{Config: ConfigSpec{Name: "DD"}, Program: prog}
-		serialBytes, _, err := RunCheckCell(spec)
+		spec := CellSpec{Config: ConfigSpec{Name: "DD"}, Program: prog}
+		serialBytes, _, err := spec.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +71,7 @@ func TestCheckVerdictShardIdentity(t *testing.T) {
 			}
 			reports := []CheckReport{base}
 			for _, c := range cells {
-				data, _, err := RunCheckCell(c)
+				data, _, err := c.Run()
 				if err != nil {
 					t.Fatalf("%s shard %d: %v", prog, c.Shard.Index, err)
 				}
@@ -154,9 +106,9 @@ func TestCheckCellViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.FaultDisableAcquireInval = true
-	spec := CheckCellSpec{Config: ConfigSpec{Raw: &cfg}, Program: "MP+preload"}
+	spec := CellSpec{Config: ConfigSpec{Raw: &cfg}, Program: "MP+preload"}
 
-	data, _, err := RunCheckCell(spec)
+	data, _, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +129,7 @@ func TestCheckCellViolation(t *testing.T) {
 	}
 	reports := []CheckReport{base}
 	for _, c := range cells {
-		d, _, err := RunCheckCell(c)
+		d, _, err := c.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,8 +199,11 @@ func TestCheckConfigSpecs(t *testing.T) {
 }
 
 func TestCheckCellSpecRejectsSimulation(t *testing.T) {
-	s := CellSpec{Check: &CheckCellSpec{Config: ConfigSpec{Name: "DD"}, Program: "MP"}}
+	s := CellSpec{Config: ConfigSpec{Name: "DD"}, Program: "MP"}
 	if _, err := s.Cell(); err == nil {
 		t.Error("Cell() resolved a check cell")
+	}
+	if _, _, err := SplitCheckCell(CellSpec{Config: ConfigSpec{Name: "DD"}, Workload: "LAVA"}, 2); err == nil {
+		t.Error("SplitCheckCell split a simulation cell")
 	}
 }

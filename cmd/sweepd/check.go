@@ -62,10 +62,10 @@ func runCheckCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var cells []denovogpu.CheckCellSpec
+	var cells []denovogpu.CellSpec
 	for _, p := range progNames {
 		for _, c := range cfgSpecs {
-			cells = append(cells, denovogpu.CheckCellSpec{
+			cells = append(cells, denovogpu.CellSpec{
 				Config: c, Program: p, Budget: *budget, Explorer: *explorer,
 			})
 		}
@@ -85,19 +85,19 @@ func runCheckCmd(args []string, stdout, stderr io.Writer) int {
 
 // runCheckLocal is the serial reference: every cell explored whole,
 // in-process.
-func runCheckLocal(cells []denovogpu.CheckCellSpec, outDir string, stdout, stderr io.Writer) int {
+func runCheckLocal(cells []denovogpu.CellSpec, outDir string, stdout, stderr io.Writer) int {
 	for i, s := range cells {
-		data, _, err := denovogpu.RunCheckCell(s)
+		data, _, err := s.Run()
 		if err != nil {
-			return emitCheckFailure(stderr, s, i, err.Error())
+			return emitCellFailure(stderr, s, i, err.Error())
 		}
 		report, err := denovogpu.UnmarshalCheckReport(data)
 		if err != nil {
-			return emitCheckFailure(stderr, s, i, err.Error())
+			return emitCellFailure(stderr, s, i, err.Error())
 		}
 		code, err := finishCheckCell([]denovogpu.CheckReport{report}, outDir, stdout)
 		if err != nil {
-			return emitCheckFailure(stderr, s, i, err.Error())
+			return emitCellFailure(stderr, s, i, err.Error())
 		}
 		if code != 0 {
 			return code
@@ -109,9 +109,9 @@ func runCheckLocal(cells []denovogpu.CheckCellSpec, outDir string, stdout, stder
 
 // runCheckSharded splits every cell, submits all units as one job, and
 // merges each cell's unit reports into its verdict.
-func runCheckSharded(cells []denovogpu.CheckCellSpec, server string, shards int, outDir string, stdout, stderr io.Writer) int {
+func runCheckSharded(cells []denovogpu.CellSpec, server string, shards int, outDir string, stdout, stderr io.Writer) int {
 	type plannedCell struct {
-		spec  denovogpu.CheckCellSpec
+		spec  denovogpu.CellSpec
 		base  denovogpu.CheckReport // split phase's own partial result
 		first int                   // index of its first unit in the job, -1 when none
 		units int
@@ -121,15 +121,12 @@ func runCheckSharded(cells []denovogpu.CheckCellSpec, server string, shards int,
 	for i, s := range cells {
 		unitSpecs, base, err := denovogpu.SplitCheckCell(s, shards)
 		if err != nil {
-			return emitCheckFailure(stderr, s, i, err.Error())
+			return emitCellFailure(stderr, s, i, err.Error())
 		}
 		pc := plannedCell{spec: s, base: base, first: -1, units: len(unitSpecs)}
 		if len(unitSpecs) > 0 {
 			pc.first = len(jobCells)
-			for _, u := range unitSpecs {
-				u := u
-				jobCells = append(jobCells, denovogpu.CellSpec{Check: &u})
-			}
+			jobCells = append(jobCells, unitSpecs...)
 		}
 		planned = append(planned, pc)
 	}
@@ -151,11 +148,11 @@ func runCheckSharded(cells []denovogpu.CheckCellSpec, server string, shards int,
 			return cli.ExitFailure
 		}
 		if status.State != "done" {
-			var failed denovogpu.CheckCellSpec
+			var failed denovogpu.CellSpec
 			if status.ErrorCell >= 0 && status.ErrorCell < len(jobCells) {
-				failed = *jobCells[status.ErrorCell].Check
+				failed = jobCells[status.ErrorCell]
 			}
-			return emitCheckFailure(stderr, failed, status.ErrorCell, status.Error)
+			return emitCellFailure(stderr, failed, status.ErrorCell, status.Error)
 		}
 		fmt.Fprintf(stdout, "sweepd: job %s done: %d units (%d cache hits) in %.0f ms\n",
 			status.ID, status.Done, status.CacheHits, status.WallMS)
@@ -166,17 +163,17 @@ func runCheckSharded(cells []denovogpu.CheckCellSpec, server string, shards int,
 		for u := 0; u < pc.units; u++ {
 			data, err := client.CellReport(ctx, status.ID, pc.first+u)
 			if err != nil {
-				return emitCheckFailure(stderr, pc.spec, i, err.Error())
+				return emitCellFailure(stderr, pc.spec, i, err.Error())
 			}
 			r, err := denovogpu.UnmarshalCheckReport(data)
 			if err != nil {
-				return emitCheckFailure(stderr, pc.spec, i, err.Error())
+				return emitCellFailure(stderr, pc.spec, i, err.Error())
 			}
 			reports = append(reports, r)
 		}
 		code, err := finishCheckCell(reports, outDir, stdout)
 		if err != nil {
-			return emitCheckFailure(stderr, pc.spec, i, err.Error())
+			return emitCellFailure(stderr, pc.spec, i, err.Error())
 		}
 		if code != 0 {
 			return code
@@ -212,12 +209,4 @@ func finishCheckCell(reports []denovogpu.CheckReport, outDir string, stdout io.W
 	}
 	fmt.Fprintf(stdout, "  %-16s %-8s clean (%d outcomes)\n", v.Program, v.Config, len(v.Outcomes))
 	return 0, nil
-}
-
-func emitCheckFailure(stderr io.Writer, s denovogpu.CheckCellSpec, index int, msg string) int {
-	config := ""
-	if cfg, err := s.Config.Resolve(); err == nil {
-		config = cfg.Name()
-	}
-	return cli.EmitCellFailure(stderr, s.DisplayName(), config, index, msg)
 }

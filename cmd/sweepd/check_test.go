@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,7 +104,7 @@ func TestCheckViolationExitCode(t *testing.T) {
 	}
 	cfg.FaultDisableAcquireInval = true
 	var out, errb strings.Builder
-	code := runCheckLocal([]denovogpu.CheckCellSpec{
+	code := runCheckLocal([]denovogpu.CellSpec{
 		{Config: denovogpu.ConfigSpec{Raw: &cfg}, Program: "MP+preload"},
 	}, "", &out, &errb)
 	if code != cli.ExitCellFailure {
@@ -111,5 +112,53 @@ func TestCheckViolationExitCode(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "VIOLATION") {
 		t.Errorf("no violation line:\n%s", out.String())
+	}
+}
+
+// TestSubmitCheckCellsOut: `submit -out` with a check cell and a shard
+// cell finishes with exit 0 and writes one report per cell, named by
+// the check-verdict rule plus the shard index.
+func TestSubmitCheckCellsOut(t *testing.T) {
+	_, srv := newServer(t, sweepd.Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := &sweepd.Worker{Server: srv.URL, Name: "w1", IdlePoll: 5 * time.Millisecond}
+	go func() { _ = w.Run(ctx) }()
+
+	check := denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "MP"}
+	shards, _, err := denovogpu.SplitCheckCell(denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DH"}, Program: "SB+sync"}, 2)
+	if err != nil || len(shards) < 2 {
+		t.Fatalf("split: %d shards, %v", len(shards), err)
+	}
+	specPath := filepath.Join(t.TempDir(), "spec.json")
+	data, _ := json.Marshal(denovogpu.MatrixSpec{Cells: []denovogpu.CellSpec{check, shards[1]}})
+	if err := os.WriteFile(specPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	outDir := filepath.Join(t.TempDir(), "reports")
+	code, out, errb := runCmd(t, "submit", "-server", srv.URL, "-spec", specPath, "-out", outDir)
+	if code != 0 {
+		t.Fatalf("submit exit %d\nstdout: %s\nstderr: %s", code, out, errb)
+	}
+	for _, c := range []struct {
+		name    string
+		program string
+		shard   int
+	}{
+		{denovogpu.CheckVerdictFileName("MP", "DD"), "MP", -1},
+		{"check_SB-sync_shard1_DH.json", "SB+sync", 1},
+	} {
+		data, err := os.ReadFile(filepath.Join(outDir, c.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := denovogpu.UnmarshalCheckReport(data)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if r.Program != c.program || (r.Shard == nil) != (c.shard < 0) || (r.Shard != nil && r.Shard.Index != c.shard) {
+			t.Errorf("%s holds the report of %s shard %+v", c.name, r.Program, r.Shard)
+		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
@@ -277,22 +278,26 @@ func runSubmit(args []string, stdout, stderr io.Writer) int {
 			status.ID, status.State, status.Done, status.CacheHits, status.Failed, status.Skipped, status.WallMS)
 	}
 	if status.State != "done" {
-		workload, config := "", ""
+		var failed denovogpu.CellSpec
 		if specs := spec.CellSpecs(); status.ErrorCell >= 0 && status.ErrorCell < len(specs) {
-			s := specs[status.ErrorCell]
-			workload = s.Workload
-			if cfg, err := s.Config.Resolve(); err == nil {
-				config = cfg.Name()
-			}
+			failed = specs[status.ErrorCell]
 		}
-		return cli.EmitCellFailure(stderr, workload, config, status.ErrorCell, status.Error)
+		return emitCellFailure(stderr, failed, status.ErrorCell, status.Error)
 	}
 	return 0
 }
 
+// emitCellFailure writes the machine-readable failure line for a cell,
+// named by its Label.
+func emitCellFailure(stderr io.Writer, s denovogpu.CellSpec, index int, msg string) int {
+	workload, config := s.Label()
+	return cli.EmitCellFailure(stderr, workload, config, index, msg)
+}
+
 // writeReports fetches every done cell's canonical report and writes it
-// under dir with the golden-harness file name, so `diff -r` against
-// internal/machine/testdata/golden is the end-to-end correctness check.
+// under dir as reportFileName, so `diff -r` of a simulation sweep
+// against internal/machine/testdata/golden is the end-to-end
+// correctness check.
 func writeReports(ctx context.Context, client *sweepd.Client, status sweepd.JobStatus, spec denovogpu.MatrixSpec, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -306,19 +311,30 @@ func writeReports(ctx context.Context, client *sweepd.Client, status sweepd.JobS
 			}
 			continue // failed/skipped cells have no report
 		}
-		cfg, err := s.Config.Resolve()
-		if err != nil {
-			return err
-		}
-		name := denovogpu.ReportFileName(s.Workload, cfg.Name())
-		if s.Seed != 0 {
-			name = denovogpu.ReportFileName(fmt.Sprintf("%s_seed%d", s.Workload, s.Seed), cfg.Name())
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, reportFileName(s)), data, 0o644); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// labelFileChars maps a Label's workload to file-name-friendly text:
+// "check:MP+preload#3" becomes "check_MP-preload_shard3".
+var labelFileChars = strings.NewReplacer(":", "_", "+", "-", "#", "_shard")
+
+// reportFileName is the one file-name rule for a cell's report: its
+// Label through ReportFileName, plus "_seedN" for a seeded cell. A
+// simulation cell gets its golden-harness name ("LAVA_GD.json"), a
+// check cell CheckVerdictFileName's ("check_MP_DD.json") and a shard
+// cell that name with its index ("check_MP_shard3_DD.json"), so no two
+// cells of a job collide.
+func reportFileName(s denovogpu.CellSpec) string {
+	workload, config := s.Label()
+	name := labelFileChars.Replace(workload)
+	if s.Seed != 0 {
+		name = fmt.Sprintf("%s_seed%d", name, s.Seed)
+	}
+	return denovogpu.ReportFileName(name, config)
 }
 
 func runStatus(args []string, stdout, stderr io.Writer) int {

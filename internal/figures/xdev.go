@@ -25,7 +25,7 @@ var xdevBenches = []string{
 }
 
 // XDevBenches exposes the 2-device suite ordering for external
-// reporting (CI's multigpu-suite job).
+// reporting (CI's smoke job).
 func XDevBenches() []string { return append([]string(nil), xdevBenches...) }
 
 // xdevConfig resolves a named paper configuration at a device count

@@ -39,8 +39,8 @@ func TestCheckCellsDistributed(t *testing.T) {
 	defer cancel()
 
 	// Serial reference verdict.
-	spec := denovogpu.CheckCellSpec{Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "SB+sync"}
-	serialBytes, _, err := denovogpu.RunCheckCell(spec)
+	spec := denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "SB+sync"}
+	serialBytes, _, err := spec.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,7 @@ func TestCheckCellsDistributed(t *testing.T) {
 	if len(units) < 4 {
 		t.Fatalf("split produced only %d units", len(units))
 	}
-	var cells []denovogpu.CellSpec
-	for _, u := range units {
-		u := u
-		cells = append(cells, denovogpu.CellSpec{Check: &u})
-	}
+	cells := units
 	sr, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
@@ -128,13 +124,13 @@ func TestSubmitCheckValidation(t *testing.T) {
 	_, _, client := newTestServer(t, Options{})
 	ctx := context.Background()
 
+	dd := denovogpu.ConfigSpec{Name: "DD"}
 	for name, cell := range map[string]denovogpu.CellSpec{
-		"unknown program": {Check: &denovogpu.CheckCellSpec{
-			Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "NOPE"}},
-		"unknown config": {Check: &denovogpu.CheckCellSpec{
-			Config: denovogpu.ConfigSpec{Name: "NOPE"}, Program: "MP"}},
-		"simulation fields too": {Workload: "LAVA", Check: &denovogpu.CheckCellSpec{
-			Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "MP"}},
+		"unknown program":       {Config: dd, Program: "NOPE"},
+		"unknown config":        {Config: denovogpu.ConfigSpec{Name: "NOPE"}, Program: "MP"},
+		"simulation fields too": {Config: dd, Workload: "LAVA", Program: "MP"},
+		"seeded check cell":     {Config: dd, Program: "MP", Seed: 1},
+		"sharded simulation":    {Config: dd, Workload: "LAVA", Shard: &denovogpu.CheckShard{}},
 	} {
 		if _, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: []denovogpu.CellSpec{cell}}); err == nil {
 			t.Errorf("%s: accepted", name)
@@ -159,8 +155,7 @@ func TestCheckCellEvents(t *testing.T) {
 	defer wg.Wait()
 	defer cancel()
 
-	cell := denovogpu.CellSpec{Check: &denovogpu.CheckCellSpec{
-		Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "MP"}}
+	cell := denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "MP"}
 	sr, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: []denovogpu.CellSpec{cell}})
 	if err != nil {
 		t.Fatal(err)

@@ -2,12 +2,14 @@
 // coordinator that accepts matrix specs (api.MatrixSpec), shards their
 // cells across pull-based workers, streams per-cell progress as NDJSON
 // events, and dedupes work through a content-addressed result cache
-// (internal/resultcache keyed by api.CellKey).
+// (internal/resultcache keyed by api.CellKey). Simulation and check
+// cells take the same path: the service only calls api.CellSpec's
+// methods and never asks which kind a cell is.
 //
 // Determinism is the service's contract, inherited from the simulator:
-// a cell's canonical report (api.MarshalReport) depends only on its
-// (code version, config, workload, seed), never on which worker ran it
-// or in what order cells completed. That makes distribution and
+// a cell's canonical report (api.CellSpec.Run) depends only on what
+// api.CellKey hashes, never on which worker ran it or in what order
+// cells completed. That makes distribution and
 // caching *verifiable* — a cached or remotely-computed cell is correct
 // iff its bytes match the serial golden — and it makes the job-level
 // error deterministic: a finished job's error is the lowest-index
@@ -95,7 +97,6 @@ const maxAttempts = 3
 type cell struct {
 	index    int
 	spec     denovogpu.CellSpec
-	mc       denovogpu.MatrixCell
 	workload string
 	config   string
 	key      string
@@ -199,10 +200,11 @@ func (c *Coordinator) CacheStats() resultcache.Stats {
 	return c.cache.Stats()
 }
 
-// Submit resolves and enqueues a matrix spec. Every cell is resolved
-// and keyed up front — an unresolvable spec is rejected whole, so a
-// job never discovers a bad cell halfway through. Cells whose key is
-// already in the result cache complete immediately as cache hits.
+// Submit resolves and enqueues a matrix spec. Every cell is validated
+// and keyed up front (CellKey resolves the cell) — an unresolvable spec
+// is rejected whole, so a job never discovers a bad cell halfway
+// through. Cells whose key is already in the result cache complete
+// immediately as cache hits.
 //
 // An identical spec already running (same canonical cell-key list and
 // keep_going flag) is not enqueued twice: Submit returns the active
@@ -217,44 +219,13 @@ func (c *Coordinator) Submit(spec denovogpu.MatrixSpec) (JobStatus, bool, error)
 	hash := sha256.New()
 	fmt.Fprintf(hash, "keep_going=%t\n", spec.KeepGoing)
 	for i, s := range specs {
-		cl := &cell{index: i, spec: s, state: StateQueued}
-		if s.Check != nil {
-			// A check cell: validated and keyed through the check spec
-			// (which carries its own config); the simulation fields must
-			// be empty so one cell cannot mean two different runs.
-			if s.Workload != "" || s.Seed != 0 || s.Config.Name != "" || s.Config.Raw != nil {
-				return JobStatus{}, false, fmt.Errorf("sweepd: cell %d: check cell also sets simulation fields", i)
-			}
-			cfg, err := s.Check.Config.Resolve()
-			if err != nil {
-				return JobStatus{}, false, fmt.Errorf("sweepd: cell %d: %w", i, err)
-			}
-			if err := s.Check.Validate(); err != nil {
-				return JobStatus{}, false, fmt.Errorf("sweepd: cell %d: %w", i, err)
-			}
-			key, err := denovogpu.CheckKey(c.version, *s.Check)
-			if err != nil {
-				return JobStatus{}, false, fmt.Errorf("sweepd: cell %d: %w", i, err)
-			}
-			cl.workload = s.Check.DisplayName()
-			cl.config = cfg.Name()
-			cl.key = key
-		} else {
-			mc, err := s.Cell()
-			if err != nil {
-				return JobStatus{}, false, fmt.Errorf("sweepd: cell %d: %w", i, err)
-			}
-			key, err := denovogpu.CellKey(c.version, s)
-			if err != nil {
-				return JobStatus{}, false, fmt.Errorf("sweepd: cell %d: %w", i, err)
-			}
-			cl.mc = mc
-			cl.workload = mc.Workload.Name
-			cl.config = mc.Config.Name()
-			cl.key = key
+		key, err := denovogpu.CellKey(c.version, s)
+		if err != nil {
+			return JobStatus{}, false, fmt.Errorf("sweepd: cell %d: %w", i, err)
 		}
-		fmt.Fprintf(hash, "%s\n", cl.key)
-		cells[i] = cl
+		workload, config := s.Label()
+		cells[i] = &cell{index: i, spec: s, workload: workload, config: config, key: key, state: StateQueued}
+		fmt.Fprintf(hash, "%s\n", key)
 	}
 	specHash := hex.EncodeToString(hash.Sum(nil))
 

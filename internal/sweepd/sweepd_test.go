@@ -351,11 +351,11 @@ func TestDuplicateSubmitDedupe(t *testing.T) {
 // lifecycle in order.
 func TestFailFastAndEventStream(t *testing.T) {
 	origRun := runCell
-	runCell = func(mc denovogpu.MatrixCell) (denovogpu.Report, error) {
-		if mc.Workload.Name == "ST" {
-			return denovogpu.Report{}, errors.New("injected fault")
+	runCell = func(s denovogpu.CellSpec) ([]byte, uint64, error) {
+		if s.Workload == "ST" {
+			return nil, 0, errors.New("injected fault")
 		}
-		return origRun(mc)
+		return origRun(s)
 	}
 	t.Cleanup(func() { runCell = origRun })
 

@@ -13,19 +13,12 @@ import (
 	"denovogpu"
 )
 
-// runCell executes one resolved cell; a seam so worker tests can
+// runCell executes one cell of either kind; a seam so worker tests can
 // substitute failures without building a broken workload.
-var runCell = func(mc denovogpu.MatrixCell) (denovogpu.Report, error) {
-	return denovogpu.Run(mc.Config, mc.Workload)
-}
-
-// runCheckCell executes one model-checking cell; the same kind of seam.
-var runCheckCell = func(s denovogpu.CheckCellSpec) ([]byte, int, error) {
-	return denovogpu.RunCheckCell(s)
-}
+var runCell = denovogpu.CellSpec.Run
 
 // Worker is a pull-based executor: it leases cells from a coordinator
-// over HTTP, simulates them through the api package, and posts back
+// over HTTP, runs them through the api package, and posts back
 // canonical report bytes. Workers are stateless — all bookkeeping
 // (cache, leases, job store) lives in the coordinator — so a worker
 // can be killed at any moment and the lease TTL returns its cell to
@@ -113,60 +106,29 @@ func (w *Worker) RunOne(ctx context.Context) (worked bool, err error) {
 		go w.heartbeatLoop(hbCtx, info.Lease, time.Duration(info.TTLMS)*time.Millisecond/3)
 	}
 
-	req := CompleteRequest{Lease: info.Lease}
-	if info.Spec.Check != nil {
-		// A model-checking cell: same lease/heartbeat/complete flow, the
-		// execution runs through RunCheckCell and Events counts explored
-		// states instead of simulator events.
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		report, states, runErr := runCheckCell(*info.Spec.Check)
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		req.WallMS = float64(wall.Nanoseconds()) / 1e6
-		req.Allocs = after.Mallocs - before.Mallocs
-		if runErr != nil {
-			req.Err = runErr.Error()
-		} else {
-			req.Report = report
-			req.Events = uint64(states)
-		}
-		stopHB()
-		return true, w.complete(ctx, req)
-	}
-	mc, err := info.Spec.Cell()
-	if err != nil {
-		// The coordinator resolved this spec at submit; failure here
-		// means version skew between worker and coordinator binaries.
-		req.Err = fmt.Sprintf("worker %s cannot resolve cell: %v", w.Name, err)
-	} else {
-		// Allocation accounting is exact when this process runs one
-		// cell at a time (cmd/sweepd work default) and approximate
-		// under in-process concurrency — same contract as cmd/bench -j.
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		t0 := time.Now()
-		rep, runErr := runCell(mc)
-		wall := time.Since(t0)
-		runtime.ReadMemStats(&after)
-		req.WallMS = float64(wall.Nanoseconds()) / 1e6
-		req.Allocs = after.Mallocs - before.Mallocs
-		if runErr != nil {
-			req.Err = runErr.Error()
-		} else {
-			report, mErr := denovogpu.MarshalReport(rep)
-			if mErr != nil {
-				req.Err = fmt.Sprintf("serializing report: %v", mErr)
-			} else {
-				req.Report = report
-				req.Events = rep.Events
-			}
-		}
-	}
+	// Allocation accounting is exact when this process runs one cell at
+	// a time (cmd/sweepd work default) and approximate under in-process
+	// concurrency — same contract as cmd/bench -j. Events counts fired
+	// simulator events, or explored states for a check cell.
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	report, events, runErr := runCell(info.Spec)
+	wall := time.Since(t0)
+	runtime.ReadMemStats(&after)
 	stopHB()
+	req := CompleteRequest{
+		Lease:  info.Lease,
+		WallMS: float64(wall.Nanoseconds()) / 1e6,
+		Allocs: after.Mallocs - before.Mallocs,
+	}
+	if runErr != nil {
+		req.Err = runErr.Error()
+	} else {
+		req.Report = report
+		req.Events = events
+	}
 	return true, w.complete(ctx, req)
 }
 

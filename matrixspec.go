@@ -1,10 +1,10 @@
 package denovogpu
 
 // This file is the serialization surface of the sweep service
-// (internal/sweepd, cmd/sweepd): wire specs for matrix cells, the
-// canonical cache key content-addressing a cell's result, and the
-// canonical report encoding — the exact bytes the golden harness pins
-// under internal/machine/testdata/golden, so a cached or
+// (internal/sweepd, cmd/sweepd): the wire spec for sweep cells of both
+// kinds, the canonical cache key content-addressing a cell's result,
+// and the canonical report encoding — the exact bytes the golden
+// harness pins under internal/machine/testdata/golden, so a cached or
 // remotely-computed report is verifiable byte-for-byte against the
 // serial goldens.
 
@@ -12,11 +12,14 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sort"
 	"strings"
 
+	"denovogpu/internal/litmus"
+	"denovogpu/internal/mcheck"
 	"denovogpu/internal/stats"
 	"denovogpu/internal/workload/graph"
 )
@@ -56,56 +59,171 @@ func (s ConfigSpec) Resolve() (Config, error) {
 	return cfg, nil
 }
 
-// CellSpec is the wire form of one matrix cell: a configuration, a
-// built-in workload name, and an optional seed. Seed 0 selects the
-// workload's registered default input; a non-zero seed re-parameterizes
-// the graph-analytics generators (BFS, PR, SSSP) with that graph seed
-// and is an error for the fixed Table 4 benchmarks.
+// CellSpec is the wire form of one cell of a sweep, of either kind:
 //
-// A cell with Check set is a model-checking cell instead: it carries a
-// CheckCellSpec (which has its own config) and must leave the
-// simulation fields empty. Check cells flow through the same sweepd
-// queue/lease/cache machinery but execute via RunCheckCell, keyed by
-// CheckKey.
+//   - A simulation cell sets Workload: a configuration, a built-in
+//     workload name, and an optional seed. Seed 0 selects the
+//     workload's registered default input; a non-zero seed
+//     re-parameterizes the graph-analytics generators (BFS, PR, SSSP)
+//     with that graph seed and is an error for the fixed Table 4
+//     benchmarks.
+//   - A check cell sets Program: a configuration, a catalog litmus
+//     program, and the exploration parameters. Budget <= 0 selects
+//     mcheck.DefaultBudget and Explorer "" selects "dpor"; both are
+//     canonicalized before keying, so specs that spell the defaults
+//     differently share a cache key. A nil Shard means the whole
+//     exploration.
+//
+// Validate rejects a cell that sets both or neither of Workload and
+// Program, a Seed on a check cell, and Budget, Explorer or Shard on a
+// simulation cell, so one cell can never mean two different runs.
+// Both kinds flow through the same sweepd queue, lease and cache
+// machinery, keyed by CellKey and executed by Run.
 type CellSpec struct {
-	Config   ConfigSpec     `json:"config,omitempty"`
-	Workload string         `json:"workload,omitempty"`
-	Seed     uint64         `json:"seed,omitempty"`
-	Check    *CheckCellSpec `json:"check,omitempty"`
+	Config   ConfigSpec  `json:"config,omitempty"`
+	Workload string      `json:"workload,omitempty"`
+	Seed     uint64      `json:"seed,omitempty"`
+	Program  string      `json:"program,omitempty"`
+	Budget   int         `json:"budget,omitempty"`
+	Explorer string      `json:"explorer,omitempty"`
+	Shard    *CheckShard `json:"shard,omitempty"`
 }
 
-// Cell resolves the spec into a runnable matrix cell.
-func (s CellSpec) Cell() (MatrixCell, error) {
-	if s.Check != nil {
-		return MatrixCell{}, fmt.Errorf("denovogpu: cell spec is a check cell (program %q); run it with RunCheckCell, not Run", s.Check.Program)
+// resolvedCell is a validated CellSpec's runnable pieces: the
+// configuration, plus a check cell's program and canonical exploration
+// options (prog is nil for a simulation cell). Resolution never builds
+// a workload, so validating and keying a seeded graph cell does not
+// generate its graph.
+type resolvedCell struct {
+	cfg  Config
+	prog *litmus.Program
+	opts mcheck.Options
+}
+
+func (s CellSpec) resolve() (resolvedCell, error) {
+	switch {
+	case s.Workload != "" && s.Program != "":
+		return resolvedCell{}, fmt.Errorf("denovogpu: cell sets both workload %q and program %q", s.Workload, s.Program)
+	case s.Workload == "" && s.Program == "":
+		return resolvedCell{}, errors.New("denovogpu: cell sets neither a workload nor a program")
 	}
 	cfg, err := s.Config.Resolve()
 	if err != nil {
-		return MatrixCell{}, err
+		return resolvedCell{}, err
+	}
+	if s.Program == "" {
+		if s.Budget != 0 || s.Explorer != "" || s.Shard != nil {
+			return resolvedCell{}, fmt.Errorf("denovogpu: simulation cell %q sets a check-only field (budget, explorer or shard)", s.Workload)
+		}
+		if s.Seed == 0 {
+			_, err = WorkloadByName(s.Workload)
+		} else if seededGraphs[s.Workload] == nil {
+			err = fmt.Errorf("denovogpu: seed %d: only the graph workloads (BFS, PR, SSSP) are seedable, not %q", s.Seed, s.Workload)
+		}
+		return resolvedCell{cfg: cfg}, err
+	}
+	if s.Seed != 0 {
+		return resolvedCell{}, fmt.Errorf("denovogpu: check cell %q sets a seed", s.Program)
+	}
+	p, err := LitmusProgramByName(s.Program)
+	if err != nil {
+		return resolvedCell{}, err
+	}
+	explorer := s.Explorer
+	if explorer == "" {
+		explorer = "dpor"
+	}
+	ex, err := mcheck.ExplorerByName(explorer)
+	if err != nil {
+		return resolvedCell{}, err
+	}
+	if s.Shard != nil && ex != mcheck.ExplorerDPOR {
+		return resolvedCell{}, fmt.Errorf("denovogpu: sharded check cells require the dpor explorer, not %q", explorer)
+	}
+	budget := s.Budget
+	if budget <= 0 {
+		budget = mcheck.DefaultBudget
+	}
+	return resolvedCell{cfg: cfg, prog: p, opts: mcheck.Options{Budget: budget, Explorer: ex}}, nil
+}
+
+// Validate rejects an unresolvable or ill-formed cell (unknown config,
+// workload, program or explorer, or a field of the other kind) without
+// running anything.
+func (s CellSpec) Validate() error {
+	_, err := s.resolve()
+	return err
+}
+
+// Label names the cell in progress events and failure lines: its
+// workload, or "check:MP" ("check:MP#3" for shard 3) for a check cell,
+// and its configuration's name ("" when the config does not resolve).
+func (s CellSpec) Label() (workload, config string) {
+	if cfg, err := s.Config.Resolve(); err == nil {
+		config = cfg.Name()
+	}
+	switch {
+	case s.Program == "":
+		return s.Workload, config
+	case s.Shard != nil:
+		return fmt.Sprintf("check:%s#%d", s.Program, s.Shard.Index), config
+	default:
+		return "check:" + s.Program, config
+	}
+}
+
+// Run executes the cell and returns its canonical report with the
+// work it did: MarshalReport bytes and fired simulator events for a
+// simulation cell, MarshalCheckReport bytes and explored states for a
+// check cell. An exploration error such as *mcheck.BudgetError is
+// returned as an error, not encoded in a report: budget exhaustion is
+// not a verdict.
+func (s CellSpec) Run() (report []byte, events uint64, err error) {
+	r, err := s.resolve()
+	if err != nil {
+		return nil, 0, err
+	}
+	if r.prog != nil {
+		return r.check(s.Shard)
 	}
 	w, err := workloadForSpec(s.Workload, s.Seed)
 	if err != nil {
-		return MatrixCell{}, err
+		return nil, 0, err
 	}
-	return MatrixCell{Config: cfg, Workload: w}, nil
+	rep, err := Run(r.cfg, w)
+	if err != nil {
+		return nil, 0, err
+	}
+	report, err = MarshalReport(rep)
+	return report, rep.Events, err
 }
 
+// Cell resolves a simulation cell into a runnable matrix cell.
+func (s CellSpec) Cell() (MatrixCell, error) {
+	r, err := s.resolve()
+	if err != nil {
+		return MatrixCell{}, err
+	}
+	if r.prog != nil {
+		return MatrixCell{}, fmt.Errorf("denovogpu: cell spec is a check cell (program %q); run it with CellSpec.Run", s.Program)
+	}
+	w, err := workloadForSpec(s.Workload, s.Seed)
+	return MatrixCell{Config: r.cfg, Workload: w}, err
+}
+
+// seededGraphs are the workloads a non-zero seed re-parameterizes.
+var seededGraphs = map[string]func(graph.Params) Workload{
+	"BFS": graph.BFS, "PR": graph.PageRank, "SSSP": graph.SSSP,
+}
+
+// workloadForSpec builds a resolved simulation cell's workload.
 func workloadForSpec(name string, seed uint64) (Workload, error) {
 	if seed == 0 {
 		return WorkloadByName(name)
 	}
 	p := graph.DefaultParams()
 	p.Seed = seed
-	switch name {
-	case "BFS":
-		return graph.BFS(p), nil
-	case "PR":
-		return graph.PageRank(p), nil
-	case "SSSP":
-		return graph.SSSP(p), nil
-	default:
-		return Workload{}, fmt.Errorf("denovogpu: seed %d: only the graph workloads (BFS, PR, SSSP) are seedable, not %q", seed, name)
-	}
+	return seededGraphs[name](p), nil
 }
 
 // MatrixSpec is the wire form of a sweep: the cross product
@@ -209,34 +327,55 @@ func CodeVersion() string {
 	return "devel"
 }
 
-// CellKey returns the canonical content address of one simulation
-// cell: the hex SHA-256 of (codeVersion, canonicalized configuration,
-// workload name, seed). The configuration is canonicalized by applying
-// Defaults() and serializing the resulting struct — so specs that
-// spell the same machine differently (JSON field order, explicit
+// CellKey returns the canonical content address of one cell: the hex
+// SHA-256 of length-prefixed parts. A simulation cell hashes
+// ("denovogpu-cell/v2", code version, canonicalized configuration,
+// workload name, seed); a check cell hashes ("denovogpu-check/v1", code
+// version, canonicalized configuration, program, budget, explorer,
+// shard), with budget and explorer canonicalized and the shard as its
+// canonical JSON ("" when nil). The configuration is canonicalized by
+// applying Defaults() and serializing the resulting struct — so specs
+// that spell the same machine differently (JSON field order, explicit
 // default values vs omitted fields) share a key, and any field that
 // changes simulated behavior changes it. Everything in Config is part
 // of the key, including fields proven behavior-neutral (Invariants,
-// GenericL1): a spurious miss only costs a re-simulation, a spurious
-// hit would be wrong. The domain string is versioned ("/v2" since the
-// Devices field landed) so warm caches written by older binaries can
-// never satisfy a lookup from a build with a different Config schema.
+// GenericL1): a spurious miss only costs a re-run, a spurious hit would
+// be wrong. The domain strings are versioned ("/v2" since the Devices
+// field landed) so warm caches written by older binaries can never
+// satisfy a lookup from a build with a different schema. CellKey
+// validates the cell, so an unkeyable cell is an invalid one.
 func CellKey(codeVersion string, s CellSpec) (string, error) {
-	cfg, err := s.Config.Resolve()
+	r, err := s.resolve()
 	if err != nil {
 		return "", err
 	}
-	cfgJSON, err := json.Marshal(cfg.Defaults())
+	cfgJSON, err := json.Marshal(r.cfg.Defaults())
 	if err != nil {
 		return "", err
 	}
+	if r.prog == nil {
+		return hashParts("denovogpu-cell/v2", codeVersion, string(cfgJSON), s.Workload, fmt.Sprintf("%d", s.Seed)), nil
+	}
+	shard := ""
+	if s.Shard != nil {
+		b, err := json.Marshal(s.Shard)
+		if err != nil {
+			return "", err
+		}
+		shard = string(b)
+	}
+	return hashParts("denovogpu-check/v1", codeVersion, string(cfgJSON), r.prog.Name,
+		fmt.Sprintf("%d", r.opts.Budget), r.opts.Explorer.String(), shard), nil
+}
+
+// hashParts is the hex SHA-256 of each part written as "len:part", so
+// no two part lists share an encoding.
+func hashParts(parts ...string) string {
 	h := sha256.New()
-	for _, part := range []string{
-		"denovogpu-cell/v2", codeVersion, string(cfgJSON), s.Workload, fmt.Sprintf("%d", s.Seed),
-	} {
+	for _, part := range parts {
 		fmt.Fprintf(h, "%d:%s", len(part), part)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // reportJSON is the canonical serialized form of a Report. Maps are
