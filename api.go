@@ -179,7 +179,7 @@ const (
 
 // Recorder is the observability event recorder (see internal/obs):
 // create one with NewRecorder and pass it to RunObserved, then export
-// the captured events with WriteChromeTrace.
+// the captured events with WriteChromeTrace or WriteText.
 type Recorder = obs.Recorder
 
 // Sampler is the observability epoch sampler capturing time-series
@@ -203,10 +203,11 @@ func Run(cfg Config, w Workload) (Report, error) {
 }
 
 // RunObserved is Run with observability attached: a non-nil recorder
-// captures the typed event trace (export with Recorder.WriteChromeTrace)
-// and a non-nil sampler captures time-series metrics into
-// Report.Timeline. Observability never perturbs the simulation: cycle
-// and event counts are bit-identical to an unobserved run.
+// captures the typed event trace (export with Recorder.WriteChromeTrace
+// or Recorder.WriteText) and a non-nil sampler captures time-series
+// metrics into Report.Timeline. Observability never perturbs the
+// simulation: cycle and event counts are bit-identical to an
+// unobserved run.
 //
 // The recorder needs the machine's clock, which does not exist until the
 // machine is built, so rec is created by a callback receiving the clock.

@@ -135,6 +135,30 @@ func TestCellSpecKinds(t *testing.T) {
 	}
 }
 
+// TestCellSpecRejectsUnbuildableShapes: a configuration machine.New
+// would panic on is a validation (and keying) error, so it never
+// reaches a worker.
+func TestCellSpecRejectsUnbuildableShapes(t *testing.T) {
+	raw := func(cus int) denovogpu.ConfigSpec {
+		c := denovogpu.DD()
+		c.NumCUs = cus
+		return denovogpu.ConfigSpec{Raw: &c}
+	}
+	for name, bad := range map[string]denovogpu.CellSpec{
+		"MESI on 2 devices": {Config: denovogpu.ConfigSpec{Name: "MESI", Devices: 2}, Workload: "LAVA"},
+		"100 CUs":           {Config: raw(100), Workload: "LAVA"},
+		"-3 CUs":            {Config: raw(-3), Workload: "LAVA"},
+		"-1 devices":        {Config: denovogpu.ConfigSpec{Name: "DD", Devices: -1}, Workload: "LAVA"},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := denovogpu.CellKey("v1", bad); err == nil {
+			t.Errorf("%s: keyed", name)
+		}
+	}
+}
+
 func TestCellSpecLabel(t *testing.T) {
 	for _, c := range []struct {
 		spec             denovogpu.CellSpec

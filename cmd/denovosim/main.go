@@ -5,17 +5,28 @@
 //
 //	denovosim -bench SPM_G -config DD [-counters] [-invariants]
 //	denovosim -bench SPM_G -config DD -trace out.json -metrics out.csv
+//	denovosim -bench TB_LGx2 -config DD -devices 2 -trace out.txt
 //	denovosim -list
 //
-// Observability: -trace writes the typed protocol event trace as Chrome
-// trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev),
+// Observability: -trace writes the typed protocol event trace, as plain
+// text when the path ends in .txt (one line per event: cycle, track,
+// kind, arg, and dur for spans, then a total/dropped trailer) and as
+// Chrome trace_event JSON otherwise (open in chrome://tracing or
+// https://ui.perfetto.dev). -trace-cap bounds the trace ring: both
+// formats keep the last N events and count the older ones as dropped.
+// The text trace names each protocol action where it happens (cu-03,
+// bank-07, n17.east), on every device; it carries no word masks and no
+// raw mesh-packet lines, unlike the packet dump it replaced, which also
+// kept the first N messages rather than the last.
 // -metrics writes epoch-sampled time-series metrics (CSV, or JSON when
 // the path ends in .json), -sample-every sets the sampling interval.
+// Output files are created before the simulation starts.
 // Profiling: -pprof serves net/http/pprof, -runtime-trace captures a Go
 // runtime execution trace of the simulator itself.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,11 +37,8 @@ import (
 	"strings"
 
 	"denovogpu"
-	"denovogpu/internal/machine"
 	"denovogpu/internal/obs"
 	"denovogpu/internal/stats"
-	msgtrace "denovogpu/internal/trace"
-	"denovogpu/internal/workload"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -49,14 +57,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	direct := fs.Bool("directtransfer", false, "enable direct cache-to-cache transfers")
 	lazy := fs.Bool("lazywrites", false, "delay DeNovo data-write registration to global releases")
 	invariants := fs.Bool("invariants", false, "arm the protocol invariant sanitizer (hot-path assertions + post-kernel checks; reports stay byte-identical)")
-	msgTraceN := fs.Uint64("msgtrace", 0, "print the first N protocol messages to stderr")
-	tracePath := fs.String("trace", "", "write the event trace as Chrome trace_event JSON to this file")
-	traceCap := fs.Int("trace-cap", 0, "event-trace ring capacity in events (0 = default 1M; oldest dropped beyond it)")
+	tracePath := fs.String("trace", "", "write the event trace to this file: text, one line per protocol event and no word masks or raw packets, if it ends in .txt; Chrome trace_event JSON otherwise")
+	traceCap := fs.Int("trace-cap", 0, "event-trace ring capacity in events (0 = default 1M); keeps the last N events and drops the oldest")
 	metricsPath := fs.String("metrics", "", "write epoch-sampled metrics to this file (CSV, or JSON if it ends in .json)")
 	sampleEvery := fs.Uint64("sample-every", obs.DefaultSampleEvery, "metrics sampling interval in cycles")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	runtimeTrace := fs.String("runtime-trace", "", "write a Go runtime execution trace of the simulator to this file")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "denovosim: unexpected arguments %q\n", fs.Args())
 		return 2
 	}
 
@@ -89,6 +100,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.DirectTransfer = *direct
 	cfg.LazyWrites = cfg.LazyWrites || *lazy
 	cfg.Invariants = *invariants
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
 
 	w, err := denovogpu.WorkloadByName(*bench)
 	if err != nil {
@@ -121,14 +136,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	o := obsOpts{
-		tracePath:   *tracePath,
-		traceCap:    *traceCap,
-		metricsPath: *metricsPath,
-		sampleEvery: *sampleEvery,
-	}
-	rep, err := runTraced(cfg, w, *msgTraceN, stderr, o)
+	// Create the output files before simulating, so a bad path fails
+	// now rather than after the whole run.
+	traceOut, err := createOutput(*tracePath)
 	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer traceOut.Close()
+	metricsOut, err := createOutput(*metricsPath)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	defer metricsOut.Close()
+	var rec *denovogpu.Recorder
+	var sampler *denovogpu.Sampler
+	if metricsOut != nil {
+		sampler = denovogpu.NewSampler(*sampleEvery)
+	}
+	rep, err := denovogpu.RunObserved(cfg, w, func(clock func() uint64) *denovogpu.Recorder {
+		if traceOut != nil {
+			rec = denovogpu.NewRecorder(clock, *traceCap)
+		}
+		return rec
+	}, sampler)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	writeTrace, writeMetrics := rec.WriteChromeTrace, rep.Timeline.WriteCSV
+	if strings.HasSuffix(*tracePath, ".txt") {
+		writeTrace = rec.WriteText
+	}
+	if strings.HasSuffix(*metricsPath, ".json") {
+		writeMetrics = rep.Timeline.WriteJSON
+	}
+	if err := errors.Join(writeOutput(traceOut, writeTrace), writeOutput(metricsOut, writeMetrics)); err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
@@ -152,77 +196,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// obsOpts carries the observability output options into runTraced.
-type obsOpts struct {
-	tracePath   string
-	traceCap    int
-	metricsPath string
-	sampleEvery uint64
+// createOutput creates the file at path, or returns nil for an empty
+// path.
+func createOutput(path string) (*os.File, error) {
+	if path == "" {
+		return nil, nil
+	}
+	return os.Create(path)
 }
 
-// runTraced runs the workload with the requested observability attached:
-// an optional first-N-messages dump to tw, an optional event trace, and
-// optional epoch-sampled metrics.
-func runTraced(cfg denovogpu.Config, w workload.Workload, msgN uint64, tw io.Writer, o obsOpts) (denovogpu.Report, error) {
-	m := machine.New(cfg)
-	if msgN > 0 {
-		m.Mesh().SetTap(msgtrace.New(tw, m.Engine(), msgN))
-	}
-	var rec *obs.Recorder
-	var sampler *obs.Sampler
-	if o.tracePath != "" {
-		rec = m.NewRecorder(o.traceCap)
-	}
-	if o.metricsPath != "" {
-		sampler = obs.NewSampler(o.sampleEvery)
-	}
-	if rec != nil || sampler != nil {
-		m.SetObservability(rec, sampler)
-	}
-	w.Host(m)
-	if err := m.Err(); err != nil {
-		return denovogpu.Report{}, err
-	}
-	if w.Verify != nil {
-		if err := w.Verify(m); err != nil {
-			return denovogpu.Report{}, fmt.Errorf("verification failed: %w", err)
-		}
-	}
-	if rec != nil {
-		if err := writeTo(o.tracePath, rec.WriteChromeTrace); err != nil {
-			return denovogpu.Report{}, err
-		}
-	}
-	if sampler != nil {
-		write := sampler.Series().WriteCSV
-		if strings.HasSuffix(o.metricsPath, ".json") {
-			write = sampler.Series().WriteJSON
-		}
-		if err := writeTo(o.metricsPath, write); err != nil {
-			return denovogpu.Report{}, err
-		}
-	}
-	st := m.Stats()
-	rep := denovogpu.Report{
-		Config: cfg.Name(), Workload: w.Name,
-		Cycles: st.Cycles, Events: m.Engine().Fired(),
-		EnergyPJ: st.EnergyPJ, Flits: st.Flits, Stats: st,
-	}
-	if sampler != nil {
-		rep.Timeline = sampler.Series()
-	}
-	return rep, nil
-}
-
-// writeTo creates path, streams write into it, and reports the first
-// error from either.
-func writeTo(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// writeOutput streams write into f and closes it, reporting the first
+// error from either; after a write error the caller's deferred Close
+// releases f. A nil f (no output requested) writes nothing.
+func writeOutput(f *os.File, write func(io.Writer) error) error {
+	if f == nil {
+		return nil
 	}
 	if err := write(f); err != nil {
-		f.Close()
 		return err
 	}
 	return f.Close()

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,13 +42,31 @@ func TestRunBenchmark(t *testing.T) {
 	}
 }
 
-func TestMsgTraceGoesToStderr(t *testing.T) {
-	code, _, errb := runCmd(t, "-bench", "LAVA", "-config", "DD", "-msgtrace", "3")
+// TestTextTrace: a .txt -trace path selects the text export, whose
+// lines each name a track and a kind, and whose trailer counts what a
+// bounded ring dropped.
+func TestTextTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.txt")
+	code, _, errb := runCmd(t, "-bench", "LAVA", "-config", "DD", "-trace", path, "-trace-cap", "1000")
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	if errb == "" {
-		t.Fatal("-msgtrace produced no protocol messages on stderr")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 1001 {
+		t.Fatalf("got %d lines, want 1000 events and a trailer", len(lines))
+	}
+	for _, line := range lines[:1000] {
+		if f := strings.Split(line, "\t"); len(f) < 4 || f[1] == "" || f[2] == "" || f[2] == "kind?" {
+			t.Fatalf("malformed event line %q", line)
+		}
+	}
+	var total, dropped uint64
+	if _, err := fmt.Sscanf(lines[1000], "# total=%d dropped=%d", &total, &dropped); err != nil || dropped == 0 || total != dropped+1000 {
+		t.Fatalf("trailer %q: want total = dropped + 1000 with dropped > 0 (err %v)", lines[1000], err)
 	}
 }
 
@@ -104,13 +123,32 @@ func TestObservabilityDoesNotPerturb(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	code, observed, errb := runCmd(t, "-bench", "SPM_G", "-config", "DD",
-		"-trace", filepath.Join(dir, "t.json"), "-metrics", filepath.Join(dir, "m.csv"))
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb)
+	for _, trace := range []string{"t.json", "t.txt"} {
+		code, observed, errb := runCmd(t, "-bench", "SPM_G", "-config", "DD",
+			"-trace", filepath.Join(dir, trace), "-metrics", filepath.Join(dir, "m.csv"))
+		if code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, errb)
+		}
+		if plain != observed {
+			t.Fatalf("observability (-trace %s) changed the report:\nplain:\n%s\nobserved:\n%s", trace, plain, observed)
+		}
 	}
-	if plain != observed {
-		t.Fatalf("observability changed the report:\nplain:\n%s\nobserved:\n%s", plain, observed)
+}
+
+// TestUnwritableOutputFailsFirst: an output path that cannot be created
+// fails the command before it simulates. Had the run gone ahead, the
+// valid -trace path would hold a whole trace by the time the -metrics
+// one failed; instead it is still empty.
+func TestUnwritableOutputFailsFirst(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "t.json")
+	code, out, errb := runCmd(t, "-bench", "LAVA", "-config", "DD",
+		"-trace", tracePath, "-metrics", filepath.Join(dir, "missing", "m.csv"))
+	if code != 1 || out != "" || !strings.Contains(errb, "missing") {
+		t.Fatalf("exit %d, stdout %q, stderr %q: want exit 1 naming the bad path and no report", code, out, errb)
+	}
+	if fi, err := os.Stat(tracePath); err != nil || fi.Size() != 0 {
+		t.Fatalf("-trace file after the failure: %v, err %v; want it created and empty", fi, err)
 	}
 }
 
@@ -124,6 +162,9 @@ func TestErrorPaths(t *testing.T) {
 		{"bad flag", []string{"-nope"}, "flag provided but not defined"},
 		{"unknown bench", []string{"-bench", "NOPE"}, "NOPE"},
 		{"unknown config", []string{"-bench", "LAVA", "-config", "ZZ"}, "unknown configuration"},
+		{"positional args", []string{"-bench", "LAVA", "-config", "DD", "extra"}, "unexpected arguments"},
+		{"multi-device MESI", []string{"-bench", "LAVA", "-config", "MESI", "-devices", "2"}, "MESI is single-device only"},
+		{"too many CUs", []string{"-bench", "LAVA", "-cus", "100"}, "100 CUs per device"},
 	}
 	for _, c := range cases {
 		c := c

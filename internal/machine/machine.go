@@ -6,6 +6,8 @@ package machine
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"denovogpu/internal/coherence"
@@ -162,6 +164,47 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// Validate rejects exactly the shapes New cannot build (New panics on
+// them), so callers taking a Config from users can refuse it before
+// running anything. Zero fields take their Defaults first, as in New.
+// The shapes are: fewer than one device; fewer than one or more than
+// noc.Nodes CUs per device; an unknown protocol; MESI on more than one
+// device or anywhere in a phased configuration; a negative store-buffer
+// size under the store-buffering protocols (GPU and DeNovo); and an L1
+// geometry whose set count is not a positive power of two.
+func (c Config) Validate() error {
+	c = c.Defaults()
+	known := func(p Protocol) bool { return p == ProtoGPU || p == ProtoDeNovo || p == ProtoMESI }
+	switch {
+	case c.Devices < 1:
+		return fmt.Errorf("machine: %d devices (want >= 1)", c.Devices)
+	case c.NumCUs < 1 || c.NumCUs > noc.Nodes:
+		return fmt.Errorf("machine: %d CUs per device (want 1..%d)", c.NumCUs, noc.Nodes)
+	case !known(c.Protocol):
+		return fmt.Errorf("machine: unknown protocol %d", c.Protocol)
+	case c.Protocol == ProtoMESI && c.Devices > 1:
+		return fmt.Errorf("machine: MESI is single-device only (no inter-device directory story)")
+	case c.Protocol == ProtoMESI && len(c.Phases) > 0:
+		return fmt.Errorf("machine: MESI cannot be phase-specialized (no drain story)")
+	case c.L1Ways < 1:
+		return fmt.Errorf("machine: %d L1 ways (want >= 1)", c.L1Ways)
+	case c.Protocol != ProtoMESI && c.SBEntries < 0:
+		return fmt.Errorf("machine: %d store-buffer entries (want >= 0)", c.SBEntries)
+	}
+	for _, p := range slices.Sorted(maps.Keys(c.Phases)) {
+		switch pp := c.Phases[p]; {
+		case pp.Protocol == ProtoMESI:
+			return fmt.Errorf("machine: phase %q selects MESI, which cannot be phased", p)
+		case !known(pp.Protocol):
+			return fmt.Errorf("machine: phase %q selects unknown protocol %d", p, pp.Protocol)
+		}
+	}
+	if sets := c.L1Bytes / mem.LineBytes / c.L1Ways; sets < 1 || sets&(sets-1) != 0 {
+		return fmt.Errorf("machine: L1 of %d bytes in %d ways has %d sets (want a power of two)", c.L1Bytes, c.L1Ways, sets)
+	}
+	return nil
+}
+
 // PhaseProto selects the coherence protocol and consistency model one
 // named kernel phase runs under (Config.Phases).
 type PhaseProto struct {
@@ -190,13 +233,8 @@ func (c Config) singleName() string {
 	if c.isSpecialized() {
 		return "SPEC"
 	}
-	labels := make([]string, 0, len(c.Phases))
-	for p := range c.Phases {
-		labels = append(labels, p)
-	}
-	sort.Strings(labels)
 	s := base + "+phased["
-	for i, p := range labels {
+	for i, p := range slices.Sorted(maps.Keys(c.Phases)) {
 		if i > 0 {
 			s += " "
 		}
@@ -345,8 +383,12 @@ type Machine struct {
 	err error
 }
 
-// New builds a machine for the configuration.
+// New builds a machine for the configuration. It panics on a shape
+// Validate rejects.
 func New(cfg Config) *Machine {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	cfg = cfg.Defaults()
 	m := &Machine{
 		cfg:     cfg,
@@ -354,9 +396,6 @@ func New(cfg Config) *Machine {
 		eng:     sim.NewEngine(sim.Time(cfg.HorizonCycles)),
 		backing: mem.NewBacking(),
 		st:      stats.New(),
-	}
-	if cfg.Devices > 1 && cfg.Protocol == ProtoMESI {
-		panic("machine: MESI is single-device only (no inter-device directory story)")
 	}
 	m.meter = energy.NewMeter(m.st)
 	for d := 0; d < cfg.Devices; d++ {
@@ -397,30 +436,9 @@ func New(cfg Config) *Machine {
 	// set the base set is re-attached explicitly below.
 	m.base = PhaseProto{Protocol: cfg.Protocol, Model: cfg.Model}
 	m.setOrder = []PhaseProto{m.base}
-	if len(cfg.Phases) > 0 {
-		if cfg.Protocol == ProtoMESI {
-			panic("machine: MESI cannot be phase-specialized (no drain story)")
-		}
-		labels := make([]string, 0, len(cfg.Phases))
-		for p := range cfg.Phases {
-			labels = append(labels, p)
-		}
-		sort.Strings(labels)
-		for _, p := range labels {
-			pp := cfg.Phases[p]
-			if pp.Protocol == ProtoMESI {
-				panic(fmt.Sprintf("machine: phase %q selects MESI, which cannot be phased", p))
-			}
-			dup := false
-			for _, have := range m.setOrder {
-				if have == pp {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				m.setOrder = append(m.setOrder, pp)
-			}
+	for _, p := range slices.Sorted(maps.Keys(cfg.Phases)) {
+		if pp := cfg.Phases[p]; !slices.Contains(m.setOrder, pp) {
+			m.setOrder = append(m.setOrder, pp)
 		}
 	}
 	m.sets = make(map[PhaseProto][]coherence.L1, len(m.setOrder))
@@ -560,9 +578,6 @@ func (m *Machine) inReadOnly(w mem.Word) bool {
 
 // Config returns the machine's configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// Mesh exposes device 0's mesh (for installing trace taps).
-func (m *Machine) Mesh() *noc.Mesh { return m.meshes[0] }
 
 // Meshes exposes every device's mesh.
 func (m *Machine) Meshes() []*noc.Mesh { return m.meshes }

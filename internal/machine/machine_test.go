@@ -20,6 +20,55 @@ func forEachConfig(t *testing.T, fn func(t *testing.T, m *Machine)) {
 	}
 }
 
+// TestValidateMatchesNew: Validate rejects exactly the shapes New
+// cannot build. Every shape it accepts builds, and each rejected one is
+// a shape that used to panic deep inside New (an out-of-mesh node, a
+// negative makeslice, a non-power-of-two cache).
+func TestValidateMatchesNew(t *testing.T) {
+	builds := func(c Config) (ok bool) {
+		defer func() { ok = recover() == nil }()
+		New(c)
+		return
+	}
+	var shapes []Config
+	for _, base := range []Config{GD(), DD(), MESI(), Specialized(), {Protocol: 9}} {
+		for _, devices := range []int{-1, 0, 1, 2} {
+			for _, cus := range []int{-3, 0, 1, 16, 17, 100} {
+				c := base
+				c.Devices, c.NumCUs = devices, cus
+				shapes = append(shapes, c)
+			}
+		}
+	}
+	for _, mut := range []func(*Config){
+		func(c *Config) { c.L1Bytes = 100 },
+		func(c *Config) { c.L1Ways = 3 },
+		func(c *Config) { c.L1Bytes, c.L1Ways = -32768, -8 },
+		func(c *Config) { c.SBEntries = -1 },
+		func(c *Config) { c.MaxResidentTBs = -1 },
+		func(c *Config) { c.Phases = map[string]PhaseProto{workload.PhasePush: {Protocol: ProtoMESI}} },
+		func(c *Config) { c.Phases = map[string]PhaseProto{workload.PhasePush: {Protocol: 9}} },
+	} {
+		for _, base := range []Config{DD(), MESI()} {
+			mut(&base)
+			shapes = append(shapes, base)
+		}
+	}
+	rejected := 0
+	for _, c := range shapes {
+		err := c.Validate()
+		if got := builds(c); got != (err == nil) {
+			t.Errorf("%+v: New builds=%v but Validate = %v", c, got, err)
+		}
+		if err != nil {
+			rejected++
+		}
+	}
+	if rejected == 0 || rejected == len(shapes) {
+		t.Fatalf("%d of %d shapes rejected; the grid no longer spans both sides", rejected, len(shapes))
+	}
+}
+
 func TestConfigNames(t *testing.T) {
 	want := []string{"GD", "GH", "DD", "DD+RO", "DH"}
 	for i, cfg := range AllConfigs() {

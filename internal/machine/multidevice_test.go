@@ -8,6 +8,8 @@ package machine_test
 import (
 	"bytes"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,6 +86,44 @@ func TestTwoDeviceDeterminism(t *testing.T) {
 	}
 	if serial.Flits[stats.TrafficXDev] == 0 {
 		t.Error("2-device UTS crossed zero inter-device flits; the link is not being exercised")
+	}
+}
+
+// TestTwoDeviceTextTrace: the text trace of a 2-device run holds
+// protocol events on both devices' tracks (device 1 owns global nodes
+// 16..31), because the recorder reaches every mesh, bank, L1 and CU.
+func TestTwoDeviceTextTrace(t *testing.T) {
+	w, err := denovogpu.WorkloadByName("UTSx2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec *denovogpu.Recorder
+	if _, err := denovogpu.RunObserved(xdevConfig(t, "DD", 2), w, func(clock func() uint64) *denovogpu.Recorder {
+		rec = denovogpu.NewRecorder(clock, 0)
+		return rec
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	node := regexp.MustCompile(`^(?:cu-|bank-|n)(\d+)`)
+	var perDevice [2]int
+	for _, line := range strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		f := strings.Split(line, "\t")
+		m := node.FindStringSubmatch(f[1])
+		if m == nil {
+			t.Fatalf("event line %q names no node track", line)
+		}
+		n, _ := strconv.Atoi(m[1])
+		perDevice[n/16]++
+	}
+	if perDevice[0] == 0 || perDevice[1] == 0 {
+		t.Errorf("text trace events per device = %v, want both non-zero", perDevice)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Observability determinism tests: the trace recorder and epoch
 // sampler ride the same single-threaded engine as the simulation, so
-// the exported artifacts — the Chrome trace JSON and the metrics CSV —
-// must be byte-identical across reruns and independent of GOMAXPROCS.
-// Any divergence means a hook observed nondeterministic state (map
-// iteration, goroutine interleaving) and would poison CI artifact
-// comparisons.
+// the exported artifacts — the Chrome trace JSON, the text trace and
+// the metrics CSV — must be byte-identical across reruns and
+// independent of GOMAXPROCS. Any divergence means a hook observed
+// nondeterministic state (map iteration, goroutine interleaving) and
+// would poison CI artifact comparisons.
 package machine_test
 
 import (
@@ -22,7 +22,7 @@ var obsPairs = []goldenPair{
 	{"SPM_L", "GH"},
 }
 
-// obsSnapshot runs one observed simulation and concatenates its two
+// obsSnapshot runs one observed simulation and concatenates its three
 // artifacts; byte equality is the definition of "identical stream".
 func obsSnapshot(t *testing.T, p goldenPair) []byte {
 	t.Helper()
@@ -44,6 +44,9 @@ func obsSnapshot(t *testing.T, p goldenPair) []byte {
 	}
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if err := sampler.Series().WriteCSV(&buf); err != nil {

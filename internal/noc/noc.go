@@ -113,11 +113,6 @@ type Network interface {
 	Attach(n NodeID, p Port, h Handler)
 }
 
-// Tap observes every packet as it is sent (tracing/debugging hook).
-type Tap interface {
-	Packet(p Packet)
-}
-
 // Mesh is the interconnect for one device. A machine with D devices
 // builds D meshes at bases 0, Nodes, 2*Nodes, ...; every mesh speaks
 // global NodeIDs at its API (Attach, Send routes, LinkBusy) and maps
@@ -127,7 +122,6 @@ type Mesh struct {
 	eng   *sim.Engine
 	st    *stats.Stats
 	meter *energy.Meter
-	tap   Tap
 	// base is the first global NodeID this mesh owns; it serves nodes
 	// [base, base+Nodes). Zero for the single-device machine.
 	base     NodeID
@@ -227,9 +221,6 @@ func (m *Mesh) HandlerAt(n NodeID, p Port) Handler {
 	return m.handlers[m.local(n)][p]
 }
 
-// SetTap installs a packet observer (nil to remove).
-func (m *Mesh) SetTap(t Tap) { m.tap = t }
-
 // SetRecorder installs an obs recorder (nil to disable) and names every
 // link track so Perfetto shows one lane per mesh link.
 func (m *Mesh) SetRecorder(rec *obs.Recorder) {
@@ -281,9 +272,6 @@ func (m *Mesh) Send(p Packet) {
 		panic(fmt.Sprintf("noc: no handler attached at node %d port %d", r.Dst, r.Port))
 	}
 	m.sent++
-	if m.tap != nil {
-		m.tap.Packet(p)
-	}
 	flits := Flits(r.PayloadBytes)
 
 	crossings := uint64(flits) * uint64(Hops(src, dst))

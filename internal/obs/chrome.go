@@ -76,11 +76,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	for _, k := range keys {
-		name := r.TrackName(k.d, k.t)
-		if name == "" {
-			name = fmt.Sprintf("%s %d", k.d, k.t)
-		}
-		if err := emit(meta{Name: "thread_name", Ph: "M", PID: chromePID(k.d), TID: int(k.t), Args: map[string]any{"name": name}}); err != nil {
+		if err := emit(meta{Name: "thread_name", Ph: "M", PID: chromePID(k.d), TID: int(k.t), Args: map[string]any{"name": r.TrackName(k.d, k.t)}}); err != nil {
 			return err
 		}
 	}
@@ -104,7 +100,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			TID:  int(e.Track),
 			Args: map[string]any{"arg": e.Arg},
 		}
-		if e.Dur > 0 || e.Kind == NoCFlitHop || e.Kind == StallMem || e.Kind == StallSync {
+		if e.isSpan() {
 			dur := e.Dur
 			te.Ph = "X"
 			te.Dur = &dur

@@ -1,9 +1,10 @@
 // Package obs is the simulator's observability layer: a ring-buffered
 // recorder of typed protocol events (exported as Chrome trace_event
-// JSON, so a run opens directly in chrome://tracing or Perfetto) and an
-// epoch sampler capturing time-series metrics (MSHR occupancy,
-// store-buffer depth, per-link NoC utilization, outstanding
-// registrations) into a compact columnar series.
+// JSON, so a run opens directly in chrome://tracing or Perfetto, or as
+// one text line per event for grep and sort) and an epoch sampler
+// capturing time-series metrics (MSHR occupancy, store-buffer depth,
+// per-link NoC utilization, outstanding registrations) into a compact
+// columnar series.
 //
 // The package is deliberately dependency-free: timestamps come from a
 // caller-supplied clock closure and tracks are plain integers, so every
@@ -20,6 +21,8 @@
 // memory bound independent of run length. DESIGN.md "Observability"
 // documents the hook-point contract.
 package obs
+
+import "fmt"
 
 // Kind is the type of one recorded event.
 type Kind uint8
@@ -150,6 +153,13 @@ type Event struct {
 	Kind Kind
 }
 
+// isSpan reports whether the exporters render e as a span: any event
+// with a duration, plus the kinds whose zero-length occurrences are
+// still occupancy windows (flit hops, stalls).
+func (e *Event) isSpan() bool {
+	return e.Dur > 0 || e.Kind == NoCFlitHop || e.Kind == StallMem || e.Kind == StallSync
+}
+
 // Recorder is a bounded, allocation-free event recorder. The zero value
 // is not usable; create recorders with NewRecorder. A nil *Recorder is
 // the disabled state: components must guard emission with a nil check
@@ -238,14 +248,15 @@ func (r *Recorder) NameTrack(d Domain, track int32, name string) {
 }
 
 // TrackName returns the label registered for a (domain, track) pair, or
-// a generated fallback.
+// the generated fallback "<domain> <track>" (e.g. "CU 3"). Every
+// exporter names tracks through it.
 func (r *Recorder) TrackName(d Domain, track int32) string {
 	if r != nil {
 		if n, ok := r.names[trackKey{d, track}]; ok {
 			return n
 		}
 	}
-	return ""
+	return fmt.Sprintf("%s %d", d, track)
 }
 
 // Len returns the number of events currently held (≤ capacity).

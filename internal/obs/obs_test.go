@@ -96,6 +96,44 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteText pins the text export's line format (registered and
+// fallback track names, hex arg, dur on spans only), its trailer on a
+// wrapped ring, and the nil recorder's trailer-only output.
+func TestWriteText(t *testing.T) {
+	clock := uint64(0)
+	r := NewRecorder(func() uint64 { return clock }, 3)
+	r.NameTrack(DomainCU, 2, "cu-02")
+	r.NameTrack(DomainNoC, 13, "n03.east")
+	clock = 5
+	r.Emit(L1ReadHit, 2, 0x10) // overwritten by the wrap
+	clock = 10
+	r.Emit(L1ReadMiss, 2, 0x40)
+	clock = 15
+	r.Emit(L2Read, 5, 0x40)
+	r.EmitAt(NoCFlitHop, 13, 4, 12, 4)
+
+	var buf bytes.Buffer
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "10\tcu-02\tl1.read_miss\t0x40\n" +
+		"15\tL2 bank 5\tl2.read\t0x40\n" +
+		"12\tn03.east\tnoc.flit_hop\t0x4\tdur=4\n" +
+		"# total=4 dropped=1\n"
+	if got := buf.String(); got != want {
+		t.Errorf("WriteText:\n%s\nwant:\n%s", got, want)
+	}
+
+	var nilRec *Recorder
+	buf.Reset()
+	if err := nilRec.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != "# total=0 dropped=0\n" {
+		t.Errorf("nil recorder WriteText = %q", got)
+	}
+}
+
 func TestValidateChromeTraceRejects(t *testing.T) {
 	cases := map[string]string{
 		"not json":        `{]`,

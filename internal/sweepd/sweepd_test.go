@@ -454,6 +454,24 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field accepted: status %d", resp.StatusCode)
 	}
+	// Machine shapes New cannot build answer 400 instead of queueing a
+	// cell whose worker would panic.
+	for _, cell := range []string{
+		`{"config":{"name":"MESI","devices":2},"workload":"LAVA"}`,
+		`{"config":{"config":{"Protocol":1,"NumCUs":100}},"workload":"LAVA"}`,
+		`{"config":{"config":{"Protocol":1,"NumCUs":-3}},"workload":"LAVA"}`,
+		`{"config":{"name":"DD","devices":-1},"workload":"LAVA"}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json",
+			strings.NewReader(`{"cells":[`+cell+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("unbuildable cell %s: status %d, want 400", cell, resp.StatusCode)
+		}
+	}
 	// Unknown job/cell lookups 404.
 	if _, err := client.Job(ctx, "j999"); err == nil {
 		t.Error("unknown job found")

@@ -36,7 +36,8 @@ type ConfigSpec struct {
 	Devices int     `json:"devices,omitempty"`
 }
 
-// Resolve returns the selected configuration.
+// Resolve returns the selected configuration, or an error when it names
+// a machine shape that cannot be built (Config.Validate).
 func (s ConfigSpec) Resolve() (Config, error) {
 	var cfg Config
 	switch {
@@ -56,7 +57,7 @@ func (s ConfigSpec) Resolve() (Config, error) {
 	if s.Devices != 0 {
 		cfg.Devices = s.Devices
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // CellSpec is the wire form of one cell of a sweep, of either kind:
