@@ -272,3 +272,50 @@ func TestRecallHelpers(t *testing.T) {
 		t.Fatalf("recallAll n=%d", n)
 	}
 }
+
+// The backing image is the bank's data array: a resident line's atomic
+// and writethrough are visible in the image, and the host helpers write
+// the image directly, resident line or cold.
+func TestResidentLineLivesInImage(t *testing.T) {
+	r := newRig()
+	l := mem.Line(8)
+	bank := r.banks[8]
+	r.backing.Write(l.Word(1), 10)
+	var data [mem.WordsPerLine]uint32
+	data[2] = 42
+	r.eng.Schedule(0, func() {
+		r.send(&coherence.Msg{Kind: coherence.AtomicReq, Src: 0, Dst: 8, Port: noc.PortL2,
+			Line: l, WordIdx: 1, Op: coherence.AtomicAdd, Operand: 5})
+		r.send(&coherence.Msg{Kind: coherence.WriteThrough, Src: 0, Dst: 8, Port: noc.PortL2,
+			Line: l, Mask: mem.Bit(2), Data: data})
+	})
+	r.run(t)
+	for _, c := range []struct {
+		w    mem.Word
+		want uint32
+	}{{l.Word(1), 15}, {l.Word(2), 42}} {
+		if got := bank.PeekData(c.w); got != c.want {
+			t.Fatalf("PeekData(%v) = %d, want %d", c.w, got, c.want)
+		}
+		if got := r.backing.Read(c.w); got != c.want {
+			t.Fatalf("image %v = %d, want %d", c.w, got, c.want)
+		}
+	}
+
+	bank.PokeData(l.Word(3), 33)
+	cold := mem.Line(24).Word(0) // homed at bank 8, never fetched
+	bank.PokeData(cold, 7)
+	r.eng.Schedule(0, func() {
+		r.send(&coherence.Msg{Kind: coherence.RegReq, Src: 4, Dst: 8, Port: noc.PortL2, Line: l, Mask: mem.Bit(4) | mem.Bit(5)})
+	})
+	r.run(t)
+	bank.Recall(l.Word(4), 44)
+	if n := bank.RecallAll(4, func(mem.Word) uint32 { return 55 }); n != 1 {
+		t.Fatalf("RecallAll recalled %d words, want 1", n)
+	}
+	for w, want := range map[mem.Word]uint32{l.Word(3): 33, cold: 7, l.Word(4): 44, l.Word(5): 55} {
+		if got := r.backing.Read(w); got != want {
+			t.Fatalf("image %v = %d, want %d", w, got, want)
+		}
+	}
+}

@@ -107,9 +107,9 @@ func (p mesiPacket) NocRoute() noc.Route {
 	return noc.Route{Src: p.Src, Dst: p.Dst, Port: p.Port, Class: classOf(p.Kind), PayloadBytes: PayloadBytesFor(p.Kind)}
 }
 
-// dirState is the directory's view of one line.
+// dirState is the directory's view of one line. The line's data lives in
+// the backing image, which the directory reads and writes in place.
 type dirState struct {
-	data    [mem.WordsPerLine]uint32
 	sharers map[noc.NodeID]bool
 	owner   noc.NodeID // valid when modified
 	mod     bool
@@ -190,7 +190,7 @@ func (d *Directory) withLine(l mem.Line, at sim.Time, fn func()) {
 	}
 	d.dramBusy = start + coherence.DRAMOccupancyCycles
 	d.eng.At(start+coherence.DRAMCycles, func() {
-		d.lines[l] = &dirState{data: d.backing.ReadLine(l), sharers: make(map[noc.NodeID]bool)}
+		d.lines[l] = &dirState{sharers: make(map[noc.NodeID]bool)}
 		ws := d.fetching[l]
 		delete(d.fetching, l)
 		for _, w := range ws {
@@ -223,7 +223,7 @@ func (d *Directory) process(m *coherence.Msg) {
 		}
 		s.sharers[m.Src] = true
 		resp := msg(DataS, d.Node, m.Src, noc.PortL1, m.Line)
-		resp.Data = s.data
+		resp.Data = d.backing.ReadLine(m.Line)
 		d.send(resp)
 	case GetM:
 		acks := 0
@@ -250,7 +250,7 @@ func (d *Directory) process(m *coherence.Msg) {
 		s.mod = true
 		s.owner = m.Src
 		resp := msg(DataM, d.Node, m.Src, noc.PortL1, m.Line)
-		resp.Data = s.data
+		resp.Data = d.backing.ReadLine(m.Line)
 		resp.Operand = uint32(acks)
 		d.send(resp)
 	case PutM:
@@ -258,7 +258,7 @@ func (d *Directory) process(m *coherence.Msg) {
 		case s.copybackPending && s.sharers[m.Src]:
 			// Downgrade copyback from a FwdGetS: accept the data and
 			// unblock the line.
-			s.data = m.Data
+			d.backing.WriteLine(m.Line, m.Data, mem.AllWords)
 			s.copybackPending = false
 			blocked := s.blocked
 			s.blocked = nil
@@ -266,7 +266,7 @@ func (d *Directory) process(m *coherence.Msg) {
 				d.process(bm)
 			}
 		case s.mod && s.owner == m.Src:
-			s.data = m.Data
+			d.backing.WriteLine(m.Line, m.Data, mem.AllWords)
 			s.mod = false
 			s.sharers = make(map[noc.NodeID]bool)
 		}
@@ -300,12 +300,7 @@ func (d *Directory) ForEachModified(fn func(l mem.Line, owner noc.NodeID)) {
 }
 
 // PeekData returns the directory's copy of a word.
-func (d *Directory) PeekData(w mem.Word) uint32 {
-	if s, ok := d.lines[w.LineOf()]; ok {
-		return s.data[w.Index()]
-	}
-	return d.backing.Read(w)
-}
+func (d *Directory) PeekData(w mem.Word) uint32 { return d.backing.Read(w) }
 
 // Recall functionally returns a line to the directory with up-to-date
 // data (host access between kernels).
@@ -315,22 +310,17 @@ func (d *Directory) Recall(l mem.Line, data [mem.WordsPerLine]uint32) {
 		s = &dirState{sharers: make(map[noc.NodeID]bool)}
 		d.lines[l] = s
 	}
-	s.data = data
+	d.backing.WriteLine(l, data, mem.AllWords)
 	s.mod = false
 	s.sharers = make(map[noc.NodeID]bool)
 }
 
 // PokeWord sets one word (host write); the line must not be modified.
 func (d *Directory) PokeWord(w mem.Word, v uint32) {
-	s, ok := d.lines[w.LineOf()]
-	if !ok {
-		d.backing.Write(w, v)
-		return
-	}
-	if s.mod {
+	if s, ok := d.lines[w.LineOf()]; ok && s.mod {
 		panic("mesi: host write to modified line without recall")
 	}
-	s.data[w.Index()] = v
+	d.backing.Write(w, v)
 }
 
 // Sharers lists current sharers (for host invalidation on writes).

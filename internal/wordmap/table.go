@@ -1,18 +1,15 @@
 // Dense-id table allocator: the struct-of-arrays backbone of the
 // devirtualized hot path.
 //
-// The protocol controllers and the L2 banks used to key their per-line
-// and per-word state by full 64-bit addresses in hash tables (or, worse,
-// builtin maps). An IDTable instead assigns each distinct line a small
-// dense id in first-touch order — deterministic, because the simulator
-// is single-threaded per machine and event order is pinned — and the
-// state that used to live behind a hash probe becomes a flat slice
-// indexed by id (one value per line: Dense) or by id*width+word (one
-// value per word: WordTable). Lookups on the access path collapse to
-// one hash probe to translate the address, then plain array arithmetic;
-// tables sharing one IDTable (an L2 bank's data, owner and touched
-// arrays; a controller's mask and value arrays) stay index-compatible
-// for free.
+// Per-line and per-word state keyed by full 64-bit addresses costs a
+// hash probe per word (or, worse, a builtin map lookup). An IDTable
+// instead assigns each distinct line a small dense id in first-touch
+// order — deterministic, because the simulator is single-threaded per
+// machine and event order is pinned — and the state that would live
+// behind a hash probe becomes a flat slice indexed by id*width+word
+// (one value per word: WordTable). Lookups on the access path collapse
+// to one hash probe to translate the address, then plain array
+// arithmetic; tables sharing one IDTable stay index-compatible for free.
 //
 // Ids are never recycled: lines that go cold keep their slot. The
 // simulator touches a bounded working set per run (the workloads' data
@@ -58,37 +55,16 @@ func (t *IDTable) Lookup(k uint64) (int32, bool) {
 // Key returns the key assigned id (the inverse of ID).
 func (t *IDTable) Key(id int32) uint64 { return t.keys[id] }
 
-// Dense is a flat per-id table: one V per id of the owning IDTable.
-// Rows materialize on first access; ids beyond the high-water mark read
-// as the zero value. The zero value of Dense is ready for use.
-type Dense[V any] struct {
-	vals []V
-}
-
-// Ptr returns a pointer to the value for id, growing the table as
-// needed. The pointer is valid until the next Ptr call with a larger id.
-func (d *Dense[V]) Ptr(id int32) *V {
-	for int(id) >= len(d.vals) {
-		d.vals = append(d.vals, *new(V))
-	}
-	return &d.vals[id]
-}
-
-// Get returns the value for id, or the zero value if the row has never
-// been touched.
-func (d *Dense[V]) Get(id int32) V {
-	if int(id) >= len(d.vals) {
-		return *new(V)
-	}
-	return d.vals[id]
-}
+// chunkRows is the number of rows a WordTable allocates at a time.
+const chunkRows = 64
 
 // WordTable is a flat per-word table: width consecutive V values per id
-// (one row per line, one slot per word). The zero value is unusable;
-// create with NewWordTable.
+// (one row per line, one slot per word). Rows are stored in fixed-size
+// chunks of chunkRows rows, so growing the table never copies or moves
+// a row. The zero value is unusable; create with NewWordTable.
 type WordTable[V any] struct {
-	width int
-	vals  []V
+	width  int
+	chunks [][]V
 }
 
 // NewWordTable returns a table with the given row width (the machine's
@@ -98,23 +74,22 @@ func NewWordTable[V any](width int) *WordTable[V] {
 }
 
 // Row returns the width-element row for id, growing the table as
-// needed. The slice aliases the backing array and is valid until the
-// next Row call with a larger id.
+// needed. The slice aliases the table and stays valid for the table's
+// lifetime.
 func (t *WordTable[V]) Row(id int32) []V {
-	need := (int(id) + 1) * t.width
-	for len(t.vals) < need {
-		t.vals = append(t.vals, *new(V))
+	for int(id)/chunkRows >= len(t.chunks) {
+		t.chunks = append(t.chunks, make([]V, chunkRows*t.width))
 	}
-	off := int(id) * t.width
-	return t.vals[off : off+t.width : off+t.width]
+	return t.Peek(id)
 }
 
-// Peek returns the row for id without growing, or nil if the row has
-// never been materialized.
+// Peek returns the row for id without growing, or nil if the row's
+// chunk has never been materialized.
 func (t *WordTable[V]) Peek(id int32) []V {
-	off := int(id) * t.width
-	if off+t.width > len(t.vals) {
+	c := int(id) / chunkRows
+	if c >= len(t.chunks) {
 		return nil
 	}
-	return t.vals[off : off+t.width : off+t.width]
+	off := int(id) % chunkRows * t.width
+	return t.chunks[c][off : off+t.width : off+t.width]
 }

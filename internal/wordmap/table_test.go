@@ -46,7 +46,7 @@ func TestUpsertExistingKeyDoesNotGrow(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
-// Property test: the SoA word-state tables (IDTable + WordTable + Dense)
+// Property test: the SoA word-state tables (IDTable + WordTable)
 // against a plain-map reference model.
 //
 // The model mirrors how the protocol controllers use the tables: lines
@@ -98,11 +98,11 @@ type soaLines struct {
 	ids   IDTable
 	st    *WordTable[uint8]
 	data  *WordTable[uint32]
-	owner Dense[int32]
+	owner *WordTable[int32] // one slot per line
 }
 
 func newSoaLines() *soaLines {
-	return &soaLines{st: NewWordTable[uint8](tblWords), data: NewWordTable[uint32](tblWords)}
+	return &soaLines{st: NewWordTable[uint8](tblWords), data: NewWordTable[uint32](tblWords), owner: NewWordTable[int32](1)}
 }
 
 // applyTblOps drives both models through ops and returns an error
@@ -135,8 +135,12 @@ func applyTblOps(ops []tblOp) error {
 						step, k, w, gotSt, gotData, r.st[w], r.data[w])
 				}
 			}
-			if got := s.owner.Get(id); got != r.owner {
-				return fmt.Errorf("op %d: line %#x owner: got %d want %d", step, k, got, r.owner)
+			gotOwner := int32(0)
+			if row := s.owner.Peek(id); row != nil {
+				gotOwner = row[0]
+			}
+			if gotOwner != r.owner {
+				return fmt.Errorf("op %d: line %#x owner: got %d want %d", step, k, gotOwner, r.owner)
 			}
 		}
 		return nil
@@ -176,7 +180,7 @@ func applyTblOps(ops []tblOp) error {
 			// Steal only affects lines that exist.
 			id, ok := s.ids.Lookup(op.line)
 			if ok {
-				*s.owner.Ptr(id) = int32(op.val % 16)
+				s.owner.Row(id)[0] = int32(op.val % 16)
 				row := s.st.Row(id)
 				for w := range row {
 					if row[w] == wsRegistered {
@@ -339,4 +343,26 @@ func FuzzMapVsBuiltin(f *testing.F) {
 			}
 		}
 	})
+}
+
+// Rows are stored in fixed chunks, so a row handed out early stays the
+// live storage for its id however far the table grows afterwards.
+func TestWordTableRowsStayLive(t *testing.T) {
+	tbl := NewWordTable[uint32](16)
+	first := tbl.Row(0)
+	for id := int32(1); id < 10*chunkRows; id++ {
+		tbl.Row(id)[3] = uint32(id)
+	}
+	first[5] = 99
+	if got := tbl.Peek(0)[5]; got != 99 {
+		t.Fatalf("Peek(0)[5] = %d, want 99: row 0 moved when the table grew", got)
+	}
+	for id := int32(1); id < 10*chunkRows; id++ {
+		if got := tbl.Peek(id)[3]; got != uint32(id) {
+			t.Fatalf("Peek(%d)[3] = %d, want %d", id, got, id)
+		}
+	}
+	if tbl.Peek(10*chunkRows) != nil {
+		t.Fatal("Peek beyond the last chunk should be nil")
+	}
 }

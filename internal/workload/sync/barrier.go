@@ -155,20 +155,20 @@ func TreeBarrier(p BarrierParams) workload.Workload {
 			h.Launch(kernel, numTBs, p.Threads)
 		},
 		Verify: func(h workload.Host) error {
-			cur := make([][]uint32, numTBs)
+			// Two reference buffer sets, ping-ponged like the kernel's.
+			cur, next := make([][]uint32, numTBs), make([][]uint32, numTBs)
 			for tb := range cur {
 				cur[tb] = make([]uint32, regionWords)
+				next[tb] = make([]uint32, regionWords)
 				for i := range cur[tb] {
 					cur[tb][i] = refInit(tb, i)
 				}
 			}
 			for it := 0; it < p.Iters; it++ {
-				next := make([][]uint32, numTBs)
 				for tb := range next {
 					remote := (tb + 1) % numTBs
 					cu := tb % workers
 					sibling := (tb/workers+1)%p.TBsPerCU*workers + cu
-					next[tb] = make([]uint32, regionWords)
 					for i := range next[tb] {
 						v := cur[tb][i] + cur[remote][i]*coefAt(i)
 						if p.LocalExchange {
@@ -177,7 +177,7 @@ func TreeBarrier(p BarrierParams) workload.Workload {
 						next[tb][i] = v
 					}
 				}
-				cur = next
+				cur, next = next, cur
 			}
 			final := bufs[p.Iters%2]
 			for tb := 0; tb < numTBs; tb++ {
