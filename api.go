@@ -224,6 +224,9 @@ func Run(cfg Config, w Workload) (Report, error) {
 // concurrently. RunMatrix enforces this and fails with
 // ErrSharedObserver.
 func RunObserved(cfg Config, w Workload, mkRec func(clock func() uint64) *Recorder, sampler *Sampler) (Report, error) {
+	if err := w.CheckDevices(cfg.Devices); err != nil {
+		return Report{}, fmt.Errorf("denovogpu: %w", err)
+	}
 	m := machine.New(cfg)
 	var rec *Recorder
 	if mkRec != nil {

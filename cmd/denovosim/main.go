@@ -106,6 +106,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	w, err := denovogpu.WorkloadByName(*bench)
+	if err == nil {
+		err = w.CheckDevices(cfg.Devices)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

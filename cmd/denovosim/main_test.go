@@ -165,6 +165,7 @@ func TestErrorPaths(t *testing.T) {
 		{"positional args", []string{"-bench", "LAVA", "-config", "DD", "extra"}, "unexpected arguments"},
 		{"multi-device MESI", []string{"-bench", "LAVA", "-config", "MESI", "-devices", "2"}, "MESI is single-device only"},
 		{"too many CUs", []string{"-bench", "LAVA", "-cus", "100"}, "100 CUs per device"},
+		{"x2 bench on one device", []string{"-bench", "TB_LGx2", "-config", "DD"}, "sized for 2 devices"},
 	}
 	for _, c := range cases {
 		c := c

@@ -60,16 +60,6 @@ type Entry struct {
 	lru    uint64
 }
 
-// HasAny reports whether any word is in state s.
-func (e *Entry) HasAny(s WordState) bool {
-	for _, w := range e.State {
-		if w == s {
-			return true
-		}
-	}
-	return false
-}
-
 // MaskOf returns the mask of words in state s.
 func (e *Entry) MaskOf(s WordState) mem.WordMask {
 	var m mem.WordMask
@@ -79,6 +69,17 @@ func (e *Entry) MaskOf(s WordState) mem.WordMask {
 		}
 	}
 	return m
+}
+
+// Prune untags the frame if every word is Invalid and it is not pinned,
+// the rule Invalidate applies to every frame it walks. It reports
+// whether the frame was untagged.
+func (e *Entry) Prune() bool {
+	if e.Pinned || e.State != [mem.WordsPerLine]WordState{} {
+		return false
+	}
+	e.Tag = false
+	return true
 }
 
 // Reset clears the frame and retags it for line l.
@@ -92,33 +93,58 @@ func (e *Entry) Reset(l mem.Line) {
 	}
 }
 
+// Keep is a cache's invalidation policy: the words Invalidate spares.
+// It is fixed when the cache is built, so a frame Invalidate has walked
+// stays settled until a controller touches it again.
+type Keep struct {
+	// Owned spares Registered (DeNovo) or Dirty (GPU-H) words.
+	Owned bool
+	// ReadOnly, when non-nil, spares every live word it reports true
+	// for (DeNovo's read-only region). It must depend only on the
+	// address; if the region it describes shrinks, call Unsettle.
+	ReadOnly func(mem.Word) bool
+}
+
+func (k Keep) spares(e *Entry, w int) bool {
+	return (k.Owned && e.State[w] == Registered) || (k.ReadOnly != nil && k.ReadOnly(e.Line.Word(w)))
+}
+
 // Cache is a set-associative sector cache.
 type Cache struct {
 	sets int
 	ways int
+	keep Keep
 	// frames[set*ways+way]
 	frames []Entry
-	// occ is a conservative occupancy bitmap: one bit per frame, set
-	// whenever a frame pointer is handed out (Lookup/Peek/Victim) and
-	// cleared only by Invalidate when it observes the frame untagged.
-	// Every tagged frame has its bit set (frames are only tagged via
-	// Reset on a just-handed-out pointer); a set bit over an untagged
-	// frame is harmless. This lets Invalidate skip empty regions — on
-	// the GPU protocol it runs once per global acquire, usually over a
-	// mostly-empty cache.
-	occ  []uint64
-	tick uint64
+	// One bit per frame in each bitmap, both set whenever a frame
+	// pointer is handed out (Lookup, Peek, Victim, ForEach). Frames
+	// change only through handed-out pointers, and no caller keeps one
+	// across events.
+	//
+	// occ, walked by ForEach, is cleared only by Invalidate when it
+	// finds the frame untagged: every tagged frame has its bit set
+	// (frames are only tagged via Reset on a just-handed-out pointer).
+	//
+	// since, walked and cleared by Invalidate, marks the frames handed
+	// out since the last Invalidate. Every other frame holds only words
+	// keep spares, so skipping it keeps the returned count exact.
+	occ   []uint64
+	since []uint64
+	tick  uint64
 }
 
 // New returns a cache of the given total size and associativity with
-// 64-byte lines. Size must yield a power-of-two set count.
-func New(sizeBytes, ways int) *Cache {
+// 64-byte lines and invalidation policy keep. Size must yield a
+// power-of-two set count.
+func New(sizeBytes, ways int, keep Keep) *Cache {
 	lines := sizeBytes / mem.LineBytes
 	sets := lines / ways
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets (size %d, ways %d) is not a power of two", sets, sizeBytes, ways))
 	}
-	return &Cache{sets: sets, ways: ways, frames: make([]Entry, sets*ways), occ: make([]uint64, (sets*ways+63)/64)}
+	words := (sets*ways + 63) / 64
+	return &Cache{sets: sets, ways: ways, keep: keep, frames: make([]Entry, sets*ways),
+		occ: make([]uint64, words), since: make([]uint64, words)}
 }
 
 // Sets returns the number of sets.
@@ -132,8 +158,11 @@ func (c *Cache) set(l mem.Line) (base int, set []Entry) {
 	return s * c.ways, c.frames[s*c.ways : (s+1)*c.ways]
 }
 
-// mark records frame index idx in the occupancy bitmap.
-func (c *Cache) mark(idx int) { c.occ[idx>>6] |= 1 << (idx & 63) }
+// mark records that frame idx was handed out.
+func (c *Cache) mark(idx int) {
+	c.occ[idx>>6] |= 1 << (idx & 63)
+	c.since[idx>>6] |= 1 << (idx & 63)
+}
 
 // Lookup returns the frame holding l and bumps its recency, or nil.
 func (c *Cache) Lookup(l mem.Line) *Entry {
@@ -206,56 +235,62 @@ func (c *Cache) Touch(e *Entry) {
 }
 
 // ForEach visits every tagged frame in deterministic (set, way) order.
+// It walks the occupancy bitmap, so it costs the occupied frames, not
+// the cache size, and marks each frame it hands out.
 func (c *Cache) ForEach(fn func(e *Entry)) {
-	for i := range c.frames {
-		if c.frames[i].Tag {
-			fn(&c.frames[i])
+	for wi := range c.occ {
+		for rem := c.occ[wi]; rem != 0; rem &= rem - 1 {
+			i := wi<<6 + bits.TrailingZeros64(rem)
+			if c.frames[i].Tag {
+				c.mark(i)
+				fn(&c.frames[i])
+			}
 		}
 	}
 }
 
-// Invalidate applies a per-word invalidation filter to the whole cache:
-// words for which keep returns false become Invalid; frames left with
-// no Valid or Registered words are untagged (unless pinned). It returns
-// the number of words invalidated. This implements both the GPU
-// protocol's flash invalidation (keep nothing) and DeNovo's selective
-// invalidation (keep Registered words, and optionally a read-only
-// region).
-func (c *Cache) Invalidate(keep func(e *Entry, word int) bool) int {
+// Invalidate applies the cache's Keep policy: every live word it does
+// not spare becomes Invalid, and frames left with no live word are
+// untagged (unless pinned). It returns the number of words invalidated.
+// This implements both the GPU protocol's flash invalidation (keep
+// nothing, or GPU-H's dirty words) and DeNovo's selective invalidation
+// (keep Registered words, and optionally a read-only region).
+//
+// Only frames handed out since the previous Invalidate are walked: the
+// rest already hold only spared words. In hardware this is a bulk clear
+// of state bits; the walk costs the frames touched, not the cache size.
+func (c *Cache) Invalidate() int {
 	n := 0
-	for wi, occw := range c.occ {
-		if occw == 0 {
+	for wi, sw := range c.since {
+		if sw == 0 {
 			continue
 		}
-		rem := occw
-		for rem != 0 {
+		c.since[wi] = 0
+		for rem := sw; rem != 0; rem &= rem - 1 {
 			i := wi<<6 + bits.TrailingZeros64(rem)
-			rem &= rem - 1
 			e := &c.frames[i]
-			if !e.Tag {
-				c.occ[wi] &^= 1 << (i & 63)
-				continue
-			}
-			live := false
-			for w := 0; w < mem.WordsPerLine; w++ {
-				if e.State[w] == Invalid {
+			if e.Tag {
+				for w := 0; w < mem.WordsPerLine; w++ {
+					if e.State[w] != Invalid && !c.keep.spares(e, w) {
+						e.State[w] = Invalid
+						n++
+					}
+				}
+				if !e.Prune() {
 					continue
 				}
-				if keep(e, w) {
-					live = true
-					continue
-				}
-				e.State[w] = Invalid
-				n++
 			}
-			if !live && !e.Pinned {
-				e.Tag = false
-				c.occ[wi] &^= 1 << (i & 63)
-			}
+			c.occ[wi] &^= 1 << (i & 63)
 		}
 	}
 	return n
 }
+
+// Unsettle marks every occupied frame for the next Invalidate. Call it
+// when the Keep policy starts sparing fewer words (a read-only region
+// was revoked), since frames settled under the wider policy may hold
+// words the narrower one drops.
+func (c *Cache) Unsettle() { copy(c.since, c.occ) }
 
 // Stats-ish helpers used by tests.
 

@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewGeometry(t *testing.T) {
-	c := New(32*1024, 8) // the paper's L1
+	c := New(32*1024, 8, Keep{}) // the paper's L1
 	if c.Sets() != 64 || c.Ways() != 8 {
 		t.Fatalf("32KB 8-way: sets=%d ways=%d, want 64/8", c.Sets(), c.Ways())
 	}
@@ -20,11 +20,11 @@ func TestNewBadGeometryPanics(t *testing.T) {
 			t.Fatal("non-power-of-two sets should panic")
 		}
 	}()
-	New(3*1024, 8)
+	New(3*1024, 8, Keep{})
 }
 
 func TestLookupMissThenFill(t *testing.T) {
-	c := New(8*1024, 4)
+	c := New(8*1024, 4, Keep{})
 	l := mem.Line(42)
 	if c.Lookup(l) != nil {
 		t.Fatal("empty cache should miss")
@@ -43,7 +43,7 @@ func TestLookupMissThenFill(t *testing.T) {
 }
 
 func TestVictimPrefersExistingThenFreeThenLRU(t *testing.T) {
-	c := New(4*mem.LineBytes*2, 2) // 4 sets, 2 ways
+	c := New(4*mem.LineBytes*2, 2, Keep{}) // 4 sets, 2 ways
 	// Two lines mapping to the same set (stride = sets).
 	stride := mem.Line(c.Sets())
 	a, b, d := mem.Line(0), stride, 2*stride
@@ -68,7 +68,7 @@ func TestVictimPrefersExistingThenFreeThenLRU(t *testing.T) {
 }
 
 func TestVictimSkipsPinned(t *testing.T) {
-	c := New(2*mem.LineBytes*2, 2) // 2 sets, 2 ways
+	c := New(2*mem.LineBytes*2, 2, Keep{}) // 2 sets, 2 ways
 	stride := mem.Line(c.Sets())
 	e0 := c.Victim(0)
 	e0.Reset(0)
@@ -86,14 +86,14 @@ func TestVictimSkipsPinned(t *testing.T) {
 }
 
 func TestInvalidateFlash(t *testing.T) {
-	c := New(8*1024, 4)
+	c := New(8*1024, 4, Keep{})
 	for i := 0; i < 10; i++ {
 		e := c.Victim(mem.Line(i))
 		e.Reset(mem.Line(i))
 		e.State[0] = Valid
 		e.State[1] = Registered
 	}
-	n := c.Invalidate(func(*Entry, int) bool { return false })
+	n := c.Invalidate()
 	if n != 20 {
 		t.Fatalf("flash invalidated %d words, want 20", n)
 	}
@@ -106,13 +106,13 @@ func TestInvalidateFlash(t *testing.T) {
 }
 
 func TestInvalidateKeepsRegistered(t *testing.T) {
-	c := New(8*1024, 4)
+	c := New(8*1024, 4, Keep{Owned: true})
 	e := c.Victim(mem.Line(5))
 	e.Reset(mem.Line(5))
 	e.State[0] = Valid
 	e.State[1] = Registered
 	e.Data[1] = 7
-	n := c.Invalidate(func(e *Entry, w int) bool { return e.State[w] == Registered })
+	n := c.Invalidate()
 	if n != 1 {
 		t.Fatalf("invalidated %d, want 1 (only the Valid word)", n)
 	}
@@ -137,16 +137,13 @@ func TestEntryMaskOf(t *testing.T) {
 	if e.MaskOf(Valid) != mem.Bit(2) {
 		t.Fatal("MaskOf(Valid) wrong")
 	}
-	if !e.HasAny(Valid) || e.HasAny(WordState(9)) {
-		t.Fatal("HasAny wrong")
-	}
 }
 
 // Property: after filling k distinct lines into an empty large cache,
 // all are resident (no premature evictions while capacity remains).
 func TestNoSpuriousEvictionProperty(t *testing.T) {
 	f := func(seeds []uint16) bool {
-		c := New(32*1024, 8)
+		c := New(32*1024, 8, Keep{})
 		seen := map[mem.Line]bool{}
 		for _, s := range seeds {
 			l := mem.Line(s % 256) // 256 distinct lines fit easily in 512 frames

@@ -362,7 +362,7 @@ func New(node noc.NodeID, eng *sim.Engine, mesh noc.Network, st *stats.Stats, me
 	c := &Controller{
 		node: node, eng: eng, mesh: mesh, st: st, meter: meter, opts: opts,
 		topo:   topology.Single(),
-		cache:  cache.New(l1Bytes, l1Ways),
+		cache:  cache.New(l1Bytes, l1Ways, cache.Keep{Owned: true, ReadOnly: opts.ReadOnly}),
 		sb:     cache.NewStoreBuffer(sbEntries),
 		victim: cache.NewVictimBuffer(),
 	}
@@ -818,13 +818,7 @@ func (c *Controller) Acquire(scope coherence.Scope) {
 	if scope == coherence.ScopeLocal || c.faultNoAcqInval {
 		return
 	}
-	ro := c.opts.ReadOnly
-	n := c.cache.Invalidate(func(e *cache.Entry, i int) bool {
-		if e.State[i] == cache.Registered {
-			return true
-		}
-		return ro != nil && ro(e.Line.Word(i))
-	})
+	n := c.cache.Invalidate()
 	c.epoch++
 	// Flash/selective invalidation is a bulk clear of state bits, not a
 	// per-frame tag walk; charge a single tag-array access.
@@ -835,6 +829,12 @@ func (c *Controller) Acquire(scope coherence.Scope) {
 		c.rec.Emit(obs.SyncAcquire, int32(c.node), uint64(n))
 	}
 }
+
+// ReadOnlyRevoked tells the controller that Options.ReadOnly now
+// reports false for words it used to spare, so the next acquire must
+// re-examine every cached frame, not only the ones touched since the
+// last one.
+func (c *Controller) ReadOnlyRevoked() { c.cache.Unsettle() }
 
 // DisableAcquireInvalidation is test-only fault injection: it makes
 // globally scoped acquires skip the selective self-invalidation, so
@@ -1335,8 +1335,8 @@ func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, 
 			c.lostAt.Put(uint64(w), c.eng.Now())
 		}
 	}
-	if e != nil && !e.HasAny(cache.Valid) && !e.HasAny(cache.Registered) && !e.Pinned {
-		e.Tag = false
+	if e != nil {
+		e.Prune()
 	}
 	c.meter.L1Access(1)
 	c.mesh.Send(c.pool.NewMsg(coherence.Msg{
@@ -1524,12 +1524,12 @@ func (c *Controller) HostSteal(w mem.Word) (uint32, bool) {
 // optimization, Valid words in the software-conveyed read-only region
 // survive — by contract nothing writes them in any phase, so they
 // cannot go stale while another protocol set runs. Ownership cannot
-// survive (the registry is being emptied), so unlike Acquire the
-// predicate never spares Registered words; it requires a quiesced
-// controller whose registrations have already been recalled (HostSteal
-// per registered word), and finding leftover ownership here means the
-// registry and this L1 disagree, which the drain must not paper over.
-// Returns the number of clean words dropped.
+// survive (the registry is being emptied), so although it runs
+// Acquire's invalidation, which spares Registered words, it requires a
+// quiesced controller whose registrations have already been recalled
+// (HostSteal per registered word): finding leftover ownership here
+// means the registry and this L1 disagree, which the drain must not
+// paper over. Returns the number of clean words dropped.
 func (c *Controller) HostDropClean() (int, error) {
 	if !c.Drained() {
 		return 0, fmt.Errorf("denovo: phase-drain: node %d not drained (sb=%d regs=%d reads=%d own=%d victim=%d)",
@@ -1538,8 +1538,5 @@ func (c *Controller) HostDropClean() (int, error) {
 	if n := c.cache.CountWords(cache.Registered); n != 0 {
 		return 0, fmt.Errorf("denovo: phase-drain: node %d still owns %d words after recall", c.node, n)
 	}
-	ro := c.opts.ReadOnly
-	return c.cache.Invalidate(func(e *cache.Entry, i int) bool {
-		return ro != nil && ro(e.Line.Word(i))
-	}), nil
+	return c.cache.Invalidate(), nil
 }

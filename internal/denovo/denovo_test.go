@@ -545,3 +545,59 @@ func TestDirectTransferHitAndFallback(t *testing.T) {
 		t.Fatalf("nacked = %d, want 1", r.Stats.Get("l1.direct_reads_nacked"))
 	}
 }
+
+// A pinned frame whose last live word an acquire drops stays tagged;
+// once unpinned, the next acquire untags it even though nothing else
+// touched the line in between.
+func TestPinnedEmptyFrameUntaggedAfterUnpin(t *testing.T) {
+	r := testrig.New()
+	c := newCtl(r, 0, Options{})
+	w := mem.Addr(0x800).WordOf()
+	l := w.LineOf()
+	r.Backing.Write(w, 9)
+	r.Eng.Schedule(0, func() {
+		c.ReadLine(l, mem.Bit(w.Index()), func([mem.WordsPerLine]uint32) {
+			c.pin(l)
+			c.Acquire(coherence.ScopeGlobal)
+			if e := c.cache.Peek(l); e == nil || e.MaskOf(cache.Valid) != 0 {
+				t.Error("a pinned frame must survive the acquire tagged, with no live word")
+			}
+			c.Acquire(coherence.ScopeGlobal)
+			c.unpin(l)
+			c.Acquire(coherence.ScopeGlobal)
+			if c.cache.Peek(l) != nil {
+				t.Error("the acquire after unpin must untag the empty frame")
+			}
+		})
+	})
+	r.Run(t)
+	if got := r.Stats.Get("l1.invalidated_words"); got != mem.WordsPerLine {
+		t.Fatalf("l1.invalidated_words = %d, want the filled line's %d", got, mem.WordsPerLine)
+	}
+}
+
+// Revoking the read-only region makes the next acquire drop read-only
+// words that earlier acquires spared, though no access touched them.
+func TestReadOnlyRevokedInvalidatesSparedWords(t *testing.T) {
+	r := testrig.New()
+	ro := mem.Addr(0x800).WordOf()
+	readOnly := true
+	c := newCtl(r, 0, Options{ReadOnly: func(w mem.Word) bool { return readOnly && w.LineOf() == ro.LineOf() }})
+	r.Backing.Write(ro, 1)
+	r.Eng.Schedule(0, func() {
+		c.ReadLine(ro.LineOf(), mem.Bit(ro.Index()), func([mem.WordsPerLine]uint32) {
+			c.Acquire(coherence.ScopeGlobal)
+			c.Acquire(coherence.ScopeGlobal)
+			readOnly = false
+			c.ReadOnlyRevoked()
+			c.Acquire(coherence.ScopeGlobal)
+		})
+	})
+	r.Run(t)
+	if c.CacheWordState(ro) != cache.Invalid {
+		t.Fatal("a revoked read-only word must not survive the next acquire")
+	}
+	if got := r.Stats.Get("l1.invalidated_words"); got != mem.WordsPerLine {
+		t.Fatalf("l1.invalidated_words = %d, want the filled line's %d", got, mem.WordsPerLine)
+	}
+}

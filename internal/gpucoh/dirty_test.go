@@ -164,3 +164,30 @@ func TestLocalAtomicChainsOnDirtyWord(t *testing.T) {
 		t.Fatalf("value %d, want 101", v)
 	}
 }
+
+// A global release downgrades dirty words to Valid inside a frame the
+// previous acquire left settled; the next acquire must still see and
+// count them, with no access to the line in between.
+func TestAcquireAfterReleaseInvalidatesDowngradedWords(t *testing.T) {
+	r := testrig.New()
+	c := newCtlH(r, 0)
+	l := mem.Line(4)
+	var data [mem.WordsPerLine]uint32
+	data[3] = 33
+	data[7] = 77
+	r.Eng.Schedule(0, func() {
+		c.WriteLine(l, mem.Bit(3)|mem.Bit(7), data, func() {
+			c.Acquire(coherence.ScopeGlobal) // keeps both dirty words
+			c.Release(coherence.ScopeGlobal, func() {
+				c.Acquire(coherence.ScopeGlobal)
+			})
+		})
+	})
+	r.Run(t)
+	if c.CacheWordState(l.Word(3)) != cache.Invalid || c.CacheWordState(l.Word(7)) != cache.Invalid {
+		t.Fatal("acquire after a release must invalidate the downgraded words")
+	}
+	if got := r.Stats.Get("l1.invalidated_words"); got != 2 {
+		t.Fatalf("l1.invalidated_words = %d, want 2", got)
+	}
+}

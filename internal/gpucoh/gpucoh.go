@@ -157,8 +157,10 @@ func New(node noc.NodeID, eng *sim.Engine, mesh noc.Network, st *stats.Stats, me
 		node: node, eng: eng, mesh: mesh, st: st, meter: meter,
 		topo:          topology.Single(),
 		partialBlocks: partialBlocks,
-		cache:         cache.New(l1Bytes, l1Ways),
-		sb:            cache.NewStoreBuffer(sbEntries),
+		// GPU-H's acquire keeps its own unflushed (dirty) words: they
+		// are this CU's writes, not potentially-stale remote data.
+		cache: cache.New(l1Bytes, l1Ways, cache.Keep{Owned: partialBlocks}),
+		sb:    cache.NewStoreBuffer(sbEntries),
 	}
 	mesh.Attach(node, noc.PortL1, c)
 	return c
@@ -550,11 +552,7 @@ func (c *Controller) Acquire(scope coherence.Scope) {
 	if scope == coherence.ScopeLocal || c.faultNoAcqInval {
 		return
 	}
-	n := c.cache.Invalidate(func(e *cache.Entry, i int) bool {
-		// GPU-H keeps its own unflushed (dirty) words: they are this
-		// CU's writes, not potentially-stale remote data.
-		return c.partialBlocks && e.State[i] == cache.Dirty
-	})
+	n := c.cache.Invalidate()
 	c.epoch++
 	// Flash/selective invalidation is a bulk clear of state bits, not a
 	// per-frame tag walk; charge a single tag-array access.
@@ -811,7 +809,8 @@ func (c *Controller) HostInvalidateLine(l mem.Line, mask mem.WordMask) {
 // remaining word becomes Invalid and frames are untagged. It requires
 // a quiesced controller; a leftover Dirty word (GPU-H partial blocks)
 // would be a lost write, since the kernel-boundary release must have
-// flushed them all. Returns the number of clean words dropped.
+// flushed them all — so Acquire's invalidation, which would spare it,
+// drops everything. Returns the number of clean words dropped.
 func (c *Controller) HostDropClean() (int, error) {
 	if !c.Drained() {
 		return 0, fmt.Errorf("gpucoh: phase-drain: node %d not drained (sb=%d wt=%d reads=%d atomics=%d)",
@@ -822,5 +821,5 @@ func (c *Controller) HostDropClean() (int, error) {
 			return 0, fmt.Errorf("gpucoh: phase-drain: node %d holds %d unflushed dirty words", c.node, n)
 		}
 	}
-	return c.cache.Invalidate(func(*cache.Entry, int) bool { return false }), nil
+	return c.cache.Invalidate(), nil
 }

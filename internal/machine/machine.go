@@ -1172,6 +1172,9 @@ func (m *Machine) SetReadOnly(lo, hi mem.Addr) {
 // host mutates a previously read-only range.
 func (m *Machine) ClearReadOnly() {
 	m.ro = nil
+	for _, l1 := range m.denovoL1s {
+		l1.(*denovo.Controller).ReadOnlyRevoked()
+	}
 }
 
 // DumpL1s returns a diagnostic dump of every L1 controller's pending

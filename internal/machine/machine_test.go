@@ -339,6 +339,36 @@ func TestReadOnlyRegionCorrectness(t *testing.T) {
 	}
 }
 
+// TestClearReadOnlyReachesSparedCopies: once the host revokes a
+// read-only region, the next acquire must drop a copy earlier acquires
+// spared, even though nothing touched that copy in between.
+func TestClearReadOnlyReachesSparedCopies(t *testing.T) {
+	in, out := mem.Addr(0x1000), mem.Addr(0x9000)
+	m := New(DDRO())
+	m.Write(in, 5)
+	m.SetReadOnly(in, in+64)
+	read := func(ctx *workload.Ctx) {
+		if ctx.CU == 1 {
+			ctx.Store(out, ctx.Load(in))
+		}
+	}
+	m.Launch(read, 45, 32)
+	m.Launch(func(*workload.Ctx) {}, 45, 32) // its acquires spare the copy
+	m.ClearReadOnly()
+	m.Launch(func(ctx *workload.Ctx) {
+		if ctx.CU == 0 {
+			ctx.Store(in, 50)
+		}
+	}, 45, 32)
+	m.Launch(read, 45, 32)
+	if err := m.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Read(out); got != 50 {
+		t.Fatalf("CU 1 read %d, want 50 — stale copy of a revoked read-only word", got)
+	}
+}
+
 // TestGPUFasterWithLocalScope sanity-checks the first-order performance
 // relationship the paper reports: under GPU coherence, locally scoped
 // locking (GH) must beat globally scoped locking (GD).

@@ -91,7 +91,7 @@ type victimLine struct {
 func New(node noc.NodeID, eng *sim.Engine, mesh *noc.Mesh, st *stats.Stats, meter *energy.Meter, l1Bytes, l1Ways int) *Controller {
 	c := &Controller{
 		node: node, eng: eng, mesh: mesh, st: st, meter: meter,
-		cache:  cache.New(l1Bytes, l1Ways),
+		cache:  cache.New(l1Bytes, l1Ways, cache.Keep{}),
 		mshr:   make(map[mem.Line]*txn),
 		victim: make(map[mem.Line]*victimLine),
 	}
@@ -411,9 +411,7 @@ func (c *Controller) invalidate(m *coherence.Msg) {
 		for i := range e.State {
 			e.State[i] = cache.Invalid
 		}
-		if !e.Pinned {
-			e.Tag = false
-		}
+		e.Prune()
 		c.st.IncKey(kL1InvalidatedLines, 1)
 	}
 	// Always ack, even for silently evicted (stale-sharer) lines.
@@ -450,9 +448,7 @@ func (c *Controller) serviceFwd(m *coherence.Msg) {
 			for i := range e.State {
 				e.State[i] = cache.Invalid
 			}
-			if !e.Pinned {
-				e.Tag = false
-			}
+			e.Prune()
 		}
 	default:
 		v, ok := c.victim[m.Line]
@@ -508,7 +504,7 @@ func (c *Controller) HostSteal(l mem.Line) ([mem.WordsPerLine]uint32, bool) {
 		for i := range e.State {
 			e.State[i] = cache.Invalid
 		}
-		e.Tag = false
+		e.Prune()
 		return data, true
 	}
 	return [mem.WordsPerLine]uint32{}, false

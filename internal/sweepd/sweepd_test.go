@@ -454,13 +454,15 @@ func TestSubmitValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown field accepted: status %d", resp.StatusCode)
 	}
-	// Machine shapes New cannot build answer 400 instead of queueing a
-	// cell whose worker would panic.
+	// Machine shapes New cannot build, or too small for the workload,
+	// answer 400 instead of queueing a cell whose worker would panic or
+	// hang.
 	for _, cell := range []string{
 		`{"config":{"name":"MESI","devices":2},"workload":"LAVA"}`,
 		`{"config":{"config":{"Protocol":1,"NumCUs":100}},"workload":"LAVA"}`,
 		`{"config":{"config":{"Protocol":1,"NumCUs":-3}},"workload":"LAVA"}`,
 		`{"config":{"name":"DD","devices":-1},"workload":"LAVA"}`,
+		`{"config":{"name":"DD"},"workload":"TB_LGx2"}`, // sized for 2 devices
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json",
 			strings.NewReader(`{"cells":[`+cell+`]}`))

@@ -142,6 +142,7 @@ func TreeBarrier(p BarrierParams) workload.Workload {
 		Name:     name,
 		Input:    fmt.Sprintf("%d TBs/CU, %d iters/TB/kernel, %d Ld&St/thr/iter", p.TBsPerCU, p.Iters, p.Accesses),
 		Category: devCategory(p.Devices, workload.LocalSync),
+		Devices:  p.Devices,
 		Host: func(h workload.Host) {
 			for tb := 0; tb < numTBs; tb++ {
 				for i := 0; i < regionWords; i++ {

@@ -140,6 +140,7 @@ func Mutex(p MutexParams) workload.Workload {
 			}
 			return devCategory(p.Devices, workload.GlobalSync)
 		}(),
+		Devices: p.Devices,
 		Host: func(h workload.Host) {
 			h.Launch(kernel, numTBs, p.Threads)
 		},

@@ -112,6 +112,7 @@ func Semaphore(p SemParams) workload.Workload {
 		Name:     name,
 		Input:    fmt.Sprintf("3 TBs/CU, %d iters/TB/kernel, readers %d Ld/thr/iter, writers %d St/thr/iter", p.Iters, p.LoadsPer, 2*p.LoadsPer),
 		Category: devCategory(p.Devices, workload.LocalSync),
+		Devices:  p.Devices,
 		Host: func(h workload.Host) {
 			for cu := 0; cu < workers; cu++ {
 				for i := 0; i <= regionWords; i++ {

@@ -241,6 +241,7 @@ func UTS(p UTSParams) workload.Workload {
 		Name:     name,
 		Input:    fmt.Sprintf("%d nodes", total),
 		Category: devCategory(p.Devices, workload.LocalSync),
+		Devices:  p.Devices,
 		Host: func(h workload.Host) {
 			// Seed: the root's children go to the global queue; the root
 			// itself counts as processed by the host.

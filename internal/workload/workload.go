@@ -113,10 +113,23 @@ type Workload struct {
 	Input string
 	// Category places the benchmark in Figure 2, 3, or 4.
 	Category Category
+	// Devices is the device count the grid is sized for (0 means 1).
+	// On fewer devices a global barrier would wait forever for thread
+	// blocks that never become resident.
+	Devices int
 	// Host drives the benchmark.
 	Host func(h Host)
 	// Verify checks the final state; nil error means correct.
 	Verify func(h Host) error
+}
+
+// CheckDevices rejects a machine of the given device count (0 means 1)
+// that is smaller than the one w is sized for.
+func (w Workload) CheckDevices(devices int) error {
+	if w.Devices > max(devices, 1) {
+		return fmt.Errorf("workload: %s is sized for %d devices, the machine has %d", w.Name, w.Devices, max(devices, 1))
+	}
+	return nil
 }
 
 // Arena is a bump allocator for carving a workload's address space.

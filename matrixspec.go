@@ -117,7 +117,10 @@ func (s CellSpec) resolve() (resolvedCell, error) {
 			return resolvedCell{}, fmt.Errorf("denovogpu: simulation cell %q sets a check-only field (budget, explorer or shard)", s.Workload)
 		}
 		if s.Seed == 0 {
-			_, err = WorkloadByName(s.Workload)
+			var w Workload
+			if w, err = WorkloadByName(s.Workload); err == nil {
+				err = w.CheckDevices(cfg.Devices)
+			}
 		} else if seededGraphs[s.Workload] == nil {
 			err = fmt.Errorf("denovogpu: seed %d: only the graph workloads (BFS, PR, SSSP) are seedable, not %q", s.Seed, s.Workload)
 		}
@@ -149,8 +152,8 @@ func (s CellSpec) resolve() (resolvedCell, error) {
 }
 
 // Validate rejects an unresolvable or ill-formed cell (unknown config,
-// workload, program or explorer, or a field of the other kind) without
-// running anything.
+// workload, program or explorer, a field of the other kind, or fewer
+// devices than the workload is sized for) without running anything.
 func (s CellSpec) Validate() error {
 	_, err := s.resolve()
 	return err

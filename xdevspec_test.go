@@ -88,6 +88,31 @@ func TestCellKeyChangesWithDevices(t *testing.T) {
 	}
 }
 
+// TestMultiDeviceWorkloadRejectsSmallerMachine: an x2 workload on one
+// device used to spin to the cycle horizon on a global barrier waiting
+// for thread blocks that never became resident; Run and cell
+// validation now refuse it before simulating.
+func TestMultiDeviceWorkloadRejectsSmallerMachine(t *testing.T) {
+	w, err := denovogpu.WorkloadByName("TB_LGx2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Devices != 2 {
+		t.Fatalf("TB_LGx2 sized for %d devices, want 2", w.Devices)
+	}
+	if _, err := denovogpu.Run(denovogpu.DD(), w); err == nil || !strings.Contains(err.Error(), "sized for 2 devices") {
+		t.Fatalf("Run on one device: err %v, want a device-count error", err)
+	}
+	one := denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD"}, Workload: "TB_LGx2"}
+	if err := one.Validate(); err == nil || !strings.Contains(err.Error(), "sized for 2 devices") {
+		t.Fatalf("Validate on one device: err %v, want a device-count error", err)
+	}
+	two := denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "TB_LGx2"}
+	if err := two.Validate(); err != nil {
+		t.Fatalf("Validate on two devices: %v", err)
+	}
+}
+
 // TestConfigSpecDevices: the wire spec's device override resolves to
 // the suffixed multi-device configuration.
 func TestConfigSpecDevices(t *testing.T) {
