@@ -82,6 +82,7 @@ type request struct {
 	loads     []mem.Addr
 	stores    []mem.Addr
 	storeVals []uint32
+	loadDst   []uint32 // the block's buffer for the loaded values
 
 	op       coherence.AtomicOp
 	addr     mem.Addr
@@ -99,7 +100,6 @@ type request struct {
 }
 
 type response struct {
-	loadVals  []uint32
 	atomicOld uint32
 }
 
@@ -163,12 +163,11 @@ func (tb *tbState) send() {
 // tbExec implements workload.Executor from inside the block's goroutine.
 type tbExec struct{ tb *tbState }
 
-func (e tbExec) Vec(loads []mem.Addr, stores []mem.Addr, storeVals []uint32) []uint32 {
+func (e tbExec) Vec(loads []mem.Addr, stores []mem.Addr, storeVals []uint32, dst []uint32) {
 	rq := &e.tb.reqBuf
 	rq.kind = reqVec
-	rq.loads, rq.stores, rq.storeVals = loads, stores, storeVals
+	rq.loads, rq.stores, rq.storeVals, rq.loadDst = loads, stores, storeVals, dst
 	e.tb.send()
-	return e.tb.respBuf.loadVals
 }
 
 func (e tbExec) Atomic(op coherence.AtomicOp, a mem.Addr, o1, o2 uint32, order coherence.Order, scope coherence.Scope) uint32 {
@@ -542,11 +541,11 @@ const scanThreshold = 16
 
 // vecOp is the pooled state of one in-flight vector memory
 // instruction: its coalesced accesses, the completion countdown, and
-// the load-value buffer handed back to the block. finishFn is bound
-// once when the record is first allocated, so completing an access
-// never allocates a closure. loadVals is the one allocation that must
-// stay per-instruction: the slice is returned to kernel code, which
-// may legitimately hold several results at once (stencil rows, say).
+// the block's buffer the loaded values are written into. finishFn is
+// bound once when the record is first allocated, so completing an
+// access never allocates a closure. loadVals belongs to the block
+// (Ctx.Load passes a scratch word, LoadV a fresh slice the kernel
+// keeps), so the record only borrows it until the instruction retires.
 type vecOp struct {
 	cu        *CU
 	tb        *tbState
@@ -642,12 +641,12 @@ func (op *vecOp) finish() {
 	if op.remaining != 0 {
 		return
 	}
-	cu, tb, loadVals := op.cu, op.tb, op.loadVals
+	cu, tb := op.cu, op.tb
 	if cu.rec != nil {
 		cu.rec.EmitSpan(obs.StallMem, int32(cu.Node), uint64(len(op.accesses)), op.start)
 	}
 	cu.freeVecOp(op)
-	cu.resume(tb, response{loadVals: loadVals})
+	cu.resume(tb, response{})
 }
 
 // coalesce is the standalone form the unit tests exercise.
@@ -796,9 +795,7 @@ func (cu *CU) vec(tb *tbState, rq *request) {
 		cu.scheduleResume(1, tb)
 		return
 	}
-	if len(rq.loads) > 0 {
-		op.loadVals = make([]uint32, len(rq.loads))
-	}
+	op.loadVals = rq.loadDst
 	op.remaining = len(op.accesses)
 	op.start = uint64(cu.eng.Now())
 	for i := range op.accesses {

@@ -9,13 +9,20 @@
 //
 // The queue is a calendar/heap hybrid tuned for the simulator's traffic:
 // almost every event is scheduled a few to a few hundred cycles out
-// (pipeline latencies, NoC hops, DRAM), so events inside a ring of
-// per-cycle buckets covering the next ringSize cycles are stored by
-// value in recycled slices — no allocation on the steady-state path and
-// O(1) insert/remove. The rare far-future event goes to a small binary
-// heap and migrates into the ring when the time window slides. See
+// (pipeline latencies, NoC hops, DRAM). An event inside the window
+// [now, now+ringSize) is a bare Task in one recycled slab of nodes,
+// linked into a FIFO list for its cycle; a ring of ringSize list heads
+// maps each cycle of the window to its list. Insert and remove are O(1),
+// freed nodes are reused most-recent-first, and memory is bounded by the
+// peak number of pending events. The rare far-future event goes to a
+// small binary heap on (time, seq) and migrates into the ring when the
+// window slides. A cycle's FIFO list is its events in global insertion
+// order, so ring events need no stored time or sequence number; see
 // DESIGN.md "Simulation model notes" for why this preserves the exact
 // (time, sequence) firing order of the original single-heap design.
+// Run fires a whole cycle per loop turn: one horizon check and clock
+// advance, then the cycle's list drains, zero-delay events appended
+// during the drain included.
 package sim
 
 import (
@@ -49,29 +56,38 @@ const (
 // extracted what it needs.
 type Task interface{ Run() }
 
-// event is a scheduled callback, stored by value. Exactly one of fn
-// and task is set.
-type event struct {
+// funcTask adapts a closure to Task. A func value is pointer-shaped, so
+// the conversion to the interface does not allocate.
+type funcTask func()
+
+func (f funcTask) Run() { f() }
+
+// node is one slab slot: a pending ring event, or a free slot. next
+// links the cycle's FIFO list (or the free list); 0 means none, so
+// nodes[0] is never used.
+type node struct {
+	task Task
+	next int32
+}
+
+// bucket is one cycle's FIFO list of slab nodes; both ends are 0 when
+// the cycle has no events.
+type bucket struct{ head, tail int32 }
+
+// farEvent is a far-heap entry. Only these carry a time and a sequence
+// number: a ring event's slot gives its time and its list position its
+// order.
+type farEvent struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	task Task
 }
 
-func eventLess(a, b *event) bool {
+func farLess(a, b *farEvent) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
-}
-
-// bucket holds the events of one cycle in insertion order. head indexes
-// the next event to fire; once drained the slice resets to length zero,
-// keeping its capacity as a free list for later cycles that map to the
-// same slot.
-type bucket struct {
-	ev   []event
-	head int
 }
 
 // Engine is the discrete-event simulation kernel.
@@ -79,22 +95,27 @@ type bucket struct {
 // The zero value is not usable; create engines with NewEngine.
 type Engine struct {
 	now    Time
-	seq    uint64
 	fired  uint64
 	limit  Time // horizon: exceeding it means a hang; Run returns an error
 	halted bool
 
-	// ring[t&ringMask] holds the events for cycle t, for t in
+	// ring[t&ringMask] lists the events for cycle t, for t in
 	// [now, now+ringSize) only — one cycle per slot, never mixed.
-	ring      []bucket
+	ring      [ringSize]bucket
 	ringCount int
 	// cursor is the first cycle that may hold ring events; cycles in
 	// [now, cursor) are known empty, so the bucket scan never revisits
 	// them.
 	cursor Time
+	// nodes is the slab every ring event lives in; free heads its LIFO
+	// free list.
+	nodes []node
+	free  int32
 	// far is a binary min-heap on (at, seq) of events at or beyond
-	// now+ringSize. advanceTo drains it into the ring as now moves.
-	far []event
+	// now+ringSize. advanceTo drains it into the ring as now moves. seq
+	// numbers far events only.
+	far []farEvent
+	seq uint64
 
 	// hook, when set, observes every clock advance (see SetAdvanceHook).
 	hook func(leaving Time)
@@ -106,7 +127,7 @@ func NewEngine(horizon Time) *Engine {
 	if horizon == 0 {
 		horizon = Forever
 	}
-	return &Engine{limit: horizon, ring: make([]bucket, ringSize)}
+	return &Engine{limit: horizon, nodes: make([]node, 1)}
 }
 
 // Now returns the current simulation time.
@@ -120,44 +141,77 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // in the current cycle, after all previously scheduled events for this
 // cycle.
 func (e *Engine) Schedule(delay Time, fn func()) {
-	e.At(e.now+delay, fn)
+	e.insert(e.now+delay, funcTask(fn))
 }
 
 // At runs fn at absolute time t. Scheduling in the past panics: it is
 // always a model bug.
 func (e *Engine) At(t Time, fn func()) {
-	e.insert(event{at: t, fn: fn})
+	e.insert(t, funcTask(fn))
 }
 
 // ScheduleTask runs task at the given delay from now, sharing the
 // (time, seq) order with Schedule/At exactly — tasks and closures
 // scheduled for the same cycle interleave in scheduling order.
 func (e *Engine) ScheduleTask(delay Time, task Task) {
-	e.insert(event{at: e.now + delay, task: task})
+	e.insert(e.now+delay, task)
 }
 
 // AtTask runs task at absolute time t.
 func (e *Engine) AtTask(t Time, task Task) {
-	e.insert(event{at: t, task: task})
+	e.insert(t, task)
 }
 
-func (e *Engine) insert(ev event) {
-	t := ev.at
+func (e *Engine) insert(t Time, task Task) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d in the past (now %d)", t, e.now))
 	}
-	e.seq++
-	ev.seq = e.seq
 	if t-e.now < ringSize {
-		b := &e.ring[t&ringMask]
-		b.ev = append(b.ev, ev)
-		e.ringCount++
-		if t < e.cursor {
-			e.cursor = t
-		}
-	} else {
-		e.pushFar(ev)
+		e.push(t, task)
+		return
 	}
+	e.seq++
+	e.pushFar(farEvent{at: t, seq: e.seq, task: task})
+}
+
+// push appends task to cycle t's list, in a recycled node when one is
+// free.
+func (e *Engine) push(t Time, task Task) {
+	i := e.free
+	if i != 0 {
+		e.free = e.nodes[i].next
+		e.nodes[i] = node{task: task}
+	} else {
+		i = int32(len(e.nodes))
+		e.nodes = append(e.nodes, node{task: task})
+	}
+	b := &e.ring[t&ringMask]
+	if b.tail == 0 {
+		b.head = i
+	} else {
+		e.nodes[b.tail].next = i
+	}
+	b.tail = i
+	e.ringCount++
+	if t < e.cursor {
+		e.cursor = t
+	}
+}
+
+// pop unlinks the first event of the non-empty list b and frees its
+// node.
+func (e *Engine) pop(b *bucket) Task {
+	i := b.head
+	n := &e.nodes[i]
+	task := n.task
+	b.head = n.next
+	if b.head == 0 {
+		b.tail = 0
+	}
+	n.task, n.next = nil, e.free // release the payload for GC
+	e.free = i
+	e.ringCount--
+	return task
 }
 
 // SetAdvanceHook installs an observer called whenever the clock moves,
@@ -185,13 +239,15 @@ func (e *Engine) Halt() { e.halted = true }
 // past an emptied cycle.
 func (e *Engine) nextTime() (Time, bool) {
 	if e.ringCount > 0 {
-		for {
-			b := &e.ring[e.cursor&ringMask]
-			if b.head < len(b.ev) {
-				return e.cursor, true
-			}
+		for e.ring[e.cursor&ringMask].head == 0 {
 			e.cursor++
+			// Every ring event lies inside the window, so running off
+			// its end means corrupted lists: fail instead of spinning.
+			if e.cursor-e.now >= ringSize {
+				panic(fmt.Sprintf("sim: %d ring events but none in [%d, %d)", e.ringCount, e.now, e.now+ringSize))
+			}
 		}
+		return e.cursor, true
 	}
 	if len(e.far) > 0 {
 		return e.far[0].at, true
@@ -201,12 +257,13 @@ func (e *Engine) nextTime() (Time, bool) {
 
 // advanceTo moves the clock to t (the next event time) and slides the
 // ring window: any far event now within [t, t+ringSize) migrates into
-// its bucket. Migration happens before any event at time t runs, so a
-// far event for cycle T always enters T's bucket before any direct
-// append for T can occur (direct appends for T are only possible once
-// now is within ringSize of T) — heap order delivers migrants in (at,
-// seq) order, so per-bucket insertion order remains global seq order
-// and the original FIFO semantics are preserved exactly.
+// its cycle's list. Migration happens before any event at time t runs,
+// so a far event for cycle T always enters T's list before any direct
+// push for T can occur (direct pushes for T are only possible once now
+// is within ringSize of T, and then every earlier push for T was a far
+// one) — heap order delivers migrants in (at, seq) order, so each list
+// stays in global insertion order and the original FIFO semantics are
+// preserved exactly.
 func (e *Engine) advanceTo(t Time) {
 	if e.hook != nil && t != e.now {
 		e.hook(e.now)
@@ -217,12 +274,7 @@ func (e *Engine) advanceTo(t Time) {
 	}
 	for len(e.far) > 0 && e.far[0].at-t < ringSize {
 		ev := e.popFar()
-		b := &e.ring[ev.at&ringMask]
-		b.ev = append(b.ev, ev)
-		e.ringCount++
-		if ev.at < e.cursor {
-			e.cursor = ev.at
-		}
+		e.push(ev.at, ev.task)
 	}
 }
 
@@ -230,22 +282,8 @@ func (e *Engine) advanceTo(t Time) {
 // via nextTime.
 func (e *Engine) fireNext(t Time) {
 	e.advanceTo(t)
-	b := &e.ring[t&ringMask]
-	ev := &b.ev[b.head]
-	fn, task := ev.fn, ev.task
-	ev.fn, ev.task = nil, nil // release the closure for GC
-	b.head++
-	if b.head == len(b.ev) {
-		b.ev = b.ev[:0]
-		b.head = 0
-	}
-	e.ringCount--
 	e.fired++
-	if task != nil {
-		task.Run()
-	} else {
-		fn()
-	}
+	e.pop(&e.ring[t&ringMask]).Run()
 }
 
 // Step fires the single next event and returns true, or returns false if
@@ -261,7 +299,9 @@ func (e *Engine) Step() bool {
 
 // Run fires events until the queue drains, Halt is called, or the time
 // horizon is exceeded (returned as an error, since it indicates a hang
-// such as a deadlocked synchronization benchmark).
+// such as a deadlocked synchronization benchmark). Each loop turn
+// drains one cycle: events scheduled for the current cycle while it
+// drains join the tail of its list and fire in the same turn.
 func (e *Engine) Run() error {
 	e.halted = false
 	for !e.halted {
@@ -272,7 +312,12 @@ func (e *Engine) Run() error {
 		if t > e.limit {
 			return fmt.Errorf("sim: horizon %d cycles exceeded at %d events; simulation is likely deadlocked", e.limit, e.fired)
 		}
-		e.fireNext(t)
+		e.advanceTo(t)
+		b := &e.ring[t&ringMask]
+		for b.head != 0 && !e.halted {
+			e.fired++
+			e.pop(b).Run()
+		}
 	}
 	return nil
 }
@@ -289,23 +334,22 @@ func (e *Engine) RunUntil(t Time) {
 	}
 	// Idle-advance through advanceTo so the ring cursor tracks the new
 	// now and far events whose time entered [t, t+ringSize) migrate into
-	// their buckets — a bare `e.now = t` would leave the cursor behind
+	// their lists — a bare `e.now = t` would leave the cursor behind
 	// (later At() calls could then fire at the wrong cycle) and would let
-	// a direct append for cycle T land before T's unmigrated far event,
+	// a direct push for cycle T land before T's unmigrated far event,
 	// inverting same-cycle FIFO order.
 	if e.now < t {
 		e.advanceTo(t)
 	}
 }
 
-// pushFar inserts into the far heap (binary sift-up; events by value,
-// no interface boxing).
-func (e *Engine) pushFar(ev event) {
+// pushFar inserts into the far heap (binary sift-up).
+func (e *Engine) pushFar(ev farEvent) {
 	e.far = append(e.far, ev)
 	i := len(e.far) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !eventLess(&e.far[i], &e.far[p]) {
+		if !farLess(&e.far[i], &e.far[p]) {
 			break
 		}
 		e.far[i], e.far[p] = e.far[p], e.far[i]
@@ -314,20 +358,20 @@ func (e *Engine) pushFar(ev event) {
 }
 
 // popFar removes the heap minimum (binary sift-down).
-func (e *Engine) popFar() event {
+func (e *Engine) popFar() farEvent {
 	min := e.far[0]
 	n := len(e.far) - 1
 	e.far[0] = e.far[n]
-	e.far[n] = event{}
+	e.far[n] = farEvent{}
 	e.far = e.far[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		s := i
-		if l < n && eventLess(&e.far[l], &e.far[s]) {
+		if l < n && farLess(&e.far[l], &e.far[s]) {
 			s = l
 		}
-		if r < n && eventLess(&e.far[r], &e.far[s]) {
+		if r < n && farLess(&e.far[r], &e.far[s]) {
 			s = r
 		}
 		if s == i {

@@ -19,9 +19,9 @@ import (
 // implements it with the CU timing model.
 type Executor interface {
 	// Vec performs a vector memory operation: loads (one address per
-	// active lane) and/or stores. It returns the loaded values, indexed
-	// like loads.
-	Vec(loads []mem.Addr, stores []mem.Addr, storeVals []uint32) []uint32
+	// active lane) and/or stores. The loaded values land in dst, which
+	// the caller owns and sizes len(loads), indexed like loads.
+	Vec(loads []mem.Addr, stores []mem.Addr, storeVals []uint32, dst []uint32)
 	// Atomic performs a scalar synchronization access.
 	Atomic(op coherence.AtomicOp, a mem.Addr, operand, operand2 uint32, order coherence.Order, scope coherence.Scope) uint32
 	// Compute models n cycles of ALU work.
@@ -56,6 +56,7 @@ type Ctx struct {
 	// because Vec completes synchronously before returning, so the
 	// executor never retains these past the call.
 	ldScratch [1]mem.Addr
+	lvScratch [1]uint32
 	stScratch [1]mem.Addr
 	svScratch [1]uint32
 	// addrScratch backs StrideAddrs, reused across calls for the same
@@ -66,24 +67,27 @@ type Ctx struct {
 // Load reads one word (a scalar, thread-0 access).
 func (c *Ctx) Load(a mem.Addr) uint32 {
 	c.ldScratch[0] = a
-	return c.Ex.Vec(c.ldScratch[:], nil, nil)[0]
+	c.Ex.Vec(c.ldScratch[:], nil, nil, c.lvScratch[:])
+	return c.lvScratch[0]
 }
 
 // Store writes one word (a scalar, thread-0 access).
 func (c *Ctx) Store(a mem.Addr, v uint32) {
 	c.stScratch[0] = a
 	c.svScratch[0] = v
-	c.Ex.Vec(nil, c.stScratch[:], c.svScratch[:])
+	c.Ex.Vec(nil, c.stScratch[:], c.svScratch[:], nil)
 }
 
-// LoadV reads one word per thread.
+// LoadV reads one word per thread into a fresh slice the kernel owns.
 func (c *Ctx) LoadV(addrs []mem.Addr) []uint32 {
-	return c.Ex.Vec(addrs, nil, nil)
+	dst := make([]uint32, len(addrs))
+	c.Ex.Vec(addrs, nil, nil, dst)
+	return dst
 }
 
 // StoreV writes one word per thread.
 func (c *Ctx) StoreV(addrs []mem.Addr, vals []uint32) {
-	c.Ex.Vec(nil, addrs, vals)
+	c.Ex.Vec(nil, addrs, vals, nil)
 }
 
 // StrideAddrs returns the addresses thread i = base + 4*i*stride words,

@@ -19,13 +19,11 @@ type scriptExec struct {
 	loadVal uint32
 }
 
-func (s *scriptExec) Vec(loads []mem.Addr, stores []mem.Addr, vals []uint32) []uint32 {
+func (s *scriptExec) Vec(loads []mem.Addr, stores []mem.Addr, vals []uint32, dst []uint32) {
 	s.vecs = append(s.vecs, [2][]mem.Addr{loads, stores})
-	out := make([]uint32, len(loads))
-	for i := range out {
-		out[i] = s.loadVal
+	for i := range loads {
+		dst[i] = s.loadVal
 	}
-	return out
 }
 
 func (s *scriptExec) Atomic(op coherence.AtomicOp, a mem.Addr, o1, o2 uint32, order coherence.Order, scope coherence.Scope) uint32 {
@@ -58,6 +56,37 @@ func TestCtxScalarOps(t *testing.T) {
 	}
 	if len(ex.vecs[1][1]) != 1 || ex.vecs[1][1][0] != 0x44 {
 		t.Fatal("scalar store shape wrong")
+	}
+}
+
+// addrExec loads each word's own address as its value, without
+// recording anything.
+type addrExec struct{ scriptExec }
+
+func (*addrExec) Vec(loads []mem.Addr, _ []mem.Addr, _ []uint32, dst []uint32) {
+	for i, a := range loads {
+		dst[i] = uint32(a)
+	}
+}
+
+// A scalar load reads through the context's scratch word, so it
+// allocates nothing, while vector loads return slices the kernel owns:
+// holding one across the next load must not see it overwritten.
+func TestCtxLoadDestinations(t *testing.T) {
+	c := newCtx(&addrExec{})
+	if n := testing.AllocsPerRun(100, func() {
+		if c.Load(0x40) != 0x40 {
+			t.Fatal("Load returned the wrong word")
+		}
+	}); n != 0 {
+		t.Errorf("Load: %v allocs per call, want 0", n)
+	}
+	row := c.LoadStride(0x100)
+	next := c.LoadV(c.StrideAddrs(0x200, 1))
+	for i := range row {
+		if row[i] != uint32(0x100+4*i) || next[i] != uint32(0x200+4*i) {
+			t.Fatalf("lane %d: held row %#x, next %#x", i, row[i], next[i])
+		}
 	}
 }
 
