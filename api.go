@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"denovogpu/internal/coherence"
 	"denovogpu/internal/consistency"
@@ -125,8 +124,8 @@ type Report struct {
 	// Events is the number of discrete-event callbacks the simulation
 	// engine fired to produce this run — a determinism diagnostic (two
 	// runs of the same workload and configuration must match exactly)
-	// and the denominator of the simulator's own events/sec throughput
-	// metric (cmd/bench).
+	// that cmd/bench -check gates per cell, and the numerator of
+	// perfbench's simulated events per host second.
 	Events uint64
 	// EnergyPJ is dynamic energy split as in the paper's figures:
 	// GPU core+, scratchpad, L1 D$, L2 $, network.
@@ -280,10 +279,6 @@ type MatrixCell struct {
 type MatrixResult struct {
 	Report Report
 	Err    error
-	// Wall is this cell's wall-clock simulation time. Under a parallel
-	// run, cells time-share cores, so per-cell walls overlap and do not
-	// sum to the matrix wall.
-	Wall time.Duration
 }
 
 // MatrixOptions configure RunMatrix.
@@ -377,13 +372,11 @@ func RunMatrix(cells []MatrixCell, opts MatrixOptions) ([]MatrixResult, error) {
 				return rec
 			}
 		}
-		t0 := time.Now()
 		rep, err := RunObserved(cell.Config, cell.Workload, mkRec, cell.Sampler)
-		wall := time.Since(t0)
 		if err == nil && sharedWith >= 0 {
 			err = fmt.Errorf("%w: cells %d and %d share a Recorder", ErrSharedObserver, sharedWith, i)
 		}
-		results[i] = MatrixResult{Report: rep, Err: err, Wall: wall}
+		results[i] = MatrixResult{Report: rep, Err: err}
 		return err
 	})
 	// Skips happen at the pool level (the cell fn never ran); fold them

@@ -1,34 +1,29 @@
-// Command bench measures simulator performance over a fixed workload ×
-// configuration matrix and maintains BENCH_sim.json, the repository's
-// committed performance trajectory.
+// Command bench is the repository's exact simulator gate. It runs one
+// fixed list of cells serially and records, per cell, the simulated
+// cycles, the fired engine events and the heap allocations in
+// BENCH_sim.json. None of these depend on the host: the simulator is
+// deterministic and each cell's allocations are counted exactly, so the
+// committed file can be checked on any machine. Host time is measured
+// by the repository benchmark in perfbench/, not here.
 //
-// The matrix runs on api.RunMatrix's bounded worker pool (-j N cells in
-// parallel, default GOMAXPROCS; -j 1 reproduces the old serial sweep).
-// Per cell it records simulated cycles, fired engine events, wall-clock
-// time and events/sec; heap allocations are recorded per cell at -j 1
-// (runtime.MemStats is process-global, so per-cell deltas only make
-// sense serially) and as a whole-matrix total at any -j. Peak RSS is
-// recorded for the whole matrix. The output file holds two sections:
-// "baseline" (pinned once with -record-baseline, before an optimization
-// lands) and "current" (refreshed on every run), so the speedup a PR
-// claims is reproducible from the same file it is recorded in.
+// The list holds 66 cells: the 50 paper cells (BP, ST, LAVA, SGEMM,
+// FAM_G, SPM_G, TB_LG, SPM_L, SS_L and UTS under GD, GH, DD, DD+RO and
+// DH), the graph cells (BFS, PR and SSSP under GD, DD, DD+RO and SPEC)
+// and four 2-device cells (TB_LGx2, FAM_Gx2 and UTSx2 under DDx2, and
+// UTSx2 under GDx2).
 //
 // Usage:
 //
-//	go run ./cmd/bench                    # full matrix, refresh "current" in BENCH_sim.json
-//	go run ./cmd/bench -quick             # fast subset (CI smoke)
-//	go run ./cmd/bench -j 1               # serial: exact per-cell allocation deltas
-//	go run ./cmd/bench -record-baseline   # pin the baseline section to this run
-//	go run ./cmd/bench -quick -check      # exit 1 on event-count or >10% allocation regression vs committed "current"
+//	go run ./cmd/bench            # run every cell, rewrite BENCH_sim.json
+//	go run ./cmd/bench -check     # run every cell, compare with BENCH_sim.json
+//	go run ./cmd/bench -o f.json  # read or write f.json instead
 //
-// -check gates only on machine-independent metrics: per-cell fired event
-// counts must match the committed section exactly (the simulator is
-// deterministic at any -j, so any drift is a behavior change that needs
-// the file regenerated) and aggregate heap allocations may not grow
-// beyond the tolerance. Wall-clock numbers — including the per-cell
-// wall-time delta table -check prints — are informational only, never
-// gated: the committed numbers come from whatever host recorded them,
-// and CI hardware differs.
+// -check fails (exit 1) when a cell is missing from the file, when its
+// cycles or events differ from the committed values by any amount, or
+// when its allocations exceed the committed count by more than
+// allocTolerance plus allocCellSlack. A cell that fails to simulate
+// exits 3 after a machine-readable line on stderr (internal/cli) and
+// writes nothing.
 package main
 
 import (
@@ -39,123 +34,90 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"time"
 
 	"denovogpu"
 	"denovogpu/internal/cli"
 )
 
-// pair is one cell of the benchmark matrix.
-type pair struct {
-	Workload string `json:"workload"`
-	Config   string `json:"config"`
-}
+// schema names the BENCH_sim.json layout.
+const schema = "denovogpu-bench/v2"
 
-// fullMatrix covers representatives of all three paper categories
-// (Figs 2/3/4) plus UTS, each under all five configurations.
-func fullMatrix() []pair {
-	workloads := []string{
-		// Fig 2 (no fine-grained sync) representatives.
-		"BP", "ST", "LAVA", "SGEMM",
-		// Fig 3 (globally scoped sync) representatives.
-		"FAM_G", "SPM_G",
-		// Fig 4 (locally scoped / hybrid sync) representatives + UTS.
-		"TB_LG", "SPM_L", "SS_L", "UTS",
-	}
-	return cross(workloads)
-}
+// allocTolerance is the allowed fractional allocation growth per cell.
+const allocTolerance = 0.10
 
-// quickMatrix is the CI smoke subset: cheap workloads only, still
-// spanning all three categories and all five configurations.
-func quickMatrix() []pair {
-	return cross([]string{"BP", "LAVA", "UTS", "SPM_L"})
-}
+// allocCellSlack is the absolute per-cell allocation headroom added on
+// top of allocTolerance. Steady-state cells allocate nothing per event,
+// so their counts are dominated by one-time pool warm-up and are small
+// (tens of thousands); a purely fractional gate on numbers that small
+// would trip on runtime-internal noise (GC metadata, map growth
+// timing), while a purely absolute gate would be meaningless for the
+// bigger cells. The sum of the two absorbs both.
+const allocCellSlack = 5000
 
-func cross(workloads []string) []pair {
-	var m []pair
-	for _, w := range workloads {
-		for _, c := range []string{"GD", "GH", "DD", "DD+RO", "DH"} {
-			m = append(m, pair{w, c})
+// cells is the gated cell list, in file order.
+func cells() []denovogpu.CellSpec {
+	var list []denovogpu.CellSpec
+	cross := func(workloads, configs []string) {
+		for _, w := range workloads {
+			for _, c := range configs {
+				list = append(list, denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: c}, Workload: w})
+			}
 		}
 	}
-	return m
+	cross([]string{"BP", "ST", "LAVA", "SGEMM", "FAM_G", "SPM_G", "TB_LG", "SPM_L", "SS_L", "UTS"},
+		[]string{"GD", "GH", "DD", "DD+RO", "DH"})
+	cross([]string{"BFS", "PR", "SSSP"}, []string{"GD", "DD", "DD+RO", "SPEC"})
+	for _, c := range []struct{ workload, config string }{
+		{"TB_LGx2", "DD"}, {"FAM_Gx2", "DD"}, {"UTSx2", "DD"}, {"UTSx2", "GD"},
+	} {
+		list = append(list, denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: c.config, Devices: 2}, Workload: c.workload})
+	}
+	return list
 }
 
-// result is the measurement of one matrix cell.
+// result is the measurement of one cell.
 type result struct {
-	Workload     string  `json:"workload"`
-	Config       string  `json:"config"`
-	Cycles       uint64  `json:"cycles"`
-	Events       uint64  `json:"events"`
-	WallMS       float64 `json:"wall_ms"`
-	EventsPerSec float64 `json:"events_per_sec"`
-	// Allocs/AllocMB are exact per-cell heap deltas when the sweep ran
-	// at -j 1, and zero otherwise (runtime.MemStats is process-global;
-	// see section.TotalAllocs for the any-j total).
-	Allocs  uint64  `json:"allocs"`
-	AllocMB float64 `json:"alloc_mb"`
-}
-
-// section is one recorded sweep of the matrix.
-type section struct {
-	Label        string   `json:"label"`
-	Matrix       string   `json:"matrix"`
-	GoVersion    string   `json:"go_version"`
-	GOMAXPROCS   int      `json:"gomaxprocs"`
-	Workers      int      `json:"workers,omitempty"`
-	RecordedAt   string   `json:"recorded_at"`
-	Results      []result `json:"results"`
-	TotalWallMS  float64  `json:"total_wall_ms"`
-	TotalEvents  uint64   `json:"total_events"`
-	EventsPerSec float64  `json:"events_per_sec"`
-	TotalAllocs  uint64   `json:"total_allocs"`
-	PeakRSSMB    float64  `json:"peak_rss_mb"`
+	Workload string `json:"workload"`
+	Config   string `json:"config"`
+	Cycles   uint64 `json:"cycles"`
+	Events   uint64 `json:"events"`
+	Allocs   uint64 `json:"allocs"`
 }
 
 // benchFile is the on-disk BENCH_sim.json layout.
 type benchFile struct {
-	Schema string `json:"schema"`
-	// Baseline is pinned with -record-baseline and carried forward by
-	// later runs; Current is refreshed on every non-check run.
-	Baseline *section `json:"baseline,omitempty"`
-	Current  *section `json:"current,omitempty"`
-	// SpeedupEventsPerSec is Current's aggregate events/sec over the
-	// matrix cells shared with Baseline, divided by Baseline's.
-	SpeedupEventsPerSec float64 `json:"speedup_events_per_sec,omitempty"`
+	Schema    string   `json:"schema"`
+	GoVersion string   `json:"go_version"`
+	Results   []result `json:"results"`
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// runMatrix executes the benchmark matrix; a seam so tests can inject
-// cell failures without a broken workload.
-var runMatrix = denovogpu.RunMatrix
+// runCell simulates one cell; a seam so tests can fabricate results
+// without minutes of simulation.
+var runCell = measure
 
-// cellError marks a matrix-cell failure so run can exit with the
-// distinct cell-failure code plus the machine-readable stderr line
-// (internal/cli), as opposed to I/O or regression-gate failures.
-type cellError struct {
-	workload, config string
-	cell             int
-	err              error
+// measure resolves and simulates one cell, counting the heap
+// allocations of the simulation alone. Cells run one at a time, so the
+// process-global malloc count is exact per cell.
+func measure(spec denovogpu.CellSpec) (result, error) {
+	mc, err := spec.Cell()
+	if err != nil {
+		return result{}, err
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := denovogpu.Run(mc.Config, mc.Workload)
+	runtime.ReadMemStats(&after)
+	return result{Cycles: rep.Cycles, Events: rep.Events, Allocs: after.Mallocs - before.Mallocs}, err
 }
-
-func (e *cellError) Error() string {
-	return fmt.Sprintf("%s under %s: %v", e.workload, e.config, e.err)
-}
-
-func (e *cellError) Unwrap() error { return e.err }
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		quick     = fs.Bool("quick", false, "run the fast CI subset instead of the full matrix")
-		out       = fs.String("o", "BENCH_sim.json", "output file (also the committed file -check compares against)")
-		record    = fs.Bool("record-baseline", false, "pin the baseline section to this run's measurements")
-		check     = fs.Bool("check", false, "compare against the committed current section and exit non-zero on regression; does not rewrite the file")
-		tolerance = fs.Float64("tolerance", 0.10, "allowed fractional allocation growth for -check")
-		label     = fs.String("label", "", "label stored with this run (default: matrix name)")
-		jobs      = fs.Int("j", runtime.GOMAXPROCS(0), "matrix cells simulated in parallel (1 = serial, with exact per-cell alloc deltas)")
+		check = fs.Bool("check", false, "compare with the committed file instead of rewriting it")
+		out   = fs.String("o", "BENCH_sim.json", "file to write, or to compare with under -check")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -166,277 +128,71 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cli.ExitUsage
 	}
 
-	matrix, matrixName := fullMatrix(), "full"
-	if *quick {
-		matrix, matrixName = quickMatrix(), "quick"
-	}
-
-	cur, err := sweep(stdout, matrix, matrixName, *label, *jobs)
-	if err != nil {
-		var ce *cellError
-		if errors.As(err, &ce) {
-			fmt.Fprintln(stderr, "bench:", ce)
-			return cli.EmitCellFailure(stderr, ce.workload, ce.config, ce.cell, ce.err.Error())
+	var ref *benchFile
+	if *check {
+		var err error
+		if ref, err = load(*out); err != nil {
+			fmt.Fprintln(stderr, "bench: -check:", err)
+			return cli.ExitFailure
 		}
-		fmt.Fprintln(stderr, "bench:", err)
-		return cli.ExitFailure
 	}
 
-	prev, prevErr := load(*out)
+	f := &benchFile{Schema: schema, GoVersion: runtime.Version()}
+	for i, spec := range cells() {
+		workload, config := spec.Label()
+		r, err := runCell(spec)
+		if err != nil {
+			fmt.Fprintf(stderr, "bench: %s under %s: %v\n", workload, config, err)
+			return cli.EmitCellFailure(stderr, workload, config, i, err.Error())
+		}
+		r.Workload, r.Config = workload, config
+		fmt.Fprintf(stdout, "%-8s %-6s %12d cycles %12d events %10d allocs\n", workload, config, r.Cycles, r.Events, r.Allocs)
+		f.Results = append(f.Results, r)
+	}
 
 	if *check {
-		if prevErr != nil {
-			fmt.Fprintf(stderr, "bench: -check needs a committed %s: %v\n", *out, prevErr)
-			return cli.ExitFailure
-		}
-		ref := prev.Current
-		if ref == nil {
-			ref = prev.Baseline
-		}
-		if ref == nil {
-			fmt.Fprintf(stderr, "bench: %s has no section to check against\n", *out)
-			return cli.ExitFailure
-		}
-		if err := checkAgainst(stdout, cur, ref, *tolerance); err != nil {
+		if err := compare(f.Results, ref.Results); err != nil {
 			fmt.Fprintln(stderr, "bench:", err)
 			return cli.ExitFailure
 		}
+		fmt.Fprintf(stdout, "check: %d cells match %s\n", len(f.Results), *out)
 		return 0
-	}
-
-	f := &benchFile{Schema: "denovogpu-bench/v1"}
-	if prevErr == nil {
-		f.Baseline = prev.Baseline
-	}
-	if *record {
-		f.Baseline = cur
-	}
-	f.Current = cur
-	if f.Baseline != nil && f.Baseline != f.Current {
-		f.SpeedupEventsPerSec, _ = compare(cur, f.Baseline)
 	}
 	if err := save(*out, f); err != nil {
 		fmt.Fprintln(stderr, "bench:", err)
 		return cli.ExitFailure
 	}
-	if f.SpeedupEventsPerSec != 0 {
-		fmt.Fprintf(stdout, "speedup vs baseline (%s): %.2fx events/sec\n", f.Baseline.Label, f.SpeedupEventsPerSec)
-	}
 	fmt.Fprintf(stdout, "wrote %s\n", *out)
 	return 0
 }
 
-// sweep runs the matrix on a pool of `jobs` workers and aggregates.
-// Per-cell heap allocation deltas are only measured at jobs == 1:
-// runtime.MemStats is process-global, so under a parallel run the
-// per-cell numbers would attribute other cells' allocations. The
-// whole-matrix totals are exact at any worker count.
-func sweep(stdout io.Writer, matrix []pair, matrixName, label string, jobs int) (*section, error) {
-	if label == "" {
-		label = matrixName + " matrix"
+// compare gates measured cells against committed ones and returns every
+// violation: a cell missing from the file, any cycle or event drift (a
+// change in simulated behaviour, which needs the file regenerated), or
+// allocations above ref*(1+allocTolerance)+allocCellSlack.
+func compare(cur, ref []result) error {
+	type key struct{ workload, config string }
+	committed := make(map[key]result, len(ref))
+	for _, r := range ref {
+		committed[key{r.Workload, r.Config}] = r
 	}
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	s := &section{
-		Label:      label,
-		Matrix:     matrixName,
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    jobs,
-		RecordedAt: time.Now().UTC().Format(time.RFC3339),
-	}
-
-	cells := make([]denovogpu.MatrixCell, len(matrix))
-	for i, p := range matrix {
-		cfg, err := denovogpu.ConfigByName(p.Config)
-		if err != nil {
-			return nil, err
-		}
-		w, err := denovogpu.WorkloadByName(p.Workload)
-		if err != nil {
-			return nil, err
-		}
-		cells[i] = denovogpu.MatrixCell{Config: cfg, Workload: w}
-	}
-
-	serial := jobs == 1
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	// At -j 1 the single worker runs cells in index order and the
-	// Progress callback fires between cells, so cumulative Mallocs
-	// deltas attribute allocations to the right cell.
-	perCell := make([]uint64, len(matrix))
-	perCellMB := make([]float64, len(matrix))
-	lastMallocs, lastBytes := before.Mallocs, before.TotalAlloc
-	t0 := time.Now()
-	results, err := runMatrix(cells, denovogpu.MatrixOptions{
-		Workers: jobs,
-		Progress: func(i int, cellErr error) {
-			if serial && cellErr == nil {
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				perCell[i] = ms.Mallocs - lastMallocs
-				perCellMB[i] = float64(ms.TotalAlloc-lastBytes) / (1 << 20)
-				lastMallocs, lastBytes = ms.Mallocs, ms.TotalAlloc
-			}
-			if cellErr == nil {
-				fmt.Fprintf(stdout, "%-8s %-6s done\n", matrix[i].Workload, matrix[i].Config)
-			}
-		},
-	})
-	matrixWall := time.Since(t0)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		for i, res := range results {
-			if res.Err != nil {
-				return nil, &cellError{workload: matrix[i].Workload, config: matrix[i].Config, cell: i, err: res.Err}
-			}
-		}
-		return nil, err
-	}
-
-	for i, res := range results {
-		r := result{
-			Workload: matrix[i].Workload,
-			Config:   matrix[i].Config,
-			Cycles:   res.Report.Cycles,
-			Events:   res.Report.Events,
-			WallMS:   float64(res.Wall.Nanoseconds()) / 1e6,
-			Allocs:   perCell[i],
-			AllocMB:  perCellMB[i],
-		}
-		if res.Wall > 0 {
-			r.EventsPerSec = float64(r.Events) / res.Wall.Seconds()
-		}
-		fmt.Fprintf(stdout, "%-8s %-6s %8.0f ms  %12.0f events/s  %10d allocs\n",
-			r.Workload, r.Config, r.WallMS, r.EventsPerSec, r.Allocs)
-		s.Results = append(s.Results, r)
-		s.TotalEvents += r.Events
-	}
-	s.TotalWallMS = float64(matrixWall.Nanoseconds()) / 1e6
-	s.TotalAllocs = after.Mallocs - before.Mallocs
-	if s.TotalWallMS > 0 {
-		s.EventsPerSec = float64(s.TotalEvents) / (s.TotalWallMS / 1e3)
-	}
-	s.PeakRSSMB = peakRSSMB()
-	return s, nil
-}
-
-// allocCellSlack is the absolute per-cell allocation headroom added on
-// top of the fractional tolerance. Steady-state cells allocate nothing
-// per event, so their counts are dominated by one-time pool warm-up and
-// are small (tens of thousands); a purely fractional gate on numbers
-// that small would trip on runtime-internal noise (GC metadata, map
-// growth timing, testing harness), while a purely absolute gate would
-// be meaningless for the bigger cells. The sum of the two absorbs both.
-const allocCellSlack = 5000
-
-// checkAgainst gates a measured sweep on machine-independent metrics
-// only. Per-cell fired event counts must equal the committed section's
-// (the simulator is deterministic, so a mismatch means simulated
-// behavior changed and the file must be regenerated deliberately), and
-// allocations may not grow beyond tolerance — gated per cell when the
-// sweep ran serially (exact per-cell deltas, each allowed
-// ref*(1+tolerance)+allocCellSlack), and as the aggregate over shared
-// cells otherwise. Wall-clock throughput is printed for information but
-// never gated: the committed numbers were recorded on a different
-// machine than CI.
-func checkAgainst(stdout io.Writer, cur, ref *section, tolerance float64) error {
-	refByKey := make(map[pair]result, len(ref.Results))
-	for _, r := range ref.Results {
-		refByKey[pair{r.Workload, r.Config}] = r
-	}
-	var cells int
-	var curAllocs, refAllocs uint64
-	perCellAllocs := true
-	fmt.Fprintf(stdout, "check: per-cell wall time vs committed %q (informational; hosts differ)\n", ref.Label)
-	fmt.Fprintf(stdout, "  %-8s %-6s %10s %10s %8s\n", "workload", "config", "cur ms", "ref ms", "delta")
-	for _, r := range cur.Results {
-		rr, ok := refByKey[pair{r.Workload, r.Config}]
-		if !ok {
+	var errs []error
+	for _, r := range cur {
+		rr, ok := committed[key{r.Workload, r.Config}]
+		switch {
+		case !ok:
+			errs = append(errs, fmt.Errorf("%s under %s is missing from the committed file", r.Workload, r.Config))
 			continue
+		case r.Cycles != rr.Cycles || r.Events != rr.Events:
+			errs = append(errs, fmt.Errorf("%s under %s took %d cycles and fired %d events, committed %d and %d: simulated behaviour changed, regenerate the file if intended",
+				r.Workload, r.Config, r.Cycles, r.Events, rr.Cycles, rr.Events))
 		}
-		cells++
-		if r.Allocs == 0 {
-			perCellAllocs = false
-		}
-		curAllocs += r.Allocs
-		refAllocs += rr.Allocs
-		delta := "—"
-		if rr.WallMS > 0 {
-			delta = fmt.Sprintf("%+.0f%%", 100*(r.WallMS-rr.WallMS)/rr.WallMS)
-		}
-		fmt.Fprintf(stdout, "  %-8s %-6s %10.0f %10.0f %8s\n", r.Workload, r.Config, r.WallMS, rr.WallMS, delta)
-		if r.Events != rr.Events {
-			return fmt.Errorf("%s under %s fired %d events, committed %s section has %d: simulated behavior changed, regenerate the file if intended",
-				r.Workload, r.Config, r.Events, ref.Label, rr.Events)
-		}
-		if perCellAllocs && rr.Allocs > 0 {
-			if limit := uint64(float64(rr.Allocs)*(1.0+tolerance)) + allocCellSlack; r.Allocs > limit {
-				return fmt.Errorf("allocation regression in %s under %s: %d allocs, committed %s section has %d (limit %d = +%.0f%% + %d slack)",
-					r.Workload, r.Config, r.Allocs, ref.Label, rr.Allocs, limit, tolerance*100, allocCellSlack)
-			}
+		if limit := uint64(float64(rr.Allocs)*(1+allocTolerance)) + allocCellSlack; r.Allocs > limit {
+			errs = append(errs, fmt.Errorf("%s under %s made %d allocations, committed %d (limit %d = +%.0f%% + %d)",
+				r.Workload, r.Config, r.Allocs, rr.Allocs, limit, allocTolerance*100, allocCellSlack))
 		}
 	}
-	if cells == 0 {
-		return fmt.Errorf("no matrix cells shared with the committed section")
-	}
-	allocScope := "per-cell"
-	if !perCellAllocs {
-		// A parallel sweep has no per-cell alloc deltas; fall back to
-		// the whole-matrix total, which is only comparable against the
-		// shared-cell sum when every measured cell is shared.
-		if cells != len(cur.Results) {
-			speed, _ := compare(cur, ref)
-			fmt.Fprintf(stdout, "check: %d shared cells, event counts identical; alloc gate skipped (parallel sweep with unshared cells), events/sec ratio %.3f (informational)\n",
-				cells, speed)
-			return nil
-		}
-		curAllocs = cur.TotalAllocs
-		allocScope = "whole-matrix"
-	}
-	allocRatio := float64(curAllocs) / float64(refAllocs)
-	speed, _ := compare(cur, ref)
-	fmt.Fprintf(stdout, "check: %d shared cells, event counts identical, measured/committed allocs (%s) = %.3f (tolerance %.0f%%), events/sec ratio %.3f (informational)\n",
-		cells, allocScope, allocRatio, tolerance*100, speed)
-	if refAllocs > 0 && allocRatio > 1.0+tolerance {
-		return fmt.Errorf("allocation regression: %.1f%% above committed %s section",
-			(allocRatio-1.0)*100, ref.Label)
-	}
-	return nil
-}
-
-// compare returns cur's aggregate events/sec over the cells shared
-// with ref, divided by ref's aggregate over the same cells, plus the
-// shared-cell count. Aggregating sums before dividing weights each
-// cell by its runtime, so a big slow workload cannot be hidden behind
-// many fast ones.
-func compare(cur, ref *section) (ratio float64, cells int) {
-	refByKey := make(map[pair]result, len(ref.Results))
-	for _, r := range ref.Results {
-		refByKey[pair{r.Workload, r.Config}] = r
-	}
-	var curEvents, refEvents uint64
-	var curMS, refMS float64
-	for _, r := range cur.Results {
-		rr, ok := refByKey[pair{r.Workload, r.Config}]
-		if !ok {
-			continue
-		}
-		cells++
-		curEvents += r.Events
-		curMS += r.WallMS
-		refEvents += rr.Events
-		refMS += rr.WallMS
-	}
-	if cells == 0 || curMS == 0 || refMS == 0 || refEvents == 0 {
-		return 0, cells
-	}
-	curRate := float64(curEvents) / curMS
-	refRate := float64(refEvents) / refMS
-	return curRate / refRate, cells
+	return errors.Join(errs...)
 }
 
 func load(path string) (*benchFile, error) {
@@ -447,6 +203,9 @@ func load(path string) (*benchFile, error) {
 	var f benchFile
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if f.Schema != schema {
+		return nil, fmt.Errorf("%s: schema %q, want %q", path, f.Schema, schema)
 	}
 	return &f, nil
 }

@@ -10,16 +10,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"denovogpu"
 	"denovogpu/internal/cli"
 	"denovogpu/internal/figures"
-	"denovogpu/internal/sweepd"
 )
 
 // Figure sweeps are minutes-long; tests stub these out.
@@ -61,7 +58,6 @@ func run(args []string, rawStdout, stderr io.Writer) int {
 	var (
 		all    = fs.Bool("all", false, "regenerate every figure and table")
 		jobs   = fs.Int("j", 0, "matrix cells simulated in parallel (0 = GOMAXPROCS, 1 = serial)")
-		remote = fs.String("remote", "", "run matrix cells on a sweepd coordinator at this base URL instead of in-process")
 		fig2   = fs.Bool("fig2", false, "Figure 2: no-synchronization applications (G* vs D*)")
 		fig3   = fs.Bool("fig3", false, "Figure 3: globally scoped synchronization (G* vs D*)")
 		fig4   = fs.Bool("fig4", false, "Figure 4: locally scoped / hybrid synchronization (all five configs)")
@@ -80,17 +76,6 @@ func run(args []string, rawStdout, stderr io.Writer) int {
 	if !(*all || *fig2 || *fig3 || *fig4 || *graphF || *xdev || *table1 || *table2 || *table3 || *table4 || *table5) {
 		fs.Usage()
 		return cli.ExitUsage
-	}
-
-	if *remote != "" {
-		// Route every figure's cell pool through the sweep service; the
-		// coordinator's cache and workers replace the local pool, and
-		// determinism guarantees identical reports either way.
-		client := &sweepd.Client{Base: *remote}
-		figures.SetRunner(func(cells []denovogpu.MatrixCell, opts denovogpu.MatrixOptions) ([]denovogpu.MatrixResult, error) {
-			return client.RunMatrix(context.Background(), cells, opts)
-		})
-		defer figures.SetRunner(nil)
 	}
 
 	if *all || *table1 {

@@ -1,18 +1,14 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"denovogpu"
 	"denovogpu/internal/cli"
 	"denovogpu/internal/figures"
-	"denovogpu/internal/sweepd"
 )
 
 func runCmd(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -179,40 +175,5 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if !strings.Contains(errb, "flag provided but not defined") {
 		t.Fatalf("stderr missing flag error:\n%s", errb)
-	}
-}
-
-// TestRemoteSweep runs a real figure sweep through an in-process sweepd
-// coordinator + worker: -remote must produce the same tables the local
-// pool would, proving the service is a drop-in matrix runner.
-func TestRemoteSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-cell remote sweep in -short mode")
-	}
-	coord := sweepd.New(sweepd.Options{Version: "test-v1"})
-	srv := httptest.NewServer(coord.Handler())
-	defer srv.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w := &sweepd.Worker{Server: srv.URL, Name: "w1", IdlePoll: 5 * time.Millisecond}
-	go func() { _ = w.Run(ctx) }()
-
-	codeR, outR, errR := runCmd(t, "-remote", srv.URL, "-fig3")
-	if codeR != 0 {
-		t.Fatalf("remote sweep exit %d, stderr: %s", codeR, errR)
-	}
-	codeL, outL, errL := runCmd(t, "-fig3")
-	if codeL != 0 {
-		t.Fatalf("local sweep exit %d, stderr: %s", codeL, errL)
-	}
-	if outR != outL {
-		t.Errorf("remote and local sweeps render different tables:\nremote:\n%s\nlocal:\n%s", outR, outL)
-	}
-
-	// An unreachable coordinator fails every cell: the distinct
-	// cell-failure exit code, not a usage error.
-	code, _, errb := runCmd(t, "-remote", "http://127.0.0.1:1", "-fig3")
-	if code != cli.ExitCellFailure {
-		t.Fatalf("unreachable remote: exit %d, want %d\nstderr: %s", code, cli.ExitCellFailure, errb)
 	}
 }

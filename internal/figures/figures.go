@@ -70,23 +70,6 @@ func Sweep(benches []string, configs []denovogpu.Config) *Matrix {
 	return SweepN(benches, configs, 0)
 }
 
-// runMatrix executes the cell pool. It defaults to in-process
-// api.RunMatrix; SetRunner swaps in a remote executor (sweep -remote
-// routes cells through a sweepd coordinator). Determinism makes the two
-// interchangeable: a cell's Report is identical wherever it ran.
-var runMatrix = denovogpu.RunMatrix
-
-// SetRunner replaces the matrix executor behind every figure sweep
-// (nil restores the in-process default). The runner must honor
-// api.RunMatrix's contract: one result per cell, in cell order.
-func SetRunner(fn func([]denovogpu.MatrixCell, denovogpu.MatrixOptions) ([]denovogpu.MatrixResult, error)) {
-	if fn == nil {
-		runMatrix = denovogpu.RunMatrix
-		return
-	}
-	runMatrix = fn
-}
-
 // SweepN is Sweep with an explicit worker bound (<= 0 selects
 // runtime.GOMAXPROCS(0), 1 runs serially). All cells are attempted even
 // if some fail; per-cell errors land in the Matrix for FirstErr.
@@ -110,19 +93,7 @@ func SweepN(benches []string, configs []denovogpu.Config, workers int) *Matrix {
 			cells = append(cells, denovogpu.MatrixCell{Config: c, Workload: w})
 		}
 	}
-	results, err := runMatrix(cells, denovogpu.MatrixOptions{Workers: workers, KeepGoing: true})
-	if len(results) != len(cells) {
-		// A remote runner can fail wholesale (unreachable coordinator)
-		// before producing per-cell results; surface that on every cell
-		// rather than panicking on a short slice.
-		if err == nil {
-			err = fmt.Errorf("figures: runner returned %d results for %d cells", len(results), len(cells))
-		}
-		results = make([]denovogpu.MatrixResult, len(cells))
-		for i := range results {
-			results[i].Err = err
-		}
-	}
+	results, _ := denovogpu.RunMatrix(cells, denovogpu.MatrixOptions{Workers: workers, KeepGoing: true})
 	for i, cell := range cells {
 		m.Runs[cell.Workload.Name][cell.Config.Name()] = &Run{
 			Bench:  cell.Workload.Name,

@@ -1,6 +1,6 @@
 // Package runner provides the bounded worker pool behind parallel
-// matrix execution (api.RunMatrix, cmd/bench -j, cmd/sweep -j, the
-// litmus fuzzer shards and the golden harness).
+// matrix execution (api.RunMatrix, cmd/sweep -j, the litmus fuzzer
+// shards and the golden harness).
 //
 // The pool's contract mirrors a serial loop over independent jobs:
 //

@@ -158,87 +158,3 @@ func (c *Client) CellReport(ctx context.Context, jobID string, index int) ([]byt
 	}
 	return io.ReadAll(resp.Body)
 }
-
-// RunMatrix executes a cell list remotely with api.RunMatrix semantics:
-// results in cell order, the returned error the lowest-index cell
-// error, skipped cells marked ErrCellSkipped. It is the drop-in runner
-// behind `sweep -remote` (figures.SetRunner).
-//
-// Only plain cells travel: a cell carrying a Recorder factory or
-// Sampler is rejected up front (observers watch a machine's event
-// stream in-process; there is no wire form for one), as is a workload
-// that is not a registered built-in — the remote workers rebuild each
-// workload by name, so an anonymous locally-constructed workload would
-// silently simulate something else.
-func (c *Client) RunMatrix(ctx context.Context, cells []denovogpu.MatrixCell, opts denovogpu.MatrixOptions) ([]denovogpu.MatrixResult, error) {
-	specs := make([]denovogpu.CellSpec, len(cells))
-	for i, cell := range cells {
-		if cell.MkRec != nil || cell.Sampler != nil {
-			return nil, fmt.Errorf("sweepd: cell %d attaches an observer; observers cannot run remotely", i)
-		}
-		if _, err := denovogpu.WorkloadByName(cell.Workload.Name); err != nil {
-			return nil, fmt.Errorf("sweepd: cell %d workload %q is not a built-in; cannot run remotely: %w", i, cell.Workload.Name, err)
-		}
-		cfg := cell.Config
-		specs[i] = denovogpu.CellSpec{
-			Config:   denovogpu.ConfigSpec{Raw: &cfg},
-			Workload: cell.Workload.Name,
-		}
-	}
-	sr, err := c.Submit(ctx, denovogpu.MatrixSpec{Cells: specs, KeepGoing: opts.KeepGoing})
-	if err != nil {
-		return nil, err
-	}
-	jobID := sr.Status.ID
-
-	results := make([]denovogpu.MatrixResult, len(cells))
-	cellErr := make([]string, len(cells))
-	done := make([]bool, len(cells))
-	err = c.StreamEvents(ctx, jobID, func(ev Event) error {
-		if ev.Cell < 0 || ev.Cell >= len(cells) || !CellState(ev.State).Terminal() || done[ev.Cell] {
-			return nil
-		}
-		done[ev.Cell] = true
-		results[ev.Cell].Wall = time.Duration(ev.WallMS * float64(time.Millisecond))
-		switch ev.State {
-		case StateFailed:
-			cellErr[ev.Cell] = ev.Err
-		case StateSkipped:
-			results[ev.Cell].Err = denovogpu.ErrCellSkipped
-		case StateDone:
-			data, err := c.CellReport(ctx, jobID, ev.Cell)
-			if err != nil {
-				return fmt.Errorf("fetching cell %d report: %w", ev.Cell, err)
-			}
-			rep, err := denovogpu.UnmarshalReport(data)
-			if err != nil {
-				return fmt.Errorf("cell %d: %w", ev.Cell, err)
-			}
-			results[ev.Cell].Report = rep
-			if opts.Progress != nil {
-				opts.Progress(ev.Cell, nil)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Deterministic error: lowest failed index, like api.RunMatrix.
-	var firstErr error
-	for i := range results {
-		if cellErr[i] != "" {
-			results[i].Err = fmt.Errorf("sweepd: remote cell failed: %s", cellErr[i])
-			if opts.Progress != nil {
-				opts.Progress(i, results[i].Err)
-			}
-		} else if results[i].Err != nil && opts.Progress != nil {
-			opts.Progress(i, results[i].Err)
-		}
-		if firstErr == nil && results[i].Err != nil && results[i].Err != denovogpu.ErrCellSkipped {
-			firstErr = fmt.Errorf("cell %d (%s under %s): %w", i, cells[i].Workload.Name, cells[i].Config.Name(), results[i].Err)
-		}
-	}
-	return results, firstErr
-}

@@ -482,68 +482,3 @@ func TestSubmitValidation(t *testing.T) {
 		t.Error("unknown job's report served")
 	}
 }
-
-// TestClientRunMatrix exercises the remote RunMatrix adapter end to
-// end against an in-process coordinator + worker: results come back in
-// cell order with api.RunMatrix's error convention, and observer cells
-// are rejected before submission.
-func TestClientRunMatrix(t *testing.T) {
-	_, srv, client := newTestServer(t, Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w := &Worker{Server: srv.URL, Name: "w1", IdlePoll: 5 * time.Millisecond}
-	go func() { _ = w.Run(ctx) }()
-
-	lava, err := denovogpu.WorkloadByName("LAVA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := denovogpu.WorkloadByName("ST")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := []denovogpu.MatrixCell{
-		{Config: denovogpu.GD(), Workload: lava},
-		{Config: denovogpu.DD(), Workload: st},
-	}
-	var mu sync.Mutex
-	var progressed []int
-	results, err := client.RunMatrix(ctx, cells, denovogpu.MatrixOptions{
-		KeepGoing: true,
-		Progress: func(i int, err error) {
-			mu.Lock()
-			progressed = append(progressed, i)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	mu.Lock()
-	np := len(progressed)
-	mu.Unlock()
-	if np != 2 {
-		t.Errorf("progress called %d times, want 2", np)
-	}
-	// Remote reports match local simulation exactly.
-	for i, cell := range cells {
-		local, err := denovogpu.Run(cell.Config, cell.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lb, _ := denovogpu.MarshalReport(local)
-		rb, _ := denovogpu.MarshalReport(results[i].Report)
-		if !bytes.Equal(lb, rb) {
-			t.Errorf("cell %d: remote report diverges from local run", i)
-		}
-	}
-
-	// Observer cells cannot travel.
-	obs := []denovogpu.MatrixCell{{Config: denovogpu.GD(), Workload: lava, Sampler: &denovogpu.Sampler{}}}
-	if _, err := client.RunMatrix(ctx, obs, denovogpu.MatrixOptions{}); err == nil {
-		t.Error("observer cell accepted for remote execution")
-	}
-}

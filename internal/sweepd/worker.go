@@ -108,8 +108,9 @@ func (w *Worker) RunOne(ctx context.Context) (worked bool, err error) {
 
 	// Allocation accounting is exact when this process runs one cell at
 	// a time (cmd/sweepd work default) and approximate under in-process
-	// concurrency — same contract as cmd/bench -j. Events counts fired
-	// simulator events, or explored states for a check cell.
+	// concurrency, since runtime.MemStats is process-global. Events
+	// counts fired simulator events, or explored states for a check
+	// cell.
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
