@@ -24,7 +24,6 @@ package denovogpu
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"denovogpu/internal/coherence"
 	"denovogpu/internal/consistency"
@@ -220,8 +219,7 @@ func Run(cfg Config, w Workload) (Report, error) {
 //
 // Observers are single-stream and bound to one machine: never attach
 // the same Recorder or Sampler to two simulations that may run
-// concurrently. RunMatrix enforces this and fails with
-// ErrSharedObserver.
+// concurrently. RunMatrix cells always run unobserved.
 func RunObserved(cfg Config, w Workload, mkRec func(clock func() uint64) *Recorder, sampler *Sampler) (Report, error) {
 	if err := w.CheckDevices(cfg.Devices); err != nil {
 		return Report{}, fmt.Errorf("denovogpu: %w", err)
@@ -263,16 +261,6 @@ func RunObserved(cfg Config, w Workload, mkRec func(clock func() uint64) *Record
 type MatrixCell struct {
 	Config   Config
 	Workload Workload
-	// MkRec and Sampler optionally attach per-cell observability, with
-	// RunObserved semantics. Observers are single-stream and bound to
-	// one machine: every cell must get its OWN instances. RunMatrix
-	// enforces this — a Sampler attached to two cells fails the whole
-	// matrix with ErrSharedObserver before anything runs, and an MkRec
-	// that returns the same Recorder for a second cell fails that cell
-	// with ErrSharedObserver (the cell executes unobserved, so the
-	// shared recorder is never mutated concurrently).
-	MkRec   func(clock func() uint64) *Recorder
-	Sampler *Sampler
 }
 
 // MatrixResult is the outcome of one matrix cell, in cell order.
@@ -291,16 +279,7 @@ type MatrixOptions struct {
 	// first failure stops dispatch: in-flight cells finish, unstarted
 	// cells get ErrCellSkipped.
 	KeepGoing bool
-	// Progress, if non-nil, streams per-cell completion (index + error)
-	// in completion order; calls are serialized by the pool.
-	Progress func(i int, err error)
 }
-
-// ErrSharedObserver is the typed error returned when one Recorder or
-// Sampler instance is attached to more than one cell of a matrix run.
-// Observers are single-stream: sharing one across concurrently
-// executing simulations would interleave unrelated machines' events.
-var ErrSharedObserver = errors.New("denovogpu: Recorder/Sampler shared across matrix cells")
 
 // ErrCellSkipped marks a cell that never ran because an earlier cell
 // failed (and MatrixOptions.KeepGoing was off).
@@ -322,60 +301,17 @@ func Matrix(configs []Config, workloads []Workload) []MatrixCell {
 // RunMatrix simulates every cell on a bounded worker pool and returns
 // the per-cell results in cell order (deterministic regardless of
 // completion order; the paper-figure convention is config-major — see
-// Matrix). Each cell builds its own machine, so cells share no mutable
-// state and per-cell Reports are bit-identical at any worker count.
-// The returned error is the first cell error by index, or nil.
+// Matrix). Each cell builds its own machine and runs through Run, so
+// cells share no mutable state and per-cell Reports are bit-identical
+// at any worker count. The returned error is the first cell error by
+// index, or nil.
 func RunMatrix(cells []MatrixCell, opts MatrixOptions) ([]MatrixResult, error) {
-	// Shared samplers are detectable before anything runs.
-	samplers := make(map[*Sampler]int)
-	for i, c := range cells {
-		if c.Sampler == nil {
-			continue
-		}
-		if j, dup := samplers[c.Sampler]; dup {
-			return nil, fmt.Errorf("%w: cells %d and %d share a Sampler", ErrSharedObserver, j, i)
-		}
-		samplers[c.Sampler] = i
-	}
-
 	results := make([]MatrixResult, len(cells))
-	var recMu sync.Mutex
-	recSeen := make(map[*Recorder]int)
 	errs, err := runner.Run(len(cells), runner.Options{
 		Workers:   opts.Workers,
 		KeepGoing: opts.KeepGoing,
-		OnDone:    opts.Progress,
 	}, func(i int) error {
-		cell := cells[i]
-		mkRec := cell.MkRec
-		sharedWith := -1
-		if mkRec != nil {
-			inner := mkRec
-			mkRec = func(clock func() uint64) *Recorder {
-				rec := inner(clock)
-				if rec == nil {
-					return nil
-				}
-				recMu.Lock()
-				j, dup := recSeen[rec]
-				if !dup {
-					recSeen[rec] = i
-				}
-				recMu.Unlock()
-				if dup {
-					// Run this cell unobserved rather than racing two
-					// machines into one recorder; the cell still fails
-					// below so the misuse is loud.
-					sharedWith = j
-					return nil
-				}
-				return rec
-			}
-		}
-		rep, err := RunObserved(cell.Config, cell.Workload, mkRec, cell.Sampler)
-		if err == nil && sharedWith >= 0 {
-			err = fmt.Errorf("%w: cells %d and %d share a Recorder", ErrSharedObserver, sharedWith, i)
-		}
+		rep, err := Run(cells[i].Config, cells[i].Workload)
 		results[i] = MatrixResult{Report: rep, Err: err}
 		return err
 	})

@@ -135,6 +135,23 @@ func TestObservabilityDoesNotPerturb(t *testing.T) {
 	}
 }
 
+// TestInvariantsDoNotPerturb: -invariants arms the sanitizer, and an
+// armed run prints the same report, counters included, as a plain one.
+func TestInvariantsDoNotPerturb(t *testing.T) {
+	args := []string{"-bench", "LAVA", "-config", "DD", "-counters"}
+	code, plain, errb := runCmd(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb)
+	}
+	code, armed, errb := runCmd(t, append(args, "-invariants")...)
+	if code != 0 {
+		t.Fatalf("-invariants: exit %d, stderr: %s", code, errb)
+	}
+	if plain != armed {
+		t.Fatalf("-invariants changed the report:\nplain:\n%s\narmed:\n%s", plain, armed)
+	}
+}
+
 // TestUnwritableOutputFailsFirst: an output path that cannot be created
 // fails the command before it simulates. Had the run gone ahead, the
 // valid -trace path would hold a whole trace by the time the -metrics

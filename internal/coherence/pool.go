@@ -1,5 +1,7 @@
 package coherence
 
+import "denovogpu/internal/sim"
+
 // MsgPool is a free list of Msg structs, eliminating the per-message
 // heap allocation that dominated the mesh traffic cost (~136 bytes per
 // Send before pooling).
@@ -14,21 +16,15 @@ package coherence
 // response into the L1's), which needs no sharing or synchronization
 // because every pool belongs to one single-threaded machine.
 //
+// The embedded Get returns a recycled message with the fields it had
+// when it was Put (or a zero one when the pool is empty); NewMsg
+// overwrites every field, so send sites use NewMsg. Put returns a
+// message to the pool; the caller must not touch it afterwards.
+//
 // Not safe for concurrent use, exactly like the components that embed
 // it.
 type MsgPool struct {
-	free []*Msg
-}
-
-// Get returns a zeroed message from the pool, allocating if empty.
-func (p *MsgPool) Get() *Msg {
-	if n := len(p.free); n > 0 {
-		m := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return m
-	}
-	return &Msg{}
+	sim.FreeList[Msg]
 }
 
 // NewMsg returns a pooled message initialized to v — a drop-in for
@@ -37,10 +33,4 @@ func (p *MsgPool) NewMsg(v Msg) *Msg {
 	m := p.Get()
 	*m = v
 	return m
-}
-
-// Put returns a message to the pool. The caller must not touch m
-// afterwards.
-func (p *MsgPool) Put(m *Msg) {
-	p.free = append(p.free, m)
 }

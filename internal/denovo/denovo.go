@@ -190,12 +190,12 @@ type Controller struct {
 	// free lists below recycle event payloads and transaction structs so
 	// the steady-state access path allocates nothing.
 	pool          coherence.MsgPool
-	readDoneFree  []*readDoneTask
-	syncDoneFree  []*syncDoneTask
-	retryFree     []*retryInstallTask
-	regTxnFree    []*regTxn
-	readTxnFree   []*readTxn
-	relWaiterFree []*relWaiter
+	readDoneFree  sim.FreeList[readDoneTask]
+	syncDoneFree  sim.FreeList[syncDoneTask]
+	retryFree     sim.FreeList[retryInstallTask]
+	regTxnFree    sim.FreeList[regTxn]
+	readTxnFree   sim.FreeList[readTxn]
+	relWaiterFree sim.FreeList[relWaiter]
 	sbFreedT      sbFreedTask
 
 	// faultNoAcqInval makes global acquires no-ops (test-only fault
@@ -244,20 +244,13 @@ type readDoneTask struct {
 func (t *readDoneTask) Run() {
 	c, cb, vals := t.c, t.cb, t.vals
 	t.cb = nil
-	c.readDoneFree = append(c.readDoneFree, t)
+	c.readDoneFree.Put(t)
 	cb(vals)
 }
 
 func (c *Controller) scheduleReadDone(d sim.Time, vals [mem.WordsPerLine]uint32, cb func([mem.WordsPerLine]uint32)) {
-	var t *readDoneTask
-	if n := len(c.readDoneFree); n > 0 {
-		t = c.readDoneFree[n-1]
-		c.readDoneFree[n-1] = nil
-		c.readDoneFree = c.readDoneFree[:n-1]
-	} else {
-		t = &readDoneTask{c: c}
-	}
-	t.vals, t.cb = vals, cb
+	t := c.readDoneFree.Get()
+	t.c, t.vals, t.cb = c, vals, cb
 	c.eng.ScheduleTask(d, t)
 }
 
@@ -272,20 +265,13 @@ type syncDoneTask struct {
 func (t *syncDoneTask) Run() {
 	c, cb, ret := t.c, t.cb, t.ret
 	t.cb = nil
-	c.syncDoneFree = append(c.syncDoneFree, t)
+	c.syncDoneFree.Put(t)
 	cb(ret)
 }
 
 func (c *Controller) scheduleSyncDone(d sim.Time, ret uint32, cb func(uint32)) {
-	var t *syncDoneTask
-	if n := len(c.syncDoneFree); n > 0 {
-		t = c.syncDoneFree[n-1]
-		c.syncDoneFree[n-1] = nil
-		c.syncDoneFree = c.syncDoneFree[:n-1]
-	} else {
-		t = &syncDoneTask{c: c}
-	}
-	t.ret, t.cb = ret, cb
+	t := c.syncDoneFree.Get()
+	t.c, t.ret, t.cb = c, ret, cb
 	c.eng.ScheduleTask(d, t)
 }
 
@@ -297,20 +283,13 @@ type retryInstallTask struct {
 
 func (t *retryInstallTask) Run() {
 	c, w := t.c, t.w
-	c.retryFree = append(c.retryFree, t)
+	c.retryFree.Put(t)
 	c.retryInstall(w)
 }
 
 func (c *Controller) scheduleRetryInstall(d sim.Time, w mem.Word) {
-	var t *retryInstallTask
-	if n := len(c.retryFree); n > 0 {
-		t = c.retryFree[n-1]
-		c.retryFree[n-1] = nil
-		c.retryFree = c.retryFree[:n-1]
-	} else {
-		t = &retryInstallTask{c: c}
-	}
-	t.w = w
+	t := c.retryFree.Get()
+	t.c, t.w = c, w
 	c.eng.ScheduleTask(d, t)
 }
 
@@ -323,36 +302,18 @@ func (t *sbFreedTask) Run() { t.c.sbFreed() }
 
 // Transaction struct pools: regTxn/readTxn keep their waiter-slice
 // capacity across reuse, so steady-state transactions allocate nothing.
-
-func (c *Controller) newRegTxn() *regTxn {
-	if n := len(c.regTxnFree); n > 0 {
-		t := c.regTxnFree[n-1]
-		c.regTxnFree[n-1] = nil
-		c.regTxnFree = c.regTxnFree[:n-1]
-		return t
-	}
-	return &regTxn{}
-}
+// The free functions reset everything else, so a recycled transaction
+// from Get reads as new.
 
 func (c *Controller) freeRegTxn(t *regTxn) {
 	t.dataWrite = false
 	t.syncWaiters = t.syncWaiters[:0]
-	c.regTxnFree = append(c.regTxnFree, t)
-}
-
-func (c *Controller) newReadTxn() *readTxn {
-	if n := len(c.readTxnFree); n > 0 {
-		t := c.readTxnFree[n-1]
-		c.readTxnFree[n-1] = nil
-		c.readTxnFree = c.readTxnFree[:n-1]
-		return t
-	}
-	return &readTxn{}
+	c.regTxnFree.Put(t)
 }
 
 func (c *Controller) freeReadTxn(t *readTxn) {
 	*t = readTxn{waiters: t.waiters[:0]}
-	c.readTxnFree = append(c.readTxnFree, t)
+	c.readTxnFree.Put(t)
 }
 
 // New returns a DeNovo L1 controller attached to the network at node,
@@ -520,7 +481,7 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 	}
 	if txn == nil {
 		c.nextID++
-		txn = c.newReadTxn()
+		txn = c.readTxnFree.Get()
 		txn.line, txn.epoch, txn.requested = l, c.epoch, missing
 		c.reads.Put(c.nextID, txn)
 		c.lineTxn.Put(uint64(l), c.nextID)
@@ -611,7 +572,7 @@ func (c *Controller) writeRun(l mem.Line, mask mem.WordMask, data [mem.WordsPerL
 		if c.opts.LazyWrites {
 			c.lazy.Put(uint64(w), true)
 		} else {
-			txn := c.newRegTxn()
+			txn := c.regTxnFree.Get()
 			txn.dataWrite = true
 			c.regs.Put(uint64(w), txn)
 			c.pin(l)
@@ -646,7 +607,7 @@ func (c *Controller) kickOldestLazy() {
 		if c.invariants && c.regs.Has(uint64(oldest.Word)) {
 			panic(fmt.Sprintf("denovo: lazy-reg-exclusive: node %d kicked delayed %v over its in-flight registration", c.node, oldest.Word))
 		}
-		txn := c.newRegTxn()
+		txn := c.regTxnFree.Get()
 		txn.dataWrite = true
 		c.regs.Put(uint64(oldest.Word), txn)
 		c.pin(oldest.Word.LineOf())
@@ -705,7 +666,7 @@ func (c *Controller) Atomic(op coherence.AtomicOp, w mem.Word, operand, operand2
 	}
 	txn, _ := c.regs.Get(uint64(w))
 	if txn == nil {
-		txn = c.newRegTxn()
+		txn = c.regTxnFree.Get()
 		if c.opts.LazyWrites && c.lazy.Has(uint64(w)) {
 			// A delayed (lazy) slot for this word sits in the store
 			// buffer; this registration absorbs it. Leaving the mark
@@ -890,7 +851,7 @@ func (c *Controller) Release(scope coherence.Scope, cb func()) {
 			if c.invariants && c.regs.Has(uint64(e.Word)) {
 				panic(fmt.Sprintf("denovo: lazy-reg-exclusive: node %d release batched delayed %v over its in-flight registration", c.node, e.Word))
 			}
-			txn := c.newRegTxn()
+			txn := c.regTxnFree.Get()
 			txn.dataWrite = true
 			c.regs.Put(uint64(e.Word), txn)
 			c.pin(l)
@@ -906,14 +867,7 @@ func (c *Controller) Release(scope coherence.Scope, cb func()) {
 		return
 	}
 	c.st.IncKey(kSbReleaseDrains, 1)
-	var w *relWaiter
-	if n := len(c.relWaiterFree); n > 0 {
-		w = c.relWaiterFree[n-1]
-		c.relWaiterFree[n-1] = nil
-		c.relWaiterFree = c.relWaiterFree[:n-1]
-	} else {
-		w = &relWaiter{}
-	}
+	w := c.relWaiterFree.Get()
 	w.cb = cb
 	for _, e := range entries {
 		w.pending.Put(uint64(e.Word), true)
@@ -993,7 +947,7 @@ func (c *Controller) notifyReleases(w mem.Word) {
 			c.eng.Schedule(0, cb)
 			rw.cb = nil
 			rw.pending.Reset()
-			c.relWaiterFree = append(c.relWaiterFree, rw)
+			c.relWaiterFree.Put(rw)
 		} else {
 			remaining = append(remaining, rw)
 		}
@@ -1230,7 +1184,7 @@ func (c *Controller) retryInstall(w mem.Word) {
 	}
 	e := c.frame(w.LineOf())
 	if e == nil {
-		c.eng.Schedule(2, func() { c.retryInstall(w) })
+		c.scheduleRetryInstall(2, w)
 		return
 	}
 	c.pendingOwn.Delete(uint64(w))

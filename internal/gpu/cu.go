@@ -258,12 +258,12 @@ type CU struct {
 	// simulator's allocation profile: vector-op records, per-access
 	// issue tasks, atomic-op records, plain resume events, and thread
 	// block states. All are recycled within this (single-threaded) CU.
-	vecFree    []*vecOp
-	accessFree []*accessTask
-	atomFree   []*atomicOp
-	resumeFree []*resumeTask
-	deferFree  []*deferTask
-	tbFree     []*tbState
+	vecFree    sim.FreeList[vecOp]
+	accessFree sim.FreeList[accessTask]
+	atomFree   sim.FreeList[atomicOp]
+	resumeFree sim.FreeList[resumeTask]
+	deferFree  sim.FreeList[deferTask]
+	tbFree     sim.FreeList[tbState]
 
 	// rec, when non-nil, receives StallMem/StallSync spans on track Node:
 	// one span per vector memory instruction / synchronization access,
@@ -403,15 +403,11 @@ func (cu *CU) StartKernel(k workload.Kernel, tbIndices []int, threadsPerTB, numT
 // safe because a block's goroutine touches nothing after sending
 // reqDone, so once finishTB has received it the state is free.
 func (cu *CU) newTB() *tbState {
-	if n := len(cu.tbFree); n > 0 {
-		tb := cu.tbFree[n-1]
-		cu.tbFree[n-1] = nil
-		cu.tbFree = cu.tbFree[:n-1]
-		return tb
+	tb := cu.tbFree.Get()
+	if tb.seqFn == nil {
+		tb.ctx.Ex = tbExec{tb: tb}
+		tb.seqFn = tb.seq
 	}
-	tb := &tbState{}
-	tb.ctx.Ex = tbExec{tb: tb}
-	tb.seqFn = tb.seq
 	return tb
 }
 
@@ -502,7 +498,7 @@ func (cu *CU) finishTB(tb *tbState) {
 	tb.next, tb.stop, tb.yield = nil, nil, nil
 	tb.kernel = nil
 	tb.started = false
-	cu.tbFree = append(cu.tbFree, tb)
+	cu.tbFree.Put(tb)
 	cu.resident--
 	cu.kernelTBsLeft--
 	cu.st.IncKey(kCuTbsFinished, 1)
@@ -559,22 +555,17 @@ type vecOp struct {
 }
 
 func (cu *CU) newVecOp(tb *tbState) *vecOp {
-	var op *vecOp
-	if n := len(cu.vecFree); n > 0 {
-		op = cu.vecFree[n-1]
-		cu.vecFree[n-1] = nil
-		cu.vecFree = cu.vecFree[:n-1]
-	} else {
-		op = &vecOp{cu: cu}
+	op := cu.vecFree.Get()
+	if op.finishFn == nil {
 		op.finishFn = op.finish
 	}
-	op.tb = tb
+	op.cu, op.tb = cu, tb
 	return op
 }
 
 func (cu *CU) freeVecOp(op *vecOp) {
 	op.tb, op.loadVals = nil, nil
-	cu.vecFree = append(cu.vecFree, op)
+	cu.vecFree.Put(op)
 }
 
 // coalesce groups the operation's lane addresses into per-warp line
@@ -668,22 +659,17 @@ type accessTask struct {
 }
 
 func (cu *CU) scheduleAccess(at sim.Time, op *vecOp, idx int32) {
-	var t *accessTask
-	if n := len(cu.accessFree); n > 0 {
-		t = cu.accessFree[n-1]
-		cu.accessFree[n-1] = nil
-		cu.accessFree = cu.accessFree[:n-1]
-	} else {
-		t = &accessTask{cu: cu}
+	t := cu.accessFree.Get()
+	if t.readCb == nil {
 		t.readCb = t.onRead
 	}
-	t.op, t.idx = op, idx
+	t.cu, t.op, t.idx = cu, op, idx
 	cu.eng.AtTask(at, t)
 }
 
 func (t *accessTask) release() {
 	t.op = nil
-	t.cu.accessFree = append(t.cu.accessFree, t)
+	t.cu.accessFree.Put(t)
 }
 
 // Run issues the access. Loads (and lane-mixed accesses, which issue
@@ -726,20 +712,13 @@ type resumeTask struct {
 func (t *resumeTask) Run() {
 	cu, tb := t.cu, t.tb
 	t.tb = nil
-	cu.resumeFree = append(cu.resumeFree, t)
+	cu.resumeFree.Put(t)
 	cu.resume(tb, response{})
 }
 
 func (cu *CU) scheduleResume(d sim.Time, tb *tbState) {
-	var t *resumeTask
-	if n := len(cu.resumeFree); n > 0 {
-		t = cu.resumeFree[n-1]
-		cu.resumeFree[n-1] = nil
-		cu.resumeFree = cu.resumeFree[:n-1]
-	} else {
-		t = &resumeTask{cu: cu}
-	}
-	t.tb = tb
+	t := cu.resumeFree.Get()
+	t.cu, t.tb = cu, tb
 	cu.eng.ScheduleTask(d, t)
 }
 
@@ -754,20 +733,13 @@ type deferTask struct {
 func (t *deferTask) Run() {
 	cu, tb, rq := t.cu, t.tb, t.rq
 	t.tb, t.rq = nil, nil
-	cu.deferFree = append(cu.deferFree, t)
+	cu.deferFree.Put(t)
 	cu.handle(tb, rq)
 }
 
 func (cu *CU) scheduleDefer(d sim.Time, tb *tbState, rq *request) {
-	var t *deferTask
-	if n := len(cu.deferFree); n > 0 {
-		t = cu.deferFree[n-1]
-		cu.deferFree[n-1] = nil
-		cu.deferFree = cu.deferFree[:n-1]
-	} else {
-		t = &deferTask{cu: cu}
-	}
-	t.tb, t.rq = tb, rq
+	t := cu.deferFree.Get()
+	t.cu, t.tb, t.rq = cu, tb, rq
 	cu.eng.ScheduleTask(d, t)
 }
 
@@ -842,7 +814,7 @@ func (op *atomicOp) done(old uint32) {
 		cu.rec.EmitSpan(obs.StallSync, int32(cu.Node), uint64(rq.addr.WordOf()), op.start)
 	}
 	op.tb, op.rq = nil, nil
-	cu.atomFree = append(cu.atomFree, op)
+	cu.atomFree.Put(op)
 	cu.resume(tb, response{atomicOld: old})
 }
 
@@ -853,17 +825,11 @@ func (cu *CU) atomic(tb *tbState, rq *request) {
 	scope := cu.model.Effective(rq.scope)
 	cu.meter.Instr(1)
 	cu.st.IncKey(kCuSyncInstrs, 1)
-	var op *atomicOp
-	if n := len(cu.atomFree); n > 0 {
-		op = cu.atomFree[n-1]
-		cu.atomFree[n-1] = nil
-		cu.atomFree = cu.atomFree[:n-1]
-	} else {
-		op = &atomicOp{cu: cu}
-		op.performFn = op.perform
-		op.doneFn = op.done
+	op := cu.atomFree.Get()
+	if op.performFn == nil {
+		op.performFn, op.doneFn = op.perform, op.done
 	}
-	op.tb, op.rq, op.scope, op.start = tb, rq, scope, uint64(cu.eng.Now())
+	op.cu, op.tb, op.rq, op.scope, op.start = cu, tb, rq, scope, uint64(cu.eng.Now())
 	if rq.order.Releases() {
 		cu.l1Release(scope, op.performFn)
 	} else {

@@ -112,9 +112,9 @@ type Controller struct {
 	// per-controller free lists instead of the heap (see
 	// coherence.MsgPool for the message ownership discipline).
 	pool         coherence.MsgPool
-	readDoneFree []*readDoneTask
-	atomDoneFree []*atomicDoneTask
-	readTxnFree  []*readTxn
+	readDoneFree sim.FreeList[readDoneTask]
+	atomDoneFree sim.FreeList[atomicDoneTask]
+	readTxnFree  sim.FreeList[readTxn]
 
 	nextID        uint64
 	outstandingWT int
@@ -186,20 +186,13 @@ type readDoneTask struct {
 func (t *readDoneTask) Run() {
 	c, cb, vals := t.c, t.cb, t.vals
 	t.cb = nil
-	c.readDoneFree = append(c.readDoneFree, t)
+	c.readDoneFree.Put(t)
 	cb(vals)
 }
 
 func (c *Controller) scheduleReadDone(d sim.Time, vals [mem.WordsPerLine]uint32, cb func([mem.WordsPerLine]uint32)) {
-	var t *readDoneTask
-	if n := len(c.readDoneFree); n > 0 {
-		t = c.readDoneFree[n-1]
-		c.readDoneFree[n-1] = nil
-		c.readDoneFree = c.readDoneFree[:n-1]
-	} else {
-		t = &readDoneTask{c: c}
-	}
-	t.vals, t.cb = vals, cb
+	t := c.readDoneFree.Get()
+	t.c, t.vals, t.cb = c, vals, cb
 	c.eng.ScheduleTask(d, t)
 }
 
@@ -216,38 +209,23 @@ type atomicDoneTask struct {
 func (t *atomicDoneTask) Run() {
 	c, w, ret, cb := t.c, t.w, t.ret, t.cb
 	t.cb = nil
-	c.atomDoneFree = append(c.atomDoneFree, t)
+	c.atomDoneFree.Put(t)
 	cb(ret)
 	c.localAtomicIn.Delete(uint64(w))
 	c.pumpLocalAtomics(w)
 }
 
 func (c *Controller) scheduleAtomicDone(d sim.Time, w mem.Word, ret uint32, cb func(uint32)) {
-	var t *atomicDoneTask
-	if n := len(c.atomDoneFree); n > 0 {
-		t = c.atomDoneFree[n-1]
-		c.atomDoneFree[n-1] = nil
-		c.atomDoneFree = c.atomDoneFree[:n-1]
-	} else {
-		t = &atomicDoneTask{c: c}
-	}
-	t.w, t.ret, t.cb = w, ret, cb
+	t := c.atomDoneFree.Get()
+	t.c, t.w, t.ret, t.cb = c, w, ret, cb
 	c.eng.ScheduleTask(d, t)
 }
 
-func (c *Controller) newReadTxn() *readTxn {
-	if n := len(c.readTxnFree); n > 0 {
-		t := c.readTxnFree[n-1]
-		c.readTxnFree[n-1] = nil
-		c.readTxnFree = c.readTxnFree[:n-1]
-		return t
-	}
-	return &readTxn{}
-}
-
+// freeReadTxn resets t, keeping its waiter-slice capacity, so a
+// transaction from readTxnFree.Get reads as new.
 func (c *Controller) freeReadTxn(t *readTxn) {
 	*t = readTxn{waiters: t.waiters[:0]}
-	c.readTxnFree = append(c.readTxnFree, t)
+	c.readTxnFree.Put(t)
 }
 
 // SetRecorder installs an obs recorder (nil to disable) for this L1 and
@@ -318,7 +296,7 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 		}
 	}
 	if txn == nil {
-		txn = c.newReadTxn()
+		txn = c.readTxnFree.Get()
 		txn.epoch = c.epoch
 		c.nextID++
 		c.reads.Put(c.nextID, txn)

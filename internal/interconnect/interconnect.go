@@ -109,7 +109,7 @@ type Fabric struct {
 	sent     uint64
 	crossed  uint64
 
-	free []*legPacket
+	free sim.FreeList[legPacket]
 }
 
 // New returns a fabric joining the given per-device meshes. meshes[d]
@@ -154,15 +154,8 @@ func (f *Fabric) Send(p noc.Packet) {
 		return
 	}
 	f.sent++
-	var l *legPacket
-	if n := len(f.free); n > 0 {
-		l = f.free[n-1]
-		f.free[n-1] = nil
-		f.free = f.free[:n-1]
-	} else {
-		l = &legPacket{f: f}
-	}
-	l.inner, l.final, l.stage = p, r, stageToGateway
+	l := f.free.Get()
+	l.f, l.inner, l.final, l.stage = f, p, r, stageToGateway
 	l.cur = noc.Route{
 		Src:          r.Src,
 		Dst:          f.topo.GatewayNode(srcDev),
@@ -188,7 +181,7 @@ func (f *Fabric) Deliver(p noc.Packet) {
 		dst, port := l.final.Dst, l.final.Port
 		inner := l.inner
 		l.inner, l.cur, l.final = nil, noc.Route{}, noc.Route{}
-		f.free = append(f.free, l)
+		f.free.Put(l)
 		h := f.meshes[f.topo.DeviceOf(dst)].HandlerAt(dst, port)
 		if h == nil {
 			panic(fmt.Sprintf("interconnect: no handler attached at node %d port %d", dst, port))

@@ -194,16 +194,25 @@ func TestLegPacketPooling(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.free) != 1 {
-		t.Fatalf("free list holds %d legs after a completed crossing, want 1", len(f.free))
+	// A leg that has crossed has its fabric pointer set; a fresh one
+	// from an empty list does not.
+	recycled := f.free.Get()
+	if recycled.f != f {
+		t.Fatal("free list holds no leg after a completed crossing")
 	}
-	recycled := f.free[0]
+	if extra := f.free.Get(); extra.f != nil {
+		t.Fatal("free list holds more than one leg after one crossing")
+	}
+	f.free.Put(recycled)
 	f.Send(&testPacket{route: route})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.free) != 1 || f.free[0] != recycled {
+	if got := f.free.Get(); got != recycled {
 		t.Error("second crossing did not reuse the pooled leg wrapper")
+	}
+	if extra := f.free.Get(); extra.f != nil {
+		t.Error("free list holds more than one leg after two crossings")
 	}
 }
 

@@ -87,7 +87,7 @@ type Bank struct {
 	// fetching maps lines with an in-flight DRAM fetch to the pooled
 	// fetch record carrying the work queued behind the fetch.
 	fetching  wordmap.Map[*fetchTask]
-	fetchFree []*fetchTask
+	fetchFree sim.FreeList[fetchTask]
 
 	busy     sim.Time // bank pipeline occupancy
 	dramBusy sim.Time // memory port occupancy
@@ -95,7 +95,7 @@ type Bank struct {
 	// pool recycles coherence messages (see coherence.MsgPool for the
 	// ownership discipline); taskFree recycles process-task payloads.
 	pool     coherence.MsgPool
-	taskFree []*procTask
+	taskFree sim.FreeList[procTask]
 
 	// rec, when non-nil, receives L2* events on track b.Node.
 	rec *obs.Recorder
@@ -113,20 +113,15 @@ type procTask struct {
 func (t *procTask) Run() {
 	b, msg := t.b, t.msg
 	t.msg = nil
-	b.taskFree = append(b.taskFree, t)
+	b.taskFree.Put(t)
 	b.process(msg)
 	b.pool.Put(msg)
 }
 
 func (b *Bank) newTask(msg *coherence.Msg) *procTask {
-	if n := len(b.taskFree); n > 0 {
-		t := b.taskFree[n-1]
-		b.taskFree[n-1] = nil
-		b.taskFree = b.taskFree[:n-1]
-		t.msg = msg
-		return t
-	}
-	return &procTask{b: b, msg: msg}
+	t := b.taskFree.Get()
+	t.b, t.msg = b, msg
+	return t
 }
 
 // New returns a bank for the given node, assuming the single-device
@@ -169,18 +164,13 @@ func (t *fetchTask) Run() {
 		w.Run()
 	}
 	t.waiters = t.waiters[:0]
-	b.fetchFree = append(b.fetchFree, t)
+	b.fetchFree.Put(t)
 }
 
 func (b *Bank) newFetch(l mem.Line) *fetchTask {
-	if n := len(b.fetchFree); n > 0 {
-		t := b.fetchFree[n-1]
-		b.fetchFree[n-1] = nil
-		b.fetchFree = b.fetchFree[:n-1]
-		t.l = l
-		return t
-	}
-	return &fetchTask{b: b, l: l}
+	t := b.fetchFree.Get()
+	t.b, t.l = b, l
+	return t
 }
 
 // SetRecorder installs an obs recorder (nil to disable) and names this

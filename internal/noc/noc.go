@@ -150,7 +150,7 @@ type Mesh struct {
 	// taskFree recycles delivery task payloads so steady-state Sends
 	// schedule without allocating (the per-packet delivery closure was
 	// ~10% of all simulation allocations).
-	taskFree []*deliverTask
+	taskFree sim.FreeList[deliverTask]
 }
 
 // deliverTask is the pooled payload of a delivery event.
@@ -165,7 +165,7 @@ type deliverTask struct {
 func (t *deliverTask) Run() {
 	m, h, p := t.m, t.h, t.p
 	t.h, t.p = nil, nil
-	m.taskFree = append(m.taskFree, t)
+	m.taskFree.Put(t)
 	h.Deliver(p)
 }
 
@@ -316,15 +316,8 @@ func (m *Mesh) Send(p Packet) {
 		t = last // same-cycle deliveries keep send order (event FIFO)
 	}
 	m.pairLast[src][dst] = t
-	var task *deliverTask
-	if n := len(m.taskFree); n > 0 {
-		task = m.taskFree[n-1]
-		m.taskFree[n-1] = nil
-		m.taskFree = m.taskFree[:n-1]
-	} else {
-		task = &deliverTask{m: m}
-	}
-	task.h, task.p = h, p
+	task := m.taskFree.Get()
+	task.m, task.h, task.p = m, h, p
 	m.eng.AtTask(t, task)
 }
 

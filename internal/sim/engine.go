@@ -48,8 +48,8 @@ const (
 )
 
 // Task is a pooled event payload: Run is invoked when the event fires.
-// Components on the steady-state path keep free lists of their payload
-// structs and schedule them with ScheduleTask/AtTask — storing a
+// Components on the steady-state path keep a FreeList of each payload
+// struct and schedule them with ScheduleTask/AtTask — storing a
 // pointer in the Task interface allocates nothing, unlike a closure,
 // which heap-allocates its captured variables on every Schedule. A
 // task returns itself to its free list from inside Run once it has

@@ -59,14 +59,14 @@ func TreeBarrier(p BarrierParams) workload.Workload {
 	numTBs := p.TBsPerCU * workers
 	regionWords := p.Accesses * p.Threads
 
-	lay := newLayout()
-	gcount := lay.line()
-	gsense := lay.line()
+	lay := workload.NewArena()
+	gcount := lay.Line()
+	gsense := lay.Line()
 	lcounts := make([]mem.Addr, workers)
 	lsenses := make([]mem.Addr, workers)
 	for i := range lcounts {
-		lcounts[i] = lay.line()
-		lsenses[i] = lay.line()
+		lcounts[i] = lay.Line()
+		lsenses[i] = lay.Line()
 	}
 	// Double-buffered per-block regions: iteration it reads buffer
 	// it%2 and writes buffer 1-it%2, so cross-block reads are race-free
@@ -75,13 +75,13 @@ func TreeBarrier(p BarrierParams) workload.Workload {
 	for b := 0; b < 2; b++ {
 		bufs[b] = make([]mem.Addr, numTBs)
 		for i := range bufs[b] {
-			bufs[b][i] = lay.words(regionWords)
+			bufs[b][i] = lay.Words(regionWords)
 		}
 	}
 	// Read-only coefficients used by every compute phase: genuinely
 	// read-only program data that DD+RO's selective invalidation (and
 	// GH's local scopes) can keep cached across barriers.
-	coef := lay.words(regionWords)
+	coef := lay.Words(regionWords)
 	coefAt := func(i int) uint32 { return uint32(i%7 + 1) }
 
 	// twoLevelBarrier joins the two-level phase-counting barrier; phase

@@ -46,27 +46,6 @@ func devCategory(devices int, single workload.Category) workload.Category {
 	return single
 }
 
-// Layout carves the address space for a benchmark. Regions are line
-// aligned and spaced so unrelated variables never share a line.
-type layout struct{ next mem.Addr }
-
-func newLayout() *layout { return &layout{next: 0x10_0000} }
-
-// line reserves one fresh cache line and returns its first word.
-func (l *layout) line() mem.Addr {
-	a := l.next
-	l.next += mem.LineBytes
-	return a
-}
-
-// words reserves n words, line aligned at the start.
-func (l *layout) words(n int) mem.Addr {
-	a := l.next
-	bytes := mem.Addr((n*mem.WordBytes + mem.LineBytes - 1) / mem.LineBytes * mem.LineBytes)
-	l.next += bytes
-	return a
-}
-
 // spinWait models the in-loop instruction overhead of a spin retry
 // (loop condition, branch), with optional exponential backoff.
 type spinWait struct {

@@ -84,7 +84,7 @@ func Mutex(p MutexParams) workload.Workload {
 	name := p.Kind.prefix() + suffix + devSuffix(p.Devices)
 	workers := p.Devices * p.NumCUs
 
-	lay := newLayout()
+	lay := workload.NewArena()
 	regionWords := p.Accesses * p.Threads
 	nLocks := 1
 	if p.Local {
@@ -94,9 +94,9 @@ func Mutex(p MutexParams) workload.Workload {
 	turns := make([]mem.Addr, nLocks)   // FAM turn counter
 	regions := make([]mem.Addr, nLocks) // data guarded by each lock
 	for i := range locks {
-		locks[i] = lay.line()
-		turns[i] = lay.line()
-		regions[i] = lay.words(regionWords)
+		locks[i] = lay.Line()
+		turns[i] = lay.Line()
+		regions[i] = lay.Words(regionWords)
 	}
 	scope := coherence.ScopeGlobal
 	if p.Local {

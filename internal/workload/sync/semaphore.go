@@ -56,12 +56,12 @@ func Semaphore(p SemParams) workload.Workload {
 	halfWords := p.LoadsPer * p.Threads // each reader's half
 	regionWords := readers * halfWords
 
-	lay := newLayout()
+	lay := workload.NewArena()
 	sems := make([]mem.Addr, workers)
 	regions := make([]mem.Addr, workers)
 	for i := range sems {
-		sems[i] = lay.line()
-		regions[i] = lay.words(regionWords + 1) // +1: shift writes region[1..regionWords]
+		sems[i] = lay.Line()
+		regions[i] = lay.Words(regionWords + 1) // +1: shift writes region[1..regionWords]
 	}
 	scope := coherence.ScopeLocal
 

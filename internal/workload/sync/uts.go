@@ -123,20 +123,20 @@ func UTS(p UTSParams) workload.Workload {
 	workers := p.Devices * p.NumCUs
 	name := "UTS" + devSuffix(p.Devices)
 
-	lay := newLayout()
-	pending := lay.line() // count of unprocessed nodes in the system
-	glock := lay.line()
-	gtop := lay.line()
-	gstack := lay.words(256 * 1024)
+	lay := workload.NewArena()
+	pending := lay.Line() // count of unprocessed nodes in the system
+	glock := lay.Line()
+	gtop := lay.Line()
+	gstack := lay.Words(256 * 1024)
 	llocks := make([]mem.Addr, workers)
 	ltops := make([]mem.Addr, workers)
 	lstacks := make([]mem.Addr, workers)
 	lprocessed := make([]mem.Addr, workers)
 	for i := range llocks {
-		llocks[i] = lay.line()
-		ltops[i] = lay.line()
-		lstacks[i] = lay.words(p.LocalCap)
-		lprocessed[i] = lay.line()
+		llocks[i] = lay.Line()
+		ltops[i] = lay.Line()
+		lstacks[i] = lay.Words(p.LocalCap)
+		lprocessed[i] = lay.Line()
 	}
 
 	kernel := func(c *workload.Ctx) {

@@ -114,65 +114,3 @@ func TestRunMatrixCancellation(t *testing.T) {
 		}
 	}
 }
-
-func TestRunMatrixSharedSamplerRejected(t *testing.T) {
-	shared := denovogpu.NewSampler(0)
-	st := mustWorkload(t, "ST")
-	cells := []denovogpu.MatrixCell{
-		{Config: denovogpu.GD(), Workload: st, Sampler: shared},
-		{Config: denovogpu.DD(), Workload: st, Sampler: shared},
-	}
-	var ran atomic.Int32
-	cells[0].Workload.Host = func(h denovogpu.Host) { ran.Add(1) }
-	_, err := denovogpu.RunMatrix(cells, denovogpu.MatrixOptions{})
-	if !errors.Is(err, denovogpu.ErrSharedObserver) {
-		t.Fatalf("err = %v, want ErrSharedObserver", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatal("shared sampler must be rejected before any cell runs")
-	}
-}
-
-func TestRunMatrixSharedRecorderRejected(t *testing.T) {
-	var shared *denovogpu.Recorder
-	mkShared := func(clock func() uint64) *denovogpu.Recorder {
-		if shared == nil {
-			shared = denovogpu.NewRecorder(clock, 0)
-		}
-		return shared
-	}
-	st := mustWorkload(t, "ST")
-	cells := []denovogpu.MatrixCell{
-		{Config: denovogpu.GD(), Workload: st, MkRec: mkShared},
-		{Config: denovogpu.DD(), Workload: st, MkRec: mkShared},
-	}
-	results, err := denovogpu.RunMatrix(cells, denovogpu.MatrixOptions{Workers: 1, KeepGoing: true})
-	if !errors.Is(err, denovogpu.ErrSharedObserver) {
-		t.Fatalf("err = %v, want ErrSharedObserver", err)
-	}
-	if results[0].Err != nil {
-		t.Fatalf("first cell owns the recorder and must succeed: %v", results[0].Err)
-	}
-	if !errors.Is(results[1].Err, denovogpu.ErrSharedObserver) {
-		t.Fatalf("second cell err = %v, want ErrSharedObserver", results[1].Err)
-	}
-}
-
-// TestRunMatrixPerCellObserversAccepted: distinct observers per cell
-// are the supported pattern and must work in parallel.
-func TestRunMatrixPerCellObserversAccepted(t *testing.T) {
-	st := mustWorkload(t, "ST")
-	cells := []denovogpu.MatrixCell{
-		{Config: denovogpu.GD(), Workload: st, Sampler: denovogpu.NewSampler(0)},
-		{Config: denovogpu.DD(), Workload: st, Sampler: denovogpu.NewSampler(0)},
-	}
-	results, err := denovogpu.RunMatrix(cells, denovogpu.MatrixOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r.Report.Timeline == nil {
-			t.Fatalf("cell %d: sampler attached but no timeline", i)
-		}
-	}
-}
