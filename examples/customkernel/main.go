@@ -33,13 +33,16 @@ func main() {
 	kernel := func(c *denovogpu.Ctx) {
 		chunk := c.TB / 2
 		base := data + denovogpu.Addr(4*chunkSz*chunk)
+		// One load buffer per block, reused by every load: a load
+		// overwrites it, and a store copies it out at issue.
+		buf := make([]uint32, c.Threads)
 		if c.TB%2 == 0 { // producer
 			for off := 0; off < chunkSz; off += threads {
-				v := c.LoadStride(base + denovogpu.Addr(4*off))
-				for i := range v {
-					v[i] = v[i] * v[i]
+				buf = c.LoadStrideInto(buf, base+denovogpu.Addr(4*off))
+				for i := range buf {
+					buf[i] = buf[i] * buf[i]
 				}
-				c.StoreStride(base+denovogpu.Addr(4*off), v)
+				c.StoreStride(base+denovogpu.Addr(4*off), buf)
 			}
 			c.AtomicStore(flagAt(chunk), 1, denovogpu.ScopeGlobal) // release
 			return
@@ -49,7 +52,8 @@ func main() {
 		}
 		var sum uint32
 		for off := 0; off < chunkSz; off += threads {
-			for _, v := range c.LoadStride(base + denovogpu.Addr(4*off)) {
+			buf = c.LoadStrideInto(buf, base+denovogpu.Addr(4*off))
+			for _, v := range buf {
 				sum += v
 			}
 		}

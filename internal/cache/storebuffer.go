@@ -46,6 +46,9 @@ type StoreBuffer struct {
 	free       []int32 // recycled pool slots
 	head, tail int32   // live entries, insertion order
 
+	// evicted is the last overflow's line group (see Insert).
+	evicted LineGroup
+
 	// rec, when non-nil, receives SBInsert/SBCoalesce/SBDrain/SBEvict
 	// events on the given track (the owning CU's node id).
 	rec   *obs.Recorder
@@ -129,7 +132,9 @@ func (b *StoreBuffer) unlink(i int32) {
 // caller to drain as one coalesced writethrough — the hardware drains
 // at line granularity, so streaming writes keep their coalescing; what
 // overflow destroys is the ability of *future* writes to the evicted
-// words to coalesce (the paper's LavaMD effect).
+// words to coalesce (the paper's LavaMD effect). The evicted group is
+// owned by the buffer and valid until the next Insert, so an overflow
+// allocates nothing.
 func (b *StoreBuffer) Insert(w mem.Word, v uint32) (coalesced bool, evicted *LineGroup) {
 	if i, ok := b.index.Get(uint64(w)); ok {
 		b.pool[i].val = v
@@ -152,12 +157,14 @@ func (b *StoreBuffer) Insert(w mem.Word, v uint32) (coalesced bool, evicted *Lin
 }
 
 // popOldestLine removes the oldest slot and every other buffered slot
-// of its line, returning them as one group.
+// of its line, returning them as one group in the buffer's evicted
+// slot.
 func (b *StoreBuffer) popOldestLine() *LineGroup {
 	if b.head == nilSlot {
 		panic("cache: popOldestLine on empty store buffer")
 	}
-	g := &LineGroup{Line: b.pool[b.head].word.LineOf()}
+	g := &b.evicted
+	*g = LineGroup{Line: b.pool[b.head].word.LineOf()}
 	words := uint64(0)
 	for i := 0; i < mem.WordsPerLine; i++ {
 		word := g.Line.Word(i)

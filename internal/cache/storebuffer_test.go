@@ -226,3 +226,27 @@ func TestVictimBuffer(t *testing.T) {
 		t.Fatal("len after drop should be 0")
 	}
 }
+
+// An overflowing Insert hands back the buffer's own eviction group, so
+// steady-state overflow allocates nothing.
+func TestStoreBufferOverflowAllocatesNothing(t *testing.T) {
+	const capacity = 4
+	b := NewStoreBuffer(capacity)
+	next := 0
+	insert := func() *LineGroup {
+		w := mem.Word(next * mem.WordsPerLine) // a fresh line each time
+		next++
+		_, ev := b.Insert(w, uint32(next))
+		return ev
+	}
+	for next < capacity {
+		insert()
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if insert() == nil {
+			t.Fatal("full buffer did not evict")
+		}
+	}); n != 0 {
+		t.Errorf("evicting Insert: %v allocs per call, want 0", n)
+	}
+}

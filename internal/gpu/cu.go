@@ -540,8 +540,9 @@ const scanThreshold = 16
 // the block's buffer the loaded values are written into. finishFn is
 // bound once when the record is first allocated, so completing an
 // access never allocates a closure. loadVals belongs to the block
-// (Ctx.Load passes a scratch word, LoadV a fresh slice the kernel
-// keeps), so the record only borrows it until the instruction retires.
+// (Ctx.Load passes a scratch word, LoadInto the kernel's own buffer),
+// so the record only borrows it until the instruction retires; the
+// kernel resumes only after that, free to reuse the buffer.
 type vecOp struct {
 	cu        *CU
 	tb        *tbState

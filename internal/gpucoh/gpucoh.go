@@ -119,6 +119,7 @@ type Controller struct {
 	nextID        uint64
 	outstandingWT int
 	relWaiters    []func()
+	relSpare      []func() // relWaiters' other backing array, see Deliver
 	epoch         uint64
 
 	// Release-path scratch, reused across calls so draining the store
@@ -663,11 +664,17 @@ func (c *Controller) Deliver(p noc.Packet) {
 			}
 		}
 		if c.outstandingWT == 0 {
+			// Swap in the spare storage, so a waiter that releases
+			// again appends to an array this loop is not reading, and
+			// keep the fired one as the next spare. relSpare is nil
+			// until the loop ends, so a nested round cannot alias it.
 			waiters := c.relWaiters
-			c.relWaiters = nil
+			c.relWaiters, c.relSpare = c.relSpare[:0], nil
 			for _, w := range waiters {
 				w()
 			}
+			clear(waiters)
+			c.relSpare = waiters[:0]
 		}
 	case coherence.AtomicResp:
 		ra, ok := c.atomics.Get(msg.ID)

@@ -352,3 +352,60 @@ func TestInFlightWritethroughNotStale(t *testing.T) {
 		t.Fatal("controller should drain")
 	}
 }
+
+// TestReentrantReleaseWaiter: a release waiter that writes and releases
+// twice from inside its callback fires exactly once, neither release it
+// starts is lost or fired early, and the waiter sharing its round still
+// fires. Three rounds run so the recycled waiter storage is reused.
+func TestReentrantReleaseWaiter(t *testing.T) {
+	r := testrig.New()
+	c := newCtl(r, 0)
+	const rounds = 3
+	var outer, sibling, inner, innerJoin [rounds]int
+	line := func(round, k int) mem.Line { return mem.Line(10 + 2*round + k) }
+	write := func(l mem.Line, v uint32) {
+		var data [mem.WordsPerLine]uint32
+		data[0] = v
+		c.WriteLine(l, mem.Bit(0), data, func() {})
+	}
+	var round func(i int)
+	round = func(i int) {
+		if i == rounds {
+			return
+		}
+		write(line(i, 0), uint32(100+i))
+		c.Release(coherence.ScopeGlobal, func() {
+			outer[i]++
+			write(line(i, 1), uint32(200+i))
+			c.Release(coherence.ScopeGlobal, func() {
+				inner[i]++
+				if innerJoin[i] != 0 {
+					t.Errorf("round %d: joined inner waiter fired before the release it waits on", i)
+				}
+			})
+			c.Release(coherence.ScopeGlobal, func() {
+				innerJoin[i]++
+				round(i + 1)
+			})
+		})
+		// Joins the same round: the buffer is empty, but the first
+		// release's writethrough is still outstanding.
+		c.Release(coherence.ScopeGlobal, func() { sibling[i]++ })
+	}
+	r.Eng.Schedule(0, func() { round(0) })
+	r.Run(t)
+	for i := 0; i < rounds; i++ {
+		if outer[i] != 1 || sibling[i] != 1 || inner[i] != 1 || innerJoin[i] != 1 {
+			t.Fatalf("round %d: outer, sibling, inner, joined inner waiters fired %d, %d, %d, %d times, want 1 each",
+				i, outer[i], sibling[i], inner[i], innerJoin[i])
+		}
+		for k, want := range []uint32{uint32(100 + i), uint32(200 + i)} {
+			if got := r.L2Word(line(i, k).Word(0)); got != want {
+				t.Fatalf("round %d: L2 word of line %d = %d, want %d", i, k, got, want)
+			}
+		}
+	}
+	if !c.Drained() {
+		t.Fatal("controller not drained after the releases")
+	}
+}

@@ -78,9 +78,10 @@ func backprop() workload.Workload {
 			return
 		}
 		acc := make([]uint32, c.Threads)
+		var wv []uint32
 		for i := 0; i < ni; i++ {
 			x := c.Load(in + mem.Addr(4*i)) // broadcast
-			wv := c.LoadStride(w1 + mem.Addr(4*(i*nh+jBase)))
+			wv = c.LoadStrideInto(wv, w1+mem.Addr(4*(i*nh+jBase)))
 			for t := range acc {
 				acc[t] += x * wv[t]
 			}
@@ -94,8 +95,8 @@ func backprop() workload.Workload {
 		if jBase >= nh {
 			return
 		}
-		hv := c.LoadStride(hid + mem.Addr(4*jBase))
-		wv := c.LoadStride(w2 + mem.Addr(4*jBase))
+		hv := c.LoadStrideInto(nil, hid+mem.Addr(4*jBase))
+		wv := c.LoadStrideInto(nil, w2+mem.Addr(4*jBase))
 		var sum uint32
 		for t := range hv {
 			sum += hv[t] * wv[t]
@@ -107,11 +108,12 @@ func backprop() workload.Workload {
 		if jBase >= nh {
 			return
 		}
-		hv := c.LoadStride(hid + mem.Addr(4*jBase))
+		hv := c.LoadStrideInto(nil, hid+mem.Addr(4*jBase))
+		var wv []uint32
 		for i := 0; i < ni; i += 8 { // strided partial update
 			x := c.Load(in + mem.Addr(4*i))
 			base := w1 + mem.Addr(4*(i*nh+jBase))
-			wv := c.LoadStride(base)
+			wv = c.LoadStrideInto(wv, base)
 			for t := range wv {
 				wv[t] += x * hv[t]
 			}
@@ -184,7 +186,7 @@ func pathfinder() workload.Workload {
 			if base >= cols {
 				return
 			}
-			cur := c.LoadStride(src + mem.Addr(4*base))
+			cur := c.LoadStrideInto(nil, src+mem.Addr(4*base))
 			// Neighbors within the chunk come from cur; only the chunk
 			// edges need extra (halo) loads.
 			leftEdge, rightEdge := cur[0], cur[c.Threads-1]
@@ -194,7 +196,7 @@ func pathfinder() workload.Workload {
 			if base+c.Threads < cols {
 				rightEdge = c.Load(src + mem.Addr(4*(base+c.Threads)))
 			}
-			wv := c.LoadStride(wall + mem.Addr(4*(row*cols+base)))
+			wv := c.LoadStrideInto(nil, wall+mem.Addr(4*(row*cols+base)))
 			out := make([]uint32, c.Threads)
 			for t := range out {
 				l, r := cur[t], cur[t]
@@ -276,13 +278,12 @@ func lud() workload.Workload {
 			}
 			aik := c.Load(mat + mem.Addr(4*(i*n+k)))
 			width := n - (k + 1)
-			rowK := c.LoadV(c.StrideAddrs(mat+mem.Addr(4*(k*n+k+1)), 1)[:width])
-			rowI := c.LoadV(c.StrideAddrs(mat+mem.Addr(4*(i*n+k+1)), 1)[:width])
-			out := make([]uint32, width)
-			for t := 0; t < width; t++ {
-				out[t] = rowI[t] - aik*rowK[t]
+			rowK := c.LoadInto(nil, c.StrideAddrs(mat+mem.Addr(4*(k*n+k+1)), 1)[:width])
+			rowI := c.LoadInto(nil, c.StrideAddrs(mat+mem.Addr(4*(i*n+k+1)), 1)[:width])
+			for t := range rowI {
+				rowI[t] -= aik * rowK[t]
 			}
-			c.StoreV(c.StrideAddrs(mat+mem.Addr(4*(i*n+k+1)), 1)[:width], out)
+			c.StoreV(c.StrideAddrs(mat+mem.Addr(4*(i*n+k+1)), 1)[:width], rowI)
 		}
 	}
 
@@ -362,10 +363,10 @@ func nw() workload.Workload {
 				rv[t] = ref + mem.Addr(4*((i-1)*n+(j-1)))
 				outA[t] = addrAt(i, j)
 			}
-			uv := c.LoadV(up)
-			lv := c.LoadV(left)
-			dv := c.LoadV(dia)
-			refv := c.LoadV(rv)
+			uv := c.LoadInto(nil, up)
+			lv := c.LoadInto(nil, left)
+			dv := c.LoadInto(nil, dia)
+			refv := c.LoadInto(nil, rv)
 			out := make([]uint32, count)
 			for t := range out {
 				m := dv[t] + refv[t]

@@ -29,9 +29,10 @@ func sgemm() workload.Workload {
 			return
 		}
 		acc := make([]uint32, c.Threads)
+		var bv []uint32
 		for k := 0; k < n; k++ {
 			av := c.Load(A + mem.Addr(4*(i*n+k))) // broadcast
-			bv := c.LoadStride(B + mem.Addr(4*(k*n)))
+			bv = c.LoadStrideInto(bv, B+mem.Addr(4*(k*n)))
 			c.Scratch(1) // tile staging
 			for t := range acc {
 				acc[t] += av * bv[t]
@@ -90,10 +91,14 @@ func stencil() workload.Workload {
 		return func(c *workload.Ctx) {
 			y := c.TB % ny
 			z := c.TB / ny
+			// cur stays live through the update; each neighbor row is
+			// consumed before the next loads into nb.
+			cur := c.LoadStrideInto(nil, src+mem.Addr(4*at(0, y, z)))
+			var nb []uint32
 			row := func(yy, zz int) []uint32 {
-				return c.LoadStride(src + mem.Addr(4*at(0, yy, zz)))
+				nb = c.LoadStrideInto(nb, src+mem.Addr(4*at(0, yy, zz)))
+				return nb
 			}
-			cur := row(y, z)
 			sum := make([]uint32, nx)
 			copy(sum, cur)
 			if y > 0 {
@@ -199,17 +204,21 @@ func hotspot() workload.Workload {
 			if y >= n {
 				return
 			}
-			cur := c.LoadStride(src + mem.Addr(4*(y*n)))
-			pw := c.LoadStride(power + mem.Addr(4*(y*n)))
+			cur := c.LoadStrideInto(nil, src+mem.Addr(4*(y*n)))
+			pw := c.LoadStrideInto(nil, power+mem.Addr(4*(y*n)))
 			out := make([]uint32, n)
 			copy(out, cur)
+			// Each neighbor row is consumed before the next loads into nb.
+			var nb []uint32
 			if y > 0 {
-				for t, v := range c.LoadStride(src + mem.Addr(4*((y-1)*n))) {
+				nb = c.LoadStrideInto(nb, src+mem.Addr(4*((y-1)*n)))
+				for t, v := range nb {
 					out[t] += v
 				}
 			}
 			if y < n-1 {
-				for t, v := range c.LoadStride(src + mem.Addr(4*((y+1)*n))) {
+				nb = c.LoadStrideInto(nb, src+mem.Addr(4*((y+1)*n)))
+				for t, v := range nb {
 					out[t] += v
 				}
 			}
@@ -295,10 +304,11 @@ func nn() workload.Workload {
 		for i := range best {
 			best[i] = ^uint32(0)
 		}
+		var la, lo []uint32
 		for k := 0; k < perThread; k++ {
 			off := mem.Addr(4 * (base + k*c.Threads))
-			la := c.LoadStride(lat + off)
-			lo := c.LoadStride(lng + off)
+			la = c.LoadStrideInto(la, lat+off)
+			lo = c.LoadStrideInto(lo, lng+off)
 			for t := range best {
 				d := absDiff(la[t], qlat) + absDiff(lo[t], qlng)
 				if d < best[t] {

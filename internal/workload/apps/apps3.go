@@ -28,14 +28,14 @@ func srad() workload.Workload {
 		if y >= n {
 			return
 		}
-		cur := c.LoadStride(img + mem.Addr(4*(y*n)))
+		cur := c.LoadStrideInto(nil, img+mem.Addr(4*(y*n)))
 		out := make([]uint32, n)
 		north, south := cur, cur
 		if y > 0 {
-			north = c.LoadStride(img + mem.Addr(4*((y-1)*n)))
+			north = c.LoadStrideInto(nil, img+mem.Addr(4*((y-1)*n)))
 		}
 		if y < n-1 {
-			south = c.LoadStride(img + mem.Addr(4*((y+1)*n)))
+			south = c.LoadStrideInto(nil, img+mem.Addr(4*((y+1)*n)))
 		}
 		for t := range out {
 			w, e := cur[t], cur[t]
@@ -56,13 +56,11 @@ func srad() workload.Workload {
 		if y >= n {
 			return
 		}
-		cur := c.LoadStride(img + mem.Addr(4*(y*n)))
-		cf := c.LoadStride(coeff + mem.Addr(4*(y*n)))
-		var southC []uint32
+		cur := c.LoadStrideInto(nil, img+mem.Addr(4*(y*n)))
+		cf := c.LoadStrideInto(nil, coeff+mem.Addr(4*(y*n)))
+		southC := cf
 		if y < n-1 {
-			southC = c.LoadStride(coeff + mem.Addr(4*((y+1)*n)))
-		} else {
-			southC = cf
+			southC = c.LoadStrideInto(nil, coeff+mem.Addr(4*((y+1)*n)))
 		}
 		out := make([]uint32, n)
 		for t := range out {
@@ -157,7 +155,7 @@ func lava() workload.Workload {
 		}
 		myBase := force + mem.Addr(4*(box*particles*4))
 		// Load own particles' x components once.
-		px := c.LoadV(stride4(pos+mem.Addr(4*(box*particles*4)), 0, particles))
+		px := c.LoadInto(nil, stride4(pos+mem.Addr(4*(box*particles*4)), 0, particles))
 		fx := make([]uint32, particles)
 		fy := make([]uint32, particles)
 		fz := make([]uint32, particles)

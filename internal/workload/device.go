@@ -78,11 +78,24 @@ func (c *Ctx) Store(a mem.Addr, v uint32) {
 	c.Ex.Vec(nil, c.stScratch[:], c.svScratch[:], nil)
 }
 
-// LoadV reads one word per thread into a fresh slice the kernel owns.
-func (c *Ctx) LoadV(addrs []mem.Addr) []uint32 {
-	dst := make([]uint32, len(addrs))
+// LoadInto reads one word per thread into dst, resliced to len(addrs)
+// and grown only if its capacity is short, and returns it. A kernel
+// that keeps one buffer per live result loads without allocating: a
+// store copies its values at issue, and Vec returns only once the load
+// has retired, so dst may be reused by the next instruction as soon as
+// the kernel has no further read of its old values.
+func (c *Ctx) LoadInto(dst []uint32, addrs []mem.Addr) []uint32 {
+	if cap(dst) < len(addrs) {
+		dst = make([]uint32, len(addrs))
+	}
+	dst = dst[:len(addrs)]
 	c.Ex.Vec(addrs, nil, nil, dst)
 	return dst
+}
+
+// LoadV reads one word per thread into a fresh slice the kernel owns.
+func (c *Ctx) LoadV(addrs []mem.Addr) []uint32 {
+	return c.LoadInto(make([]uint32, len(addrs)), addrs)
 }
 
 // StoreV writes one word per thread.
@@ -106,7 +119,14 @@ func (c *Ctx) StrideAddrs(base mem.Addr, stride int) []mem.Addr {
 	return addrs
 }
 
-// LoadStride loads thread-contiguous words starting at base.
+// LoadStrideInto loads thread-contiguous words starting at base into
+// dst, with LoadInto's reuse rules.
+func (c *Ctx) LoadStrideInto(dst []uint32, base mem.Addr) []uint32 {
+	return c.LoadInto(dst, c.StrideAddrs(base, 1))
+}
+
+// LoadStride loads thread-contiguous words starting at base into a
+// fresh slice the kernel owns.
 func (c *Ctx) LoadStride(base mem.Addr) []uint32 {
 	return c.LoadV(c.StrideAddrs(base, 1))
 }

@@ -33,8 +33,9 @@ func BFS(p Params) workload.Workload {
 		return func(c *workload.Ctx) {
 			wLo, wHi := workerRange(c, p.N)
 			found := uint32(0)
+			var lv []uint32
 			for base := wLo; base < wHi; base += threadsPerTB {
-				lv := c.LoadStride(level + mem.Addr(4*base))
+				lv = c.LoadStrideInto(lv, level+mem.Addr(4*base))
 				for i, l := range lv {
 					if l != d {
 						continue
@@ -58,8 +59,9 @@ func BFS(p Params) workload.Workload {
 		return func(c *workload.Ctx) {
 			wLo, wHi := workerRange(c, p.N)
 			found := uint32(0)
+			var lv []uint32
 			for base := wLo; base < wHi; base += threadsPerTB {
-				lv := c.LoadStride(level + mem.Addr(4*base))
+				lv = c.LoadStrideInto(lv, level+mem.Addr(4*base))
 				for i, l := range lv {
 					if l != bfsInf {
 						continue

@@ -49,9 +49,10 @@ func PageRank(p Params) workload.Workload {
 
 	scatter := func(c *workload.Ctx) {
 		wLo, wHi := workerRange(c, p.N)
+		var cv, offs []uint32
 		for base := wLo; base < wHi; base += threadsPerTB {
-			cv := c.LoadStride(contrib + mem.Addr(4*base))
-			offs := c.LoadStride(outOff + mem.Addr(4*base))
+			cv = c.LoadStrideInto(cv, contrib+mem.Addr(4*base))
+			offs = c.LoadStrideInto(offs, outOff+mem.Addr(4*base))
 			end := c.Load(outOff + mem.Addr(4*(base+threadsPerTB)))
 			for i := 0; i < threadsPerTB; i++ {
 				if cv[i] == 0 {
@@ -73,10 +74,11 @@ func PageRank(p Params) workload.Workload {
 	}
 	gather := func(c *workload.Ctx) {
 		wLo, wHi := workerRange(c, hub)
+		var offs []uint32
+		sums := make([]uint32, threadsPerTB)
 		for base := wLo; base < wHi; base += threadsPerTB {
-			offs := c.LoadStride(inOff + mem.Addr(4*base))
+			offs = c.LoadStrideInto(offs, inOff+mem.Addr(4*base))
 			end := c.Load(inOff + mem.Addr(4*(base+threadsPerTB)))
-			sums := make([]uint32, threadsPerTB)
 			for i := 0; i < threadsPerTB; i++ {
 				lo := offs[i]
 				hi := end
@@ -95,12 +97,14 @@ func PageRank(p Params) workload.Workload {
 	}
 	apply := func(c *workload.Ctx) {
 		wLo, wHi := workerRange(c, p.N)
+		var av, offs []uint32
+		newRank := make([]uint32, threadsPerTB)
+		newContrib := make([]uint32, threadsPerTB)
+		zero := make([]uint32, threadsPerTB)
 		for base := wLo; base < wHi; base += threadsPerTB {
-			av := c.LoadStride(acc + mem.Addr(4*base))
-			offs := c.LoadStride(outOff + mem.Addr(4*base))
+			av = c.LoadStrideInto(av, acc+mem.Addr(4*base))
+			offs = c.LoadStrideInto(offs, outOff+mem.Addr(4*base))
 			end := c.Load(outOff + mem.Addr(4*(base+threadsPerTB)))
-			newRank := make([]uint32, threadsPerTB)
-			newContrib := make([]uint32, threadsPerTB)
 			for i, v := range av {
 				r := prBase + prDamp*v>>10
 				lo := offs[i]
@@ -113,7 +117,7 @@ func PageRank(p Params) workload.Workload {
 			}
 			c.StoreStride(rank+mem.Addr(4*base), newRank)
 			c.StoreStride(contrib+mem.Addr(4*base), newContrib)
-			c.StoreStride(acc+mem.Addr(4*base), make([]uint32, threadsPerTB))
+			c.StoreStride(acc+mem.Addr(4*base), zero)
 		}
 	}
 

@@ -29,8 +29,9 @@ func SSSP(p Params) workload.Workload {
 	relax := func(c *workload.Ctx) {
 		wLo, wHi := workerRange(c, p.N)
 		improved := uint32(0)
+		var av []uint32
 		for base := wLo; base < wHi; base += threadsPerTB {
-			av := c.LoadStride(active + mem.Addr(4*base))
+			av = c.LoadStrideInto(av, active+mem.Addr(4*base))
 			for i, flag := range av {
 				if flag == 0 {
 					continue
@@ -54,10 +55,12 @@ func SSSP(p Params) workload.Workload {
 	}
 	swap := func(c *workload.Ctx) {
 		wLo, wHi := workerRange(c, p.N)
+		var nv []uint32
+		zero := make([]uint32, threadsPerTB)
 		for base := wLo; base < wHi; base += threadsPerTB {
-			nv := c.LoadStride(next + mem.Addr(4*base))
+			nv = c.LoadStrideInto(nv, next+mem.Addr(4*base))
 			c.StoreStride(active+mem.Addr(4*base), nv)
-			c.StoreStride(next+mem.Addr(4*base), make([]uint32, threadsPerTB))
+			c.StoreStride(next+mem.Addr(4*base), zero)
 		}
 	}
 

@@ -112,20 +112,23 @@ func TreeBarrier(p BarrierParams) workload.Workload {
 	}
 
 	kernel := func(c *workload.Ctx) {
+		// One load buffer per value live at once; own is also the
+		// stored result.
+		var own, part, cf, sib []uint32
 		for it := 0; it < p.Iters; it++ {
 			src, dst := bufs[it%2], bufs[1-it%2]
 			remote := (c.TB + 1) % numTBs // lives on the next CU
 			sibling := (c.TB/c.NumCUs+1)%p.TBsPerCU*c.NumCUs + c.CU
 			for j := 0; j < p.Accesses; j++ {
 				off := mem.Addr(4 * j * c.Threads)
-				own := c.LoadStride(src[c.TB] + off)
-				part := c.LoadStride(src[remote] + off)
-				cf := c.LoadStride(coef + off)
+				own = c.LoadStrideInto(own, src[c.TB]+off)
+				part = c.LoadStrideInto(part, src[remote]+off)
+				cf = c.LoadStrideInto(cf, coef+off)
 				for i := range own {
 					own[i] += part[i] * cf[i]
 				}
 				if p.LocalExchange {
-					sib := c.LoadStride(src[sibling] + off)
+					sib = c.LoadStrideInto(sib, src[sibling]+off)
 					for i := range own {
 						own[i] += sib[i]
 					}

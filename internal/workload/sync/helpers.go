@@ -104,11 +104,12 @@ func faUnlock(c *workload.Ctx, turn mem.Addr, scope coherence.Scope) {
 // criticalSection performs the paper's per-iteration data accesses:
 // `accesses` loads and stores per thread, coalesced (thread t touches
 // data[j*threads + t]), incrementing each word so verification can
-// count critical sections exactly.
-func criticalSection(c *workload.Ctx, data mem.Addr, accesses int) {
+// count critical sections exactly. v is the block's load buffer,
+// reused by every access.
+func criticalSection(c *workload.Ctx, data mem.Addr, accesses int, v []uint32) {
 	for j := 0; j < accesses; j++ {
 		base := data + mem.Addr(4*j*c.Threads)
-		v := c.LoadStride(base)
+		v = c.LoadStrideInto(v, base)
 		for i := range v {
 			v[i]++
 		}

@@ -109,6 +109,7 @@ func Mutex(p MutexParams) workload.Workload {
 			idx = c.CU
 		}
 		lock, turn, data := locks[idx], turns[idx], regions[idx]
+		buf := make([]uint32, c.Threads)
 		for it := 0; it < p.Iters; it++ {
 			switch p.Kind {
 			case FAMutex:
@@ -120,7 +121,7 @@ func Mutex(p MutexParams) workload.Workload {
 			case SpinMutexBackoff:
 				spinLock(c, lock, scope, true)
 			}
-			criticalSection(c, data, p.Accesses)
+			criticalSection(c, data, p.Accesses, buf)
 			switch p.Kind {
 			case FAMutex:
 				faUnlock(c, turn, scope)

@@ -84,6 +84,7 @@ func Semaphore(p SemParams) workload.Workload {
 	kernel := func(c *workload.Ctx) {
 		sem, region := sems[c.CU], regions[c.CU]
 		rank := c.TB / c.NumCUs // 0 = writer, 1..2 = readers
+		buf := make([]uint32, c.Threads)
 		for it := 0; it < p.Iters; it++ {
 			if rank == 0 {
 				semTake(c, sem, readers)
@@ -93,15 +94,15 @@ func Semaphore(p SemParams) workload.Workload {
 				per := regionWords / p.Threads // words per thread
 				for j := per - 1; j >= 0; j-- {
 					base := region + mem.Addr(4*j*c.Threads)
-					v := c.LoadStride(base)
-					c.StoreStride(base+mem.Addr(4), v)
+					buf = c.LoadStrideInto(buf, base)
+					c.StoreStride(base+mem.Addr(4), buf)
 				}
 				semGive(c, sem, readers)
 			} else {
 				semTake(c, sem, 1)
 				half := region + mem.Addr(4*(rank-1)*halfWords)
 				for j := 0; j < p.LoadsPer; j++ {
-					c.LoadStride(half + mem.Addr(4*j*c.Threads))
+					c.LoadStrideInto(buf, half+mem.Addr(4*j*c.Threads))
 				}
 				semGive(c, sem, 1)
 			}

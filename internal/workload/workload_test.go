@@ -90,6 +90,51 @@ func TestCtxLoadDestinations(t *testing.T) {
 	}
 }
 
+// LoadInto and LoadStrideInto load into the caller's buffer: no
+// allocation once it is big enough, growth rather than a panic when it
+// is short. LoadV and LoadStride still return a fresh slice per call.
+func TestCtxLoadInto(t *testing.T) {
+	c := newCtx(&addrExec{})
+	addrs := []mem.Addr{0x10, 0x20}
+	buf := make([]uint32, c.Threads)
+	if n := testing.AllocsPerRun(100, func() { buf = c.LoadStrideInto(buf, 0x100) }); n != 0 {
+		t.Errorf("LoadStrideInto: %v allocs per call, want 0", n)
+	}
+	for i, v := range buf {
+		if v != uint32(0x100+4*i) {
+			t.Fatalf("LoadStrideInto lane %d = %#x", i, v)
+		}
+	}
+	held := &buf[0]
+	if n := testing.AllocsPerRun(100, func() { buf = c.LoadInto(buf, addrs) }); n != 0 {
+		t.Errorf("LoadInto: %v allocs per call, want 0", n)
+	}
+	if len(buf) != 2 || buf[0] != 0x10 || buf[1] != 0x20 || &buf[0] != held {
+		t.Fatalf("LoadInto = %#x, want [0x10 0x20] in the caller's buffer", buf)
+	}
+
+	for _, short := range [][]uint32{nil, make([]uint32, 1, 2)} {
+		got := c.LoadStrideInto(short, 0x300)
+		if len(got) != c.Threads {
+			t.Fatalf("LoadStrideInto into cap %d: len %d, want %d", cap(short), len(got), c.Threads)
+		}
+		for i, v := range got {
+			if v != uint32(0x300+4*i) {
+				t.Fatalf("grown LoadStrideInto lane %d = %#x", i, v)
+			}
+		}
+	}
+
+	a, b := c.LoadV(addrs), c.LoadV(addrs)
+	if &a[0] == &b[0] {
+		t.Fatal("two LoadV results share storage")
+	}
+	s1, s2 := c.LoadStride(0x100), c.LoadStride(0x100)
+	if &s1[0] == &s2[0] {
+		t.Fatal("two LoadStride results share storage")
+	}
+}
+
 func TestCtxStrideAddrs(t *testing.T) {
 	c := newCtx(&scriptExec{})
 	addrs := c.StrideAddrs(0x100, 1)
