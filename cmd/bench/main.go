@@ -6,11 +6,12 @@
 // committed file can be checked on any machine. Host time is measured
 // by the repository benchmark in perfbench/, not here.
 //
-// The list holds 66 cells: the 50 paper cells (BP, ST, LAVA, SGEMM,
-// FAM_G, SPM_G, TB_LG, SPM_L, SS_L and UTS under GD, GH, DD, DD+RO and
-// DH), the graph cells (BFS, PR and SSSP under GD, DD, DD+RO and SPEC)
-// and four 2-device cells (TB_LGx2, FAM_Gx2 and UTSx2 under DDx2, and
-// UTSx2 under GDx2).
+// The list holds 101 cells: 85 paper cells under GD, GH, DD, DD+RO and
+// DH (BP, ST, LAVA, SGEMM, FAM_G, SPM_G, TB_LG, SPM_L, SS_L and UTS,
+// then the rest of the Figure 3 and 4 sync suite: SLM_G, SLM_L, FAM_L,
+// SPMBO_G, SPMBO_L, SSBO_L and TBEX_LG), the graph cells (BFS, PR and
+// SSSP under GD, DD, DD+RO and SPEC) and four 2-device cells (TB_LGx2,
+// FAM_Gx2 and UTSx2 under DDx2, and UTSx2 under GDx2).
 //
 // Usage:
 //
@@ -64,8 +65,9 @@ func cells() []denovogpu.CellSpec {
 			}
 		}
 	}
-	cross([]string{"BP", "ST", "LAVA", "SGEMM", "FAM_G", "SPM_G", "TB_LG", "SPM_L", "SS_L", "UTS"},
-		[]string{"GD", "GH", "DD", "DD+RO", "DH"})
+	paper := []string{"GD", "GH", "DD", "DD+RO", "DH"}
+	cross([]string{"BP", "ST", "LAVA", "SGEMM", "FAM_G", "SPM_G", "TB_LG", "SPM_L", "SS_L", "UTS"}, paper)
+	cross([]string{"SLM_G", "SLM_L", "FAM_L", "SPMBO_G", "SPMBO_L", "SSBO_L", "TBEX_LG"}, paper)
 	cross([]string{"BFS", "PR", "SSSP"}, []string{"GD", "DD", "DD+RO", "SPEC"})
 	for _, c := range []struct{ workload, config string }{
 		{"TB_LGx2", "DD"}, {"FAM_Gx2", "DD"}, {"UTSx2", "DD"}, {"UTSx2", "GD"},

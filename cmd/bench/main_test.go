@@ -176,7 +176,9 @@ func TestCellFailureExitCode(t *testing.T) {
 
 // TestCommittedFileCoversCells pins the committed BENCH_sim.json to the
 // cell list, so editing cells() without regenerating the file fails
-// here rather than only in the full -check run.
+// here rather than only in the full -check run, and pins the list to
+// cover every Figure 3 and 4 sync workload under all five paper
+// configurations, so a sync kernel cannot change behaviour unseen.
 func TestCommittedFileCoversCells(t *testing.T) {
 	f, err := load(filepath.Join("..", "..", "BENCH_sim.json"))
 	if err != nil {
@@ -194,6 +196,21 @@ func TestCommittedFileCoversCells(t *testing.T) {
 		}
 		if r.Events == 0 || r.Allocs == 0 {
 			t.Errorf("cell %d (%s under %s): events %d, allocs %d, want both non-zero", i, workload, config, r.Events, r.Allocs)
+		}
+	}
+	if len(list) != 101 {
+		t.Errorf("cells() has %d cells, want 101", len(list))
+	}
+	listed := make(map[[2]string]bool, len(list))
+	for _, spec := range list {
+		workload, config := spec.Label()
+		listed[[2]string{workload, config}] = true
+	}
+	for _, w := range append(denovogpu.WorkloadsByCategory(denovogpu.GlobalSync), denovogpu.WorkloadsByCategory(denovogpu.LocalSync)...) {
+		for _, config := range []string{"GD", "GH", "DD", "DD+RO", "DH"} {
+			if !listed[[2]string{w.Name, config}] {
+				t.Errorf("sync workload %s under %s is not gated", w.Name, config)
+			}
 		}
 	}
 }
