@@ -97,17 +97,11 @@ func TreeBarrier(p BarrierParams) workload.Workload {
 				c.AtomicStore(gcount, 0, coherence.ScopeGlobal)
 				c.AtomicAdd(gsense, 1, coherence.ScopeGlobal)
 			} else {
-				s := newSpinWait(true)
-				for c.AtomicLoad(gsense, coherence.ScopeGlobal) <= phase {
-					s.wait(c)
-				}
+				spinLoad(c, gsense, coherence.ScopeGlobal, workload.CmpGt, phase, true)
 			}
 			c.AtomicAdd(lsense, 1, coherence.ScopeLocal)
 		} else {
-			s := newSpinWait(true)
-			for c.AtomicLoad(lsense, coherence.ScopeLocal) <= phase {
-				s.wait(c)
-			}
+			spinLoad(c, lsense, coherence.ScopeLocal, workload.CmpGt, phase, true)
 		}
 	}
 
