@@ -58,11 +58,6 @@ var (
 // (GD, GH, DD, DD+RO, DH).
 func AllConfigs() []Config { return machine.AllConfigs() }
 
-// MESI is the extension configuration: conventional directory-based
-// hardware coherence (Table 1's first row), which the paper classifies
-// but does not evaluate.
-var MESI = machine.MESI
-
 // Specialized is the per-phase specialized extension configuration
 // (Salvador et al.): DeNovo ownership for pull phases, writethrough
 // coherence with L2-side relaxed atomics for push phases, with a
@@ -70,16 +65,16 @@ var MESI = machine.MESI
 var Specialized = machine.Specialized
 
 // ConfigByName resolves a configuration name ("GD", "GH", "DD",
-// "DD+RO", "DH", or the extensions "MESI" and "SPEC"; case-sensitive).
+// "DD+RO", "DH", or the extension "SPEC"; case-sensitive).
 func ConfigByName(name string) (Config, error) {
 	// Each candidate is built fresh (no append onto a shared slice), so
 	// every call hands the caller an independent Config value to mutate.
-	for _, mk := range []func() Config{machine.GD, machine.GH, machine.DD, machine.DDRO, machine.DH, machine.MESI, machine.Specialized} {
+	for _, mk := range []func() Config{machine.GD, machine.GH, machine.DD, machine.DDRO, machine.DH, machine.Specialized} {
 		if c := mk(); c.Name() == name {
 			return c, nil
 		}
 	}
-	return Config{}, fmt.Errorf("denovogpu: unknown configuration %q (want GD, GH, DD, DD+RO, DH, MESI, or SPEC)", name)
+	return Config{}, fmt.Errorf("denovogpu: unknown configuration %q (want GD, GH, DD, DD+RO, DH, or SPEC)", name)
 }
 
 // Addr is a byte address in the simulated unified address space.

@@ -9,7 +9,7 @@ import (
 )
 
 func TestConfigByName(t *testing.T) {
-	for _, name := range []string{"GD", "GH", "DD", "DD+RO", "DH", "MESI"} {
+	for _, name := range []string{"GD", "GH", "DD", "DD+RO", "DH", "SPEC"} {
 		cfg, err := denovogpu.ConfigByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -18,8 +18,10 @@ func TestConfigByName(t *testing.T) {
 			t.Fatalf("round trip %q -> %q", name, cfg.Name())
 		}
 	}
-	if _, err := denovogpu.ConfigByName("nope"); err == nil {
-		t.Fatal("unknown config must error")
+	for _, name := range []string{"nope", "MESI"} {
+		if _, err := denovogpu.ConfigByName(name); err == nil {
+			t.Fatalf("unknown config %q must error", name)
+		}
 	}
 }
 
@@ -75,7 +77,7 @@ func TestRunKernelRoundTrip(t *testing.T) {
 		}
 		return nil
 	}
-	for _, cfg := range append(denovogpu.AllConfigs(), denovogpu.MESI()) {
+	for _, cfg := range denovogpu.AllConfigs() {
 		rep, err := denovogpu.RunKernel(cfg, "double", kernel, 1, 32, setup, verify)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name(), err)

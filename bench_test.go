@@ -226,30 +226,6 @@ func BenchmarkAblationDirectTransfer(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionMESI runs the extension configuration (conventional
-// directory MESI — Table 1's first row, which the paper classifies but
-// does not evaluate) against GD and DD on one benchmark from each
-// group, quantifying the "poor fit" the paper asserts: invalidation and
-// ack traffic plus write-for-ownership stalls on streaming kernels,
-// against competitive behaviour on fine-grained synchronization.
-func BenchmarkExtensionMESI(b *testing.B) {
-	for _, bench := range []string{"PF", "FAM_G", "SPM_L"} {
-		bench := bench
-		b.Run(bench, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, cfg := range []denovogpu.Config{denovogpu.GD(), denovogpu.DD(), denovogpu.MESI()} {
-					rep, err := denovogpu.RunByName(cfg, bench)
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(float64(rep.Cycles), "sim_cycles_"+cfg.Name())
-					b.ReportMetric(float64(rep.TotalFlits()), "sim_flits_"+cfg.Name())
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationL1Size sweeps the L1 capacity on the tree barrier,
 // whose per-iteration exchange working set stresses residency:
 // DeNovo's registered-data reuse depends on written working sets

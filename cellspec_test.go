@@ -145,10 +145,11 @@ func TestCellSpecRejectsUnbuildableShapes(t *testing.T) {
 		return denovogpu.ConfigSpec{Raw: &c}
 	}
 	for name, bad := range map[string]denovogpu.CellSpec{
-		"MESI on 2 devices": {Config: denovogpu.ConfigSpec{Name: "MESI", Devices: 2}, Workload: "LAVA"},
-		"100 CUs":           {Config: raw(100), Workload: "LAVA"},
-		"-3 CUs":            {Config: raw(-3), Workload: "LAVA"},
-		"-1 devices":        {Config: denovogpu.ConfigSpec{Name: "DD", Devices: -1}, Workload: "LAVA"},
+		// Protocol 2 was the retired MESI extension.
+		"protocol 2": {Config: denovogpu.ConfigSpec{Raw: &denovogpu.Config{Protocol: 2}}, Workload: "LAVA"},
+		"100 CUs":    {Config: raw(100), Workload: "LAVA"},
+		"-3 CUs":     {Config: raw(-3), Workload: "LAVA"},
+		"-1 devices": {Config: denovogpu.ConfigSpec{Name: "DD", Devices: -1}, Workload: "LAVA"},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)

@@ -180,7 +180,7 @@ func TestErrorPaths(t *testing.T) {
 		{"unknown bench", []string{"-bench", "NOPE"}, "NOPE"},
 		{"unknown config", []string{"-bench", "LAVA", "-config", "ZZ"}, "unknown configuration"},
 		{"positional args", []string{"-bench", "LAVA", "-config", "DD", "extra"}, "unexpected arguments"},
-		{"multi-device MESI", []string{"-bench", "LAVA", "-config", "MESI", "-devices", "2"}, "MESI is single-device only"},
+		{"retired MESI config", []string{"-bench", "LAVA", "-config", "MESI"}, "unknown configuration"},
 		{"too many CUs", []string{"-bench", "LAVA", "-cus", "100"}, "100 CUs per device"},
 		{"x2 bench on one device", []string{"-bench", "TB_LGx2", "-config", "DD"}, "sized for 2 devices"},
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	litmus -catalog                  # catalog under all configs + MESI
+//	litmus -catalog                  # catalog under the five configs
 //	litmus -fuzz 500 -seed 42        # differential fuzzing
 //	litmus check -gen 50 -j 4        # exhaustive model checking
 //	litmus -replay case.json         # re-run a shrunk counterexample
@@ -62,10 +62,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 // runCatalog executes every catalog shape under every configuration and
 // reports, per configuration, whether the shape's weak outcome was
 // observed — so the output doubles as a behavioral comparison of the
-// five protocols (plus MESI). Any outcome outside the oracle's
-// permitted set fails the run.
+// five configurations. Any outcome outside the oracle's permitted set
+// fails the run.
 func runCatalog(stdout, stderr io.Writer, nsched int, seed uint64) int {
-	cfgs := litmus.Configs()
+	cfgs := machine.AllConfigs()
 	fmt.Fprintf(stdout, "%-22s %-6s %-6s", "shape", "DRF?", "HRF?")
 	for _, cfg := range cfgs {
 		fmt.Fprintf(stdout, " %-6s", cfg.Name())
@@ -132,7 +132,7 @@ var Catalog = litmus.Catalog
 // dispatched and completes — scanning the per-index outcomes therefore
 // reports exactly the violation a serial loop would have found first.
 func runFuzz(stdout, stderr io.Writer, n int, seed uint64, nsched, jobs int) int {
-	cfgs := litmus.Configs()
+	cfgs := machine.AllConfigs()
 	gp := litmus.DefaultGenParams()
 	type outcome struct {
 		v   *litmus.Violation

@@ -23,7 +23,7 @@ func TestCatalogMode(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb)
 	}
-	for _, want := range []string{"MP", "IRIW", "GD", "MESI", "all outcomes permitted by the oracle"} {
+	for _, want := range []string{"MP", "IRIW", "GD", "DH", "all outcomes permitted by the oracle"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("catalog output missing %q:\n%s", want, out)
 		}

@@ -253,7 +253,7 @@ type CU struct {
 	// it directly — the call devirtualizes and can inline, where the
 	// interface call through l1 cannot. Exactly one of l1dn/l1gp is
 	// non-nil on the fast path; both nil falls back to the generic
-	// interface path (MESI, test doubles, or Config.GenericL1). The two
+	// interface path (test doubles, or Config.GenericL1). The two
 	// paths are behaviorally identical; the differential suite in
 	// internal/machine diffs them cell by cell.
 	l1dn      *denovo.Controller

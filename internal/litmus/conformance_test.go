@@ -9,8 +9,8 @@ import (
 )
 
 // fuzzBudget is the tier-1 differential fuzzing budget (programs per
-// run); each program executes under all five paper configurations plus
-// MESI with several schedules.
+// run); each program executes under all five paper configurations with
+// several schedules.
 const (
 	fuzzSeed   = 20260805
 	fuzzBudget = 220
@@ -57,7 +57,7 @@ func TestCatalogOracleAnnotations(t *testing.T) {
 }
 
 // TestCatalogConformance runs every catalog program under all five
-// paper configurations plus MESI across the schedule set and checks
+// paper configurations across the schedule set and checks
 // that every observed outcome is permitted by the configuration's
 // consistency model.
 func TestCatalogConformance(t *testing.T) {
@@ -66,7 +66,7 @@ func TestCatalogConformance(t *testing.T) {
 		t.Run(e.Program.Name, func(t *testing.T) {
 			t.Parallel()
 			scheds := Schedules(e.Program, 7, fuzzSeed)
-			v, err := Check(Configs(), e.Program, scheds)
+			v, err := Check(machine.AllConfigs(), e.Program, scheds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -96,7 +96,7 @@ func TestFuzzConformance(t *testing.T) {
 			t.Fatalf("generator produced invalid program %d: %v", i, err)
 		}
 		scheds := Schedules(p, 3, fuzzSeed^uint64(i))
-		v, err := Check(Configs(), p, scheds)
+		v, err := Check(machine.AllConfigs(), p, scheds)
 		if err != nil {
 			t.Fatalf("program %d: %v", i, err)
 		}

@@ -51,9 +51,9 @@ import (
 // which models the kernel-boundary release). An implementation outcome
 // outside this set is a consistency violation. The approximation is
 // one-directional by design: the oracle may permit outcomes a
-// particular configuration never exhibits (e.g. MESI, which is
-// stronger), but must permit everything any conforming configuration
-// can produce.
+// particular configuration never exhibits (a protocol may be stronger
+// than its model requires), but must permit everything any conforming
+// configuration can produce.
 
 // viewEntry is one CU's copy of a variable.
 type viewEntry struct {

@@ -3,7 +3,7 @@
 // the outcomes permitted under the machine's two consistency models
 // (DRF-SC and HRF-Indirect), a deterministic randomized program
 // generator, a differential runner that executes programs under the
-// paper's five configurations (plus MESI) through internal/machine, and
+// paper's five configurations through internal/machine, and
 // a shrinker that reduces any violating program to a minimal
 // counterexample.
 //

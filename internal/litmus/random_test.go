@@ -119,7 +119,7 @@ func TestRandomRaceFreePrograms(t *testing.T) {
 			}
 		}
 
-		for _, cfg := range Configs() {
+		for _, cfg := range machine.AllConfigs() {
 			cfg := cfg
 			t.Run(cfg.Name(), func(t *testing.T) {
 				m := machine.New(cfg)
@@ -173,7 +173,7 @@ func TestRandomProgramsWithLocalScopes(t *testing.T) {
 			c.AtomicStore(lock, 0, coherence.ScopeLocal)
 		}
 	}
-	for _, cfg := range Configs() {
+	for _, cfg := range machine.AllConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
 			m := machine.New(cfg)

@@ -188,12 +188,6 @@ func Schedules(p *Program, n int, seed uint64) []Schedule {
 	return out
 }
 
-// Configs returns the differential target set: the paper's five
-// configurations plus MESI as a conventional-hardware reference.
-func Configs() []machine.Config {
-	return append(machine.AllConfigs(), machine.MESI())
-}
-
 // Violation describes one oracle violation found by the runner.
 type Violation struct {
 	Config   machine.Config

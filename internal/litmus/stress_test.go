@@ -49,7 +49,7 @@ func TestHRFIndirectTransitivity(t *testing.T) {
 			c.Store(out, c.Load(data))
 		}
 	}
-	for _, cfg := range Configs() {
+	for _, cfg := range machine.AllConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
 			m := machine.New(cfg)
@@ -93,7 +93,7 @@ func TestReleaseOrdersAllPriorWrites(t *testing.T) {
 		c.Store(sink+mem.Addr(4*c.TB), sum)
 	}
 	want := uint32(words * (words + 1) / 2)
-	for _, cfg := range Configs() {
+	for _, cfg := range machine.AllConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
 			m := machine.New(cfg)
@@ -136,7 +136,7 @@ func TestAcquireCascade(t *testing.T) {
 		c.Store(vals+mem.Addr(64*i), prev+uint32(i+1))
 		c.AtomicStore(flags+mem.Addr(64*i), 1, coherence.ScopeGlobal)
 	}
-	for _, cfg := range Configs() {
+	for _, cfg := range machine.AllConfigs() {
 		cfg := cfg
 		t.Run(cfg.Name(), func(t *testing.T) {
 			m := machine.New(cfg)

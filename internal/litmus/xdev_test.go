@@ -21,8 +21,7 @@ import (
 // device 1.
 
 // xdevConfigs is the 2-device differential target set: the paper's
-// five configurations (MESI is single-device only, so the conventional
-// reference drops out).
+// five configurations.
 func xdevConfigs() []machine.Config {
 	cfgs := machine.AllConfigs()
 	for i := range cfgs {

@@ -19,7 +19,6 @@ import (
 	"denovogpu/internal/interconnect"
 	"denovogpu/internal/l2"
 	"denovogpu/internal/mem"
-	"denovogpu/internal/mesi"
 	"denovogpu/internal/noc"
 	"denovogpu/internal/obs"
 	"denovogpu/internal/sim"
@@ -36,18 +35,12 @@ const (
 	ProtoGPU Protocol = iota
 	// ProtoDeNovo is the DeNovo hybrid protocol.
 	ProtoDeNovo
-	// ProtoMESI is a conventional hardware directory protocol
-	// (writer-initiated invalidations) — Table 1's first row, provided
-	// as an extension; the paper does not evaluate it.
-	ProtoMESI
 )
 
 func (p Protocol) String() string {
 	switch p {
 	case ProtoDeNovo:
 		return "DeNovo"
-	case ProtoMESI:
-		return "MESI"
 	default:
 		return "GPU"
 	}
@@ -62,7 +55,7 @@ type Config struct {
 	// slice, and mesh domain; the devices are joined by the
 	// inter-device link modeled in internal/interconnect, and memory
 	// lines interleave their home registry banks across devices (see
-	// topology.Desc.HomeNode). MESI is single-device only.
+	// topology.Desc.HomeNode).
 	Devices int
 	// ReadOnlyOpt enables DeNovo's read-only region optimization (DD+RO).
 	ReadOnlyOpt bool
@@ -103,8 +96,7 @@ type Config struct {
 	// selections differ, the machine performs a phase-transition drain:
 	// it quiesces the outgoing L1 set, retires every DeNovo registration
 	// back to the registry, invalidates the outgoing caches, and only
-	// then moves the CUs onto the incoming set (see DESIGN.md). MESI has
-	// no drain story and cannot appear in Phases or be phased.
+	// then moves the CUs onto the incoming set (see DESIGN.md).
 	Phases map[string]PhaseProto
 	// PhaseDrainCycles is the simulated cost of one phase-transition
 	// drain (store-buffer quiesce, registry walk, flash invalidation).
@@ -168,13 +160,12 @@ func (c Config) Defaults() Config {
 // them), so callers taking a Config from users can refuse it before
 // running anything. Zero fields take their Defaults first, as in New.
 // The shapes are: fewer than one device; fewer than one or more than
-// noc.Nodes CUs per device; an unknown protocol; MESI on more than one
-// device or anywhere in a phased configuration; a negative store-buffer
-// size under the store-buffering protocols (GPU and DeNovo); and an L1
-// geometry whose set count is not a positive power of two.
+// noc.Nodes CUs per device; an unknown protocol, as the base or in a
+// phase; a negative store-buffer size; and an L1 geometry whose set
+// count is not a positive power of two.
 func (c Config) Validate() error {
 	c = c.Defaults()
-	known := func(p Protocol) bool { return p == ProtoGPU || p == ProtoDeNovo || p == ProtoMESI }
+	known := func(p Protocol) bool { return p == ProtoGPU || p == ProtoDeNovo }
 	switch {
 	case c.Devices < 1:
 		return fmt.Errorf("machine: %d devices (want >= 1)", c.Devices)
@@ -182,20 +173,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: %d CUs per device (want 1..%d)", c.NumCUs, noc.Nodes)
 	case !known(c.Protocol):
 		return fmt.Errorf("machine: unknown protocol %d", c.Protocol)
-	case c.Protocol == ProtoMESI && c.Devices > 1:
-		return fmt.Errorf("machine: MESI is single-device only (no inter-device directory story)")
-	case c.Protocol == ProtoMESI && len(c.Phases) > 0:
-		return fmt.Errorf("machine: MESI cannot be phase-specialized (no drain story)")
 	case c.L1Ways < 1:
 		return fmt.Errorf("machine: %d L1 ways (want >= 1)", c.L1Ways)
-	case c.Protocol != ProtoMESI && c.SBEntries < 0:
+	case c.SBEntries < 0:
 		return fmt.Errorf("machine: %d store-buffer entries (want >= 0)", c.SBEntries)
 	}
 	for _, p := range slices.Sorted(maps.Keys(c.Phases)) {
-		switch pp := c.Phases[p]; {
-		case pp.Protocol == ProtoMESI:
-			return fmt.Errorf("machine: phase %q selects MESI, which cannot be phased", p)
-		case !known(pp.Protocol):
+		if pp := c.Phases[p]; !known(pp.Protocol) {
 			return fmt.Errorf("machine: phase %q selects unknown protocol %d", p, pp.Protocol)
 		}
 	}
@@ -271,8 +255,6 @@ func (c Config) baseName() string {
 		return "DH+lazy"
 	case c.Protocol == ProtoDeNovo && c.Model == consistency.HRF:
 		return "DH"
-	case c.Protocol == ProtoMESI:
-		return "MESI"
 	default:
 		return fmt.Sprintf("%v+%v", c.Protocol, c.Model)
 	}
@@ -302,12 +284,6 @@ func DDRO() Config {
 // ablation knob rather than part of the paper configuration.
 func DH() Config {
 	return Config{Protocol: ProtoDeNovo, Model: consistency.HRF}.Defaults()
-}
-
-// MESI is the extension configuration: conventional directory-based
-// hardware coherence under DRF. Not part of the paper's evaluation.
-func MESI() Config {
-	return Config{Protocol: ProtoMESI, Model: consistency.DRF}.Defaults()
 }
 
 // Specialized is the per-phase specialized configuration (beyond the
@@ -345,9 +321,8 @@ type Machine struct {
 	fabric  *interconnect.Fabric
 	net     noc.Network
 	backing *mem.Backing
-	banks   []*l2.Bank        // indexed by global node, nil for MESI
-	dirs    []*mesi.Directory // MESI only (single-device)
-	l1s     []coherence.L1    // the active set (== sets[active])
+	banks   []*l2.Bank     // indexed by global node
+	l1s     []coherence.L1 // the active set (== sets[active])
 	cus     []*gpu.CU
 	st      *stats.Stats
 	// devSt[d] is the stats sink device d's components record through:
@@ -414,22 +389,14 @@ func New(cfg Config) *Machine {
 		m.net = m.meshes[0]
 		m.devSt = []*stats.Stats{m.st}
 	}
-	if cfg.Protocol == ProtoMESI {
-		m.dirs = make([]*mesi.Directory, noc.Nodes)
-		for n := noc.NodeID(0); n < noc.Nodes; n++ {
-			m.dirs[n] = mesi.NewDirectory(n, m.eng, m.meshes[0], m.backing, m.st, m.meter)
-			m.meshes[0].Attach(n, noc.PortL2, m.dirs[n])
+	m.banks = make([]*l2.Bank, m.topo.TotalNodes())
+	for n := noc.NodeID(0); int(n) < m.topo.TotalNodes(); n++ {
+		d := m.topo.DeviceOf(n)
+		m.banks[n] = l2.New(n, m.eng, m.net, m.backing, m.devSt[d], m.meter)
+		if cfg.Devices > 1 {
+			m.banks[n].SetTopology(m.topo)
 		}
-	} else {
-		m.banks = make([]*l2.Bank, m.topo.TotalNodes())
-		for n := noc.NodeID(0); int(n) < m.topo.TotalNodes(); n++ {
-			d := m.topo.DeviceOf(n)
-			m.banks[n] = l2.New(n, m.eng, m.net, m.backing, m.devSt[d], m.meter)
-			if cfg.Devices > 1 {
-				m.banks[n].SetTopology(m.topo)
-			}
-			m.meshes[d].Attach(n, noc.PortL2, m.banks[n])
-		}
+		m.meshes[d].Attach(n, noc.PortL2, m.banks[n])
 	}
 	// One L1 controller set per distinct PhaseProto, base first. The
 	// constructors attach themselves to the mesh, so after building every
@@ -529,8 +496,6 @@ func (m *Machine) buildL1Set(pp PhaseProto) []coherence.L1 {
 				dn.SetTopology(m.topo)
 			}
 			l1 = dn
-		case ProtoMESI:
-			l1 = mesi.New(node, m.eng, m.meshes[0], m.st, m.meter, cfg.L1Bytes, cfg.L1Ways)
 		default:
 			panic(fmt.Sprintf("machine: unknown protocol %d", pp.Protocol))
 		}
@@ -604,13 +569,12 @@ func (m *Machine) NewRecorder(capacity int) *obs.Recorder {
 // SetObservability wires an event recorder and/or an epoch sampler into
 // every layer of the machine. Either argument may be nil. The recorder
 // reaches the mesh (NoC flit hops), the L2 banks, every L1 controller
-// that supports it (DeNovo and GPU coherence; MESI has no hooks), the
-// store buffers, and the CUs (warp-stall spans). The sampler is driven
-// by the engine's advance hook — it adds no events to the queue, so
-// cycle counts and fired-event totals stay bit-identical to an
-// unobserved run — and captures MSHR occupancy, store-buffer depth,
-// outstanding registrations, and cumulative per-link NoC busy
-// flit-cycles.
+// (DeNovo and GPU coherence), the store buffers, and the CUs
+// (warp-stall spans). The sampler is driven by the engine's advance
+// hook — it adds no events to the queue, so cycle counts and
+// fired-event totals stay bit-identical to an unobserved run — and
+// captures MSHR occupancy, store-buffer depth, outstanding
+// registrations, and cumulative per-link NoC busy flit-cycles.
 func (m *Machine) SetObservability(rec *obs.Recorder, sampler *obs.Sampler) {
 	if rec != nil {
 		for _, mesh := range m.meshes {
@@ -983,15 +947,13 @@ func (m *Machine) PlaceTB(cu, slot int) int {
 // at a quiesced point. Always on for DeNovo: every word the registry
 // records as registered must be present (and only be writable) at
 // exactly that L1 (the l2-agreement invariant). With Config.Invariants
-// armed it also validates the MESI directory's Modified-owner
-// agreement and runs every controller's quiesced-state suite
+// armed it also runs every controller's quiesced-state suite
 // (store-buffer structure, lazy/registration exclusivity, writethrough
 // balance — see each protocol's CheckInvariants). It runs
 // automatically after every kernel, so every benchmark in the suite
 // doubles as a protocol invariant check.
 func (m *Machine) CheckInvariants() error {
-	switch {
-	case m.denovoL1s != nil:
+	if m.denovoL1s != nil {
 		for _, bank := range m.banks {
 			var err error
 			bank.ForEachRegistered(func(w mem.Word, owner noc.NodeID) {
@@ -1006,29 +968,6 @@ func (m *Machine) CheckInvariants() error {
 				dn := m.denovoL1s[idx].(*denovo.Controller)
 				if !dn.OwnsWord(w) {
 					err = fmt.Errorf("word %v registered to node %d, which does not own it", w, owner)
-				}
-			})
-			if err != nil {
-				return err
-			}
-		}
-	case m.cfg.Protocol == ProtoMESI:
-		if !m.cfg.Invariants {
-			break
-		}
-		for n := noc.NodeID(0); n < noc.Nodes; n++ {
-			var err error
-			m.dirs[n].ForEachModified(func(l mem.Line, owner noc.NodeID) {
-				if err != nil {
-					return
-				}
-				if int(owner) >= len(m.l1s) {
-					err = fmt.Errorf("line %v modified at nonexistent node %d", l, owner)
-					return
-				}
-				mc := m.l1s[owner].(*mesi.Controller)
-				if !mc.HoldsModified(l) {
-					err = fmt.Errorf("directory says node %d holds %v modified, but its L1 does not", owner, l)
 				}
 			})
 			if err != nil {
@@ -1056,9 +995,6 @@ func (m *Machine) CheckInvariants() error {
 // kernels).
 func (m *Machine) Read(a mem.Addr) uint32 {
 	w := a.WordOf()
-	if m.cfg.Protocol == ProtoMESI {
-		return m.mesiRead(w)
-	}
 	bank := m.banks[m.topo.HomeNode(w.LineOf())]
 	// Only the DeNovo set can hold registry-owned words, regardless of
 	// which set is currently active.
@@ -1098,11 +1034,7 @@ func (m *Machine) WriteWords(base mem.Addr, vals []uint32) {
 		for i := 0; i < n; i++ {
 			mask |= mem.Bit(first + i)
 		}
-		if m.cfg.Protocol == ProtoMESI {
-			m.mesiWriteRun(l, first, vals[off:off+n])
-		} else {
-			m.hostWriteRun(l, first, vals[off:off+n])
-		}
+		m.hostWriteRun(l, first, vals[off:off+n])
 		// Stale clean copies in any L1 must not survive (a
 		// read-only-region declaration could otherwise carry them past
 		// the next acquire). Inactive phase sets are empty post-drain,
@@ -1132,33 +1064,6 @@ func (m *Machine) hostWriteRun(l mem.Line, first int, vals []uint32) {
 		} else {
 			bank.PokeData(w, v)
 		}
-	}
-}
-
-// mesiRead is the MESI host read path: modified lines live in an L1.
-func (m *Machine) mesiRead(w mem.Word) uint32 {
-	d := m.dirs[mesi.HomeNode(w.LineOf())]
-	if owner := d.PeekOwner(w.LineOf()); owner != -1 && int(owner) < len(m.l1s) {
-		if v, ok := m.l1s[owner].PeekWord(w); ok {
-			return v
-		}
-	}
-	return d.PeekData(w)
-}
-
-// mesiWriteRun is the MESI host write path for one line: recall any
-// modified copy, then update the directory's data for words
-// [first, first+len); the caller shoots down shared copies.
-func (m *Machine) mesiWriteRun(l mem.Line, first int, vals []uint32) {
-	d := m.dirs[mesi.HomeNode(l)]
-	if owner := d.PeekOwner(l); owner != -1 && int(owner) < len(m.l1s) {
-		mc := m.l1s[owner].(*mesi.Controller)
-		if data, ok := mc.HostSteal(l); ok {
-			d.Recall(l, data)
-		}
-	}
-	for i, v := range vals {
-		d.PokeWord(l.Word(first+i), v)
 	}
 }
 

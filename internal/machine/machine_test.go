@@ -30,8 +30,9 @@ func TestValidateMatchesNew(t *testing.T) {
 		New(c)
 		return
 	}
+	// Protocol 2 was the retired MESI extension; it must stay unknown.
 	var shapes []Config
-	for _, base := range []Config{GD(), DD(), MESI(), Specialized(), {Protocol: 9}} {
+	for _, base := range []Config{GD(), DD(), Specialized(), {Protocol: 2}, {Protocol: 9}} {
 		for _, devices := range []int{-1, 0, 1, 2} {
 			for _, cus := range []int{-3, 0, 1, 16, 17, 100} {
 				c := base
@@ -46,10 +47,10 @@ func TestValidateMatchesNew(t *testing.T) {
 		func(c *Config) { c.L1Bytes, c.L1Ways = -32768, -8 },
 		func(c *Config) { c.SBEntries = -1 },
 		func(c *Config) { c.MaxResidentTBs = -1 },
-		func(c *Config) { c.Phases = map[string]PhaseProto{workload.PhasePush: {Protocol: ProtoMESI}} },
+		func(c *Config) { c.Phases = map[string]PhaseProto{workload.PhasePush: {Protocol: 2}} },
 		func(c *Config) { c.Phases = map[string]PhaseProto{workload.PhasePush: {Protocol: 9}} },
 	} {
-		for _, base := range []Config{DD(), MESI()} {
+		for _, base := range []Config{DD(), GD()} {
 			mut(&base)
 			shapes = append(shapes, base)
 		}
@@ -487,15 +488,6 @@ func TestCustomGeometryRuns(t *testing.T) {
 	}
 	if got := m.Read(ctr); got != 24 {
 		t.Fatalf("counter %d, want 24", got)
-	}
-}
-
-func TestMESIConfigName(t *testing.T) {
-	if MESI().Name() != "MESI" {
-		t.Fatalf("MESI config name %q", MESI().Name())
-	}
-	if MESI().Protocol.String() != "MESI" {
-		t.Fatalf("protocol string %q", MESI().Protocol.String())
 	}
 }
 

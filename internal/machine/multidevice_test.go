@@ -15,7 +15,6 @@ import (
 
 	"denovogpu"
 	"denovogpu/internal/figures"
-	"denovogpu/internal/machine"
 	"denovogpu/internal/stats"
 )
 
@@ -203,20 +202,6 @@ func TestMultiDeviceConfigNames(t *testing.T) {
 	if cfg.Name() != "DDx2" {
 		t.Fatalf("2-device name %q, want DDx2", cfg.Name())
 	}
-}
-
-// TestMESIRejectsMultiDevice: the MESI extension is single-device
-// only; a multi-device MESI machine must refuse to build rather than
-// silently simulate a broken directory.
-func TestMESIRejectsMultiDevice(t *testing.T) {
-	cfg := machine.MESI()
-	cfg.Devices = 2
-	defer func() {
-		if recover() == nil {
-			t.Error("machine.New accepted a 2-device MESI config")
-		}
-	}()
-	machine.New(cfg)
 }
 
 // TestCrossDeviceSyncCliff: the headline number of the PR — on the

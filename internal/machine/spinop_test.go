@@ -7,7 +7,7 @@
 // Wait(d); backoff }". Each shape below is written twice, once with
 // SpinAtomic and once with that explicit loop, and contended by every
 // CU. The two runs' canonical reports must be byte-identical under
-// every configuration, both L1 dispatch paths and MESI. Reports hold
+// every configuration and both L1 dispatch paths. Reports hold
 // only end-of-run totals, so the charge instants are checked as well,
 // by sampling the CU's compute, wait and core-energy counters every
 // cycle.
@@ -230,11 +230,11 @@ func spinShapes() []spinShape {
 	}
 }
 
-// spinConfigs are the five paper configurations, both of them again on
-// the generic L1 dispatch path, and MESI.
+// spinConfigs are the five paper configurations and two of them again
+// on the generic L1 dispatch path.
 func spinConfigs(t *testing.T) []denovogpu.Config {
 	var out []denovogpu.Config
-	for _, name := range []string{"GD", "GH", "DD", "DD+RO", "DH", "GD", "DD", "MESI"} {
+	for _, name := range []string{"GD", "GH", "DD", "DD+RO", "DH", "GD", "DD"} {
 		cfg, err := denovogpu.ConfigByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -172,9 +172,6 @@ func (m *model) stepFootprint(s *state, ti int) uint64 {
 	fp := tctlBit(uint8(ti))
 	op := m.opOf(ti, s)
 	v := uint8(op.Var)
-	if m.cfg.proto == protoSC {
-		return fp | homeBit(v)
-	}
 	ci := m.threadCU[ti]
 	if op.Kind == litmus.OpLoad || op.Kind == litmus.OpStore {
 		return fp | slotBit(ci, v)

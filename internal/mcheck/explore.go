@@ -70,13 +70,7 @@ func (m *model) footprint(t trans) uint32 {
 	hvBit := func(v uint8) uint32 { return 1 << (8 + v) }
 	switch kind {
 	case tkStep:
-		ci := m.threadCU[a]
-		if m.cfg.proto == protoSC {
-			// SC steps act on memory directly; use the thread's static
-			// variable set so the footprint is state-independent.
-			return cuBit(ci) | m.scVarMask[a]
-		}
-		return cuBit(ci)
+		return cuBit(m.threadCU[a])
 	case tkDeliver:
 		if b == home {
 			return hvBit(c)
@@ -104,41 +98,37 @@ func (m *model) enabledInto(buf []trans, s *state) []trans {
 		if int(s.pcs[ti]) >= len(m.p.Threads[ti].Ops) || s.blocked&(1<<ti) != 0 {
 			continue
 		}
-		if m.cfg.proto != protoSC {
-			op := m.opOf(ti, s)
-			releasing := (op.Kind == litmus.OpSyncStore || op.Kind == litmus.OpSyncAdd) &&
-				m.cfg.model.Effective(op.Scope) == coherence.ScopeGlobal
-			if releasing && s.relIssued&(1<<ti) != 0 && !m.fenceClear(s, ti) {
-				continue
-			}
+		op := m.opOf(ti, s)
+		releasing := (op.Kind == litmus.OpSyncStore || op.Kind == litmus.OpSyncAdd) &&
+			m.cfg.model.Effective(op.Scope) == coherence.ScopeGlobal
+		if releasing && s.relIssued&(1<<ti) != 0 && !m.fenceClear(s, ti) {
+			continue
 		}
 		ts = append(ts, mkTrans(tkStep, uint8(ti), 0, 0))
 	}
-	if m.cfg.proto != protoSC {
-		if done {
-			for ci := 0; ci < m.nc; ci++ {
-				if s.finalRel&(1<<ci) == 0 {
-					ts = append(ts, mkTrans(tkFinalRel, uint8(ci), 0, 0))
-				}
+	if done {
+		for ci := 0; ci < m.nc; ci++ {
+			if s.finalRel&(1<<ci) == 0 {
+				ts = append(ts, mkTrans(tkFinalRel, uint8(ci), 0, 0))
 			}
-		} else {
-			// Background cache actions. Suppressed once all operations have
-			// completed: they are optional, and the final releases drain
-			// whatever must still drain.
-			for ci := 0; ci < m.nc; ci++ {
-				cu := &s.cus[ci]
-				for v := uint8(0); int(v) < m.nv; v++ {
-					switch {
-					case cu.st[v] == wClean:
-						ts = append(ts, mkTrans(tkEvict, uint8(ci), 0, v))
-					case cu.st[v] == wDirty:
-						ts = append(ts, mkTrans(tkFlushDirty, uint8(ci), 0, v))
-					case cu.st[v] == wReg && cu.vPresent&(1<<v) == 0:
-						ts = append(ts, mkTrans(tkWriteBack, uint8(ci), 0, v))
-					}
-					if cu.lazy&(1<<v) != 0 {
-						ts = append(ts, mkTrans(tkLazyKick, uint8(ci), 0, v))
-					}
+		}
+	} else {
+		// Background cache actions. Suppressed once all operations have
+		// completed: they are optional, and the final releases drain
+		// whatever must still drain.
+		for ci := 0; ci < m.nc; ci++ {
+			cu := &s.cus[ci]
+			for v := uint8(0); int(v) < m.nv; v++ {
+				switch {
+				case cu.st[v] == wClean:
+					ts = append(ts, mkTrans(tkEvict, uint8(ci), 0, v))
+				case cu.st[v] == wDirty:
+					ts = append(ts, mkTrans(tkFlushDirty, uint8(ci), 0, v))
+				case cu.st[v] == wReg && cu.vPresent&(1<<v) == 0:
+					ts = append(ts, mkTrans(tkWriteBack, uint8(ci), 0, v))
+				}
+				if cu.lazy&(1<<v) != 0 {
+					ts = append(ts, mkTrans(tkLazyKick, uint8(ci), 0, v))
 				}
 			}
 		}

@@ -38,9 +38,6 @@ func Invariants() []Invariant {
 // deadlock are detected where they occur, in the transition
 // application and the explorer.)
 func (m *model) checkInvariants(s *state) (string, string) {
-	if m.cfg.proto == protoSC {
-		return "", ""
-	}
 	// swmr-registration / dirty-protocol.
 	for v := 0; v < m.nv; v++ {
 		ownerCU := -1

@@ -2,11 +2,10 @@
 // simulator's coherence protocols. It enumerates every message and
 // schedule interleaving of a small litmus program under an abstract
 // word-granular model of a configuration's protocol — GPU
-// writethrough (with or without HRF partial blocks), DeNovo
-// registration (eager or lazy), or MESI's sequentially consistent
-// observable behavior — checking a machine-readable invariant suite
-// on every reachable state and the consistency oracle on every
-// terminal outcome. Sleep-set partial-order reduction over a
+// writethrough (with or without HRF partial blocks) or DeNovo
+// registration (eager or lazy) — checking a machine-readable
+// invariant suite on every reachable state and the consistency oracle
+// on every terminal outcome. Sleep-set partial-order reduction over a
 // footprint-based independence relation keeps the enumeration
 // tractable at litmus-program sizes.
 //
@@ -168,12 +167,12 @@ func (e *BudgetError) Error() string {
 		e.Budget, e.Program, e.Config, e.States, e.Elapsed.Round(time.Millisecond))
 }
 
-// Configs returns the configurations a full check covers: the litmus
-// set (the paper's five plus MESI) and the DH lazy-writes ablation,
-// whose release-time registration races are exactly where exhaustive
-// checking earns its keep.
+// Configs returns the configurations a full check covers: the paper's
+// five and the DH lazy-writes ablation, whose release-time
+// registration races are exactly where exhaustive checking earns its
+// keep.
 func Configs() []machine.Config {
-	cfgs := litmus.Configs()
+	cfgs := machine.AllConfigs()
 	lazy := machine.DH()
 	lazy.LazyWrites = true
 	return append(cfgs, lazy)

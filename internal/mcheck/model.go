@@ -28,13 +28,7 @@ import (
 // behaviors (soundness is one-directional, exactly like the oracle):
 // lazy-registration kicks can start on any delayed slot rather than
 // only the oldest, same-CU atomics to one word are not serialized by a
-// pipeline queue, and store-buffer capacity is never exhausted. MESI
-// is modeled as its litmus-level observable behavior — sequential
-// consistency at operation granularity (each load/store/RMW is a
-// coherent, linearizable memory access) — so its checking reduces to
-// enumerating SC interleavings against the DRF oracle; the
-// message-level MESI machinery is instead covered by the runtime
-// sanitizer and the litmus differential harness.
+// pipeline queue, and store-buffer capacity is never exhausted.
 
 // Model capacity limits. Generated and catalog programs sit well below
 // these; Check rejects anything larger.
@@ -52,7 +46,6 @@ type proto uint8
 const (
 	protoGPU proto = iota
 	protoDeNovo
-	protoSC // MESI observable behavior at litmus-op granularity
 )
 
 // modelCfg is the slice of machine.Config the abstract machine depends
@@ -77,8 +70,6 @@ func configOf(cfg machine.Config) (modelCfg, error) {
 		mc.partial = cfg.Model == consistency.HRF
 	case machine.ProtoDeNovo:
 		mc.proto = protoDeNovo
-	case machine.ProtoMESI:
-		mc.proto = protoSC
 	default:
 		return mc, fmt.Errorf("mcheck: unknown protocol %v", cfg.Protocol)
 	}
@@ -290,10 +281,6 @@ type model struct {
 	nc        int
 	threadCU  []uint8
 	cuThreads [][]int
-	// scVarMask is, per thread, the home-variable footprint bits of
-	// every variable the thread touches — the state-independent
-	// footprint of its SC steps.
-	scVarMask []uint32
 }
 
 func newModel(cfg machine.Config, p *litmus.Program) (*model, error) {
@@ -310,7 +297,6 @@ func newModel(cfg machine.Config, p *litmus.Program) (*model, error) {
 	}
 	cuSlot := make(map[int]int)
 	m.threadCU = make([]uint8, m.nt)
-	m.scVarMask = make([]uint32, m.nt)
 	for i, t := range p.Threads {
 		if len(t.Ops) > maxOpsPerThread {
 			return nil, fmt.Errorf("mcheck: program %q thread %d has %d ops (limit %d)", p.Name, i, len(t.Ops), maxOpsPerThread)
@@ -323,9 +309,6 @@ func newModel(cfg machine.Config, p *litmus.Program) (*model, error) {
 		}
 		m.threadCU[i] = uint8(slot)
 		m.cuThreads[slot] = append(m.cuThreads[slot], i)
-		for _, op := range t.Ops {
-			m.scVarMask[i] |= 1 << (8 + op.Var)
-		}
 	}
 	m.nc = len(cuSlot)
 	if m.nc > maxCUs {
@@ -541,23 +524,6 @@ func (m *model) step(s *state, ti int) {
 	cu := &s.cus[ci]
 	v := uint8(op.Var)
 	scope := m.cfg.model.Effective(op.Scope)
-
-	if m.cfg.proto == protoSC {
-		// MESI at litmus-op granularity: every access is a coherent,
-		// linearizable memory operation.
-		cur := s.mem[v]
-		switch op.Kind {
-		case litmus.OpLoad, litmus.OpSyncLoad:
-			m.record(s, ti, cur)
-		case litmus.OpStore, litmus.OpSyncStore:
-			s.mem[v] = op.Val
-		case litmus.OpSyncAdd:
-			m.record(s, ti, cur)
-			s.mem[v] = cur + op.Val
-		}
-		s.pcs[ti]++
-		return
-	}
 
 	switch op.Kind {
 	case litmus.OpLoad:
@@ -1033,9 +999,6 @@ func (m *model) cuDone(s *state, ci int) bool {
 func (m *model) terminal(s *state) bool {
 	if !m.allOpsDone(s) || len(s.msgs) != 0 {
 		return false
-	}
-	if m.cfg.proto == protoSC {
-		return true
 	}
 	for ci := 0; ci < m.nc; ci++ {
 		if s.finalRel&(1<<ci) == 0 {

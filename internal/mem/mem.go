@@ -96,9 +96,9 @@ type page [pageWords]uint32
 // Backing is the flat main-memory image. It carries real data values so
 // the simulation is functional as well as timed: benchmarks compute real
 // results that tests verify. It is also the only copy of line data in
-// the machine: the L2 banks and MESI directories read and write a
-// resident line in place through LineWords, so DRAM and the L2 data
-// array share storage (each line has exactly one home bank).
+// the machine: the L2 banks read and write a resident line in place
+// through LineWords, so DRAM and the L2 data array share storage (each
+// line has exactly one home bank).
 //
 // The image is paged: a page directory maps a page number to a page
 // allocated on first write. The zero value is ready to use; absent

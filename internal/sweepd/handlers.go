@@ -61,9 +61,15 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxSubmitBytes bounds a submitted matrix spec's body, and with it
+// the memory decoding takes: a three-byte "{}," is a whole CellSpec.
+// The golden job is 2 KB and a full catalog check split 16 ways is
+// about 300 KB.
+const maxSubmitBytes = 1 << 20
+
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec denovogpu.MatrixSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing matrix spec: %w", err))

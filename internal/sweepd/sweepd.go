@@ -200,21 +200,25 @@ func (c *Coordinator) CacheStats() resultcache.Stats {
 	return c.cache.Stats()
 }
 
-// Submit resolves and enqueues a matrix spec. Every cell is validated
-// and keyed up front (CellKey resolves the cell) — an unresolvable spec
-// is rejected whole, so a job never discovers a bad cell halfway
-// through. Cells whose key is already in the result cache complete
-// immediately as cache hits.
+// Submit resolves and enqueues a matrix spec. A spec expanding past
+// denovogpu.MaxMatrixCells is refused before it is expanded. Every cell
+// is validated and keyed up front (CellKey resolves the cell) — an
+// unresolvable spec is rejected whole, so a job never discovers a bad
+// cell halfway through. Cells whose key is already in the result cache
+// complete immediately as cache hits.
 //
 // An identical spec already running (same canonical cell-key list and
 // keep_going flag) is not enqueued twice: Submit returns the active
 // job with deduped=true. Finished jobs never dedupe — a re-submit
 // after completion is a fresh job whose cells all hit the cache.
 func (c *Coordinator) Submit(spec denovogpu.MatrixSpec) (JobStatus, bool, error) {
-	specs := spec.CellSpecs()
-	if len(specs) == 0 {
+	switch n, ok := spec.CellCount(); {
+	case !ok:
+		return JobStatus{}, false, fmt.Errorf("sweepd: matrix spec expands to more than %d cells", denovogpu.MaxMatrixCells)
+	case n == 0:
 		return JobStatus{}, false, errors.New("sweepd: empty matrix spec")
 	}
+	specs := spec.CellSpecs()
 	cells := make([]*cell, len(specs))
 	hash := sha256.New()
 	fmt.Fprintf(hash, "keep_going=%t\n", spec.KeepGoing)

@@ -458,7 +458,7 @@ func TestSubmitValidation(t *testing.T) {
 	// answer 400 instead of queueing a cell whose worker would panic or
 	// hang.
 	for _, cell := range []string{
-		`{"config":{"name":"MESI","devices":2},"workload":"LAVA"}`,
+		`{"config":{"config":{"Protocol":2}},"workload":"LAVA"}`, // the retired MESI value
 		`{"config":{"config":{"Protocol":1,"NumCUs":100}},"workload":"LAVA"}`,
 		`{"config":{"config":{"Protocol":1,"NumCUs":-3}},"workload":"LAVA"}`,
 		`{"config":{"name":"DD","devices":-1},"workload":"LAVA"}`,
@@ -480,5 +480,51 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := client.CellReport(ctx, "j999", 0); err == nil {
 		t.Error("unknown job's report served")
+	}
+}
+
+// oversizedSpec is a 2,237-byte body naming 100,000 cells: ten DD
+// configs × ten BFS workloads × a thousand default seeds.
+func oversizedSpec() string {
+	list := func(item string, n int) string { return strings.TrimSuffix(strings.Repeat(item+",", n), ",") }
+	return `{"configs":[` + list(`{"name":"DD"}`, 10) + `],"workloads":[` + list(`"BFS"`, 10) +
+		`],"seeds":[` + list("0", 1000) + `]}`
+}
+
+// TestSubmitRejectsOversizedMatrix: a spec whose product passes
+// denovogpu.MaxMatrixCells answers 400 without being expanded, and so
+// does a body past maxSubmitBytes.
+func TestSubmitRejectsOversizedMatrix(t *testing.T) {
+	coord, srv, _ := newTestServer(t, Options{})
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	body := oversizedSpec()
+	if len(body) != 2237 {
+		t.Fatalf("oversized spec is %d bytes, want 2237", len(body))
+	}
+	if code := post(body); code != http.StatusBadRequest {
+		t.Errorf("100,000-cell spec: status %d, want 400", code)
+	}
+	var spec denovogpu.MatrixSpec
+	if err := json.Unmarshal([]byte(body), &spec); err != nil {
+		t.Fatal(err)
+	}
+	// Expanding would allocate every CellSpec and key: 100,000 at least.
+	if allocs := testing.AllocsPerRun(1, func() {
+		if _, _, err := coord.Submit(spec); err == nil {
+			t.Error("100,000-cell spec accepted")
+		}
+	}); allocs > 10 {
+		t.Errorf("refusing the spec made %.0f allocations; it was expanded", allocs)
+	}
+	if code := post(`{"cells":[` + strings.Repeat(" ", maxSubmitBytes) + `]}`); code != http.StatusBadRequest {
+		t.Errorf("body past %d bytes: status %d, want 400", maxSubmitBytes, code)
 	}
 }

@@ -246,7 +246,31 @@ type MatrixSpec struct {
 	KeepGoing bool `json:"keep_going,omitempty"`
 }
 
-// CellSpecs expands the spec into its per-cell list.
+// MaxMatrixCells bounds the cells one MatrixSpec may expand to. The
+// product grows multiplicatively with its lists, so a few kilobytes of
+// JSON can name millions of cells; the sweep service checks CellCount
+// against this bound before expanding anything.
+const MaxMatrixCells = 1 << 16
+
+// CellCount returns the number of cells CellSpecs would produce, or
+// false when that number exceeds MaxMatrixCells. It never overflows
+// and allocates nothing.
+func (m MatrixSpec) CellCount() (int, bool) {
+	n := len(m.Configs)
+	for _, k := range []int{len(m.Workloads), max(len(m.Seeds), 1)} {
+		if k != 0 && n > MaxMatrixCells/k {
+			return 0, false
+		}
+		n *= k
+	}
+	if len(m.Cells) > MaxMatrixCells-n {
+		return 0, false
+	}
+	return n + len(m.Cells), true
+}
+
+// CellSpecs expands the spec into its per-cell list. Check CellCount
+// first on a spec from outside the process.
 func (m MatrixSpec) CellSpecs() []CellSpec {
 	seeds := m.Seeds
 	if len(seeds) == 0 {

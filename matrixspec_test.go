@@ -1,6 +1,7 @@
 package denovogpu_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -105,4 +106,65 @@ func TestUnmarshalReportRejectsUnknownDimensions(t *testing.T) {
 	if _, err := denovogpu.UnmarshalReport([]byte(`not json`)); err == nil {
 		t.Error("garbage parsed, want error")
 	}
+}
+
+// FuzzMatrixSpec is the wire contract for whole sweeps: bytes decoded
+// the way the sweep service decodes a submit either fail to decode,
+// count past MaxMatrixCells, or name a spec that expands to exactly the
+// counted cells and re-encodes to a fixed point.
+func FuzzMatrixSpec(f *testing.F) {
+	dd := denovogpu.ConfigSpec{Name: "DD"}
+	for _, s := range []denovogpu.MatrixSpec{
+		{Cells: denovogpu.PinnedCells()},
+		{Configs: []denovogpu.ConfigSpec{{Name: "DD", Devices: 2}, {Name: "GD", Devices: 2}}, Workloads: []string{"UTSx2", "TB_LGx2"}, KeepGoing: true},
+		{Configs: []denovogpu.ConfigSpec{dd}, Workloads: []string{"BFS"}, Seeds: []uint64{0, 9}, Cells: []denovogpu.CellSpec{{Config: dd, Program: "MP"}}},
+	} {
+		data, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// 2,237 bytes naming 100,000 cells.
+	list := func(item string, n int) string { return strings.TrimSuffix(strings.Repeat(item+",", n), ",") }
+	f.Add([]byte(`{"configs":[` + list(`{"name":"DD"}`, 10) + `],"workloads":[` + list(`"BFS"`, 10) +
+		`],"seeds":[` + list("0", 1000) + `]}`))
+
+	decode := func(data []byte) (denovogpu.MatrixSpec, error) {
+		var s denovogpu.MatrixSpec
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		return s, dec.Decode(&s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decode(data)
+		if err != nil {
+			return
+		}
+		n, ok := s.CellCount()
+		if !ok {
+			return
+		}
+		if n > denovogpu.MaxMatrixCells {
+			t.Fatalf("CellCount accepted %d cells, past the %d bound", n, denovogpu.MaxMatrixCells)
+		}
+		if got := len(s.CellSpecs()); got != n {
+			t.Fatalf("spec expands to %d cells, CellCount said %d", got, n)
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatalf("accepted spec does not encode: %v", err)
+		}
+		back, err := decode(enc)
+		if err != nil {
+			t.Fatalf("encoded spec does not decode: %v\n%s", err, enc)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, enc) {
+			t.Fatalf("encoding is not a fixed point:\n%s\n%s", enc, again)
+		}
+	})
 }
