@@ -114,15 +114,15 @@ func TestConfigByNameIndependentCopies(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.NumCUs = 2
-	a.SyncBackoff = true
+	a.LazyWrites = true
 	b, err := denovogpu.ConfigByName("DD")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.NumCUs == 2 || b.SyncBackoff {
+	if b.NumCUs == 2 || b.LazyWrites {
 		t.Fatalf("mutating one resolved config leaked into the next lookup: %+v", b)
 	}
-	if got := denovogpu.AllConfigs()[2]; got.NumCUs == 2 || got.SyncBackoff {
+	if got := denovogpu.AllConfigs()[2]; got.NumCUs == 2 || got.LazyWrites {
 		t.Fatalf("mutating a resolved config leaked into AllConfigs: %+v", got)
 	}
 }

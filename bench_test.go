@@ -129,30 +129,6 @@ func BenchmarkAblationStoreBuffer(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMSHRCoalescing toggles DeNovoSync0's same-CU MSHR
-// coalescing on the most contended benchmark (DESIGN.md ablation 2).
-func BenchmarkAblationMSHRCoalescing(b *testing.B) {
-	for _, off := range []bool{false, true} {
-		off := off
-		name := "coalescing"
-		if off {
-			name = "no-coalescing"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := denovogpu.DD()
-				cfg.NoMSHRCoalescing = off
-				rep, err := denovogpu.RunByName(cfg, "SPM_G")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(rep.Cycles), "sim_cycles")
-				b.ReportMetric(float64(rep.TotalFlits()), "sim_flits")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationReadOnlyRegion isolates the DD -> DD+RO delta on the
 // barrier benchmark, whose read-only coefficient table is reloaded
 // after every acquire under plain DD but survives under DD+RO.
@@ -167,62 +143,6 @@ func BenchmarkAblationReadOnlyRegion(b *testing.B) {
 			b.ReportMetric(float64(rep.Cycles), "sim_cycles_"+rep.Config)
 			b.ReportMetric(float64(rep.TotalFlits()), "sim_flits_"+rep.Config)
 		}
-	}
-}
-
-// BenchmarkAblationSyncBackoff compares DeNovoSync0 with the DeNovoSync
-// read-backoff extension on the ticket lock (FAM_G), whose waiters spin
-// with synchronization *reads*. The result reproduces the trade-off the
-// paper describes in Section 3: backoff cuts ownership ping-pong and
-// wire traffic substantially, but on a ticket lock the next waiter is
-// always *successful*, so throttling it lands on the critical path and
-// costs execution time — which is why the paper sticks to DeNovoSync0.
-func BenchmarkAblationSyncBackoff(b *testing.B) {
-	for _, backoff := range []bool{false, true} {
-		backoff := backoff
-		name := "denovosync0"
-		if backoff {
-			name = "denovosync-backoff"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := denovogpu.DD()
-				cfg.SyncBackoff = backoff
-				rep, err := denovogpu.RunByName(cfg, "FAM_G")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(rep.Cycles), "sim_cycles")
-				b.ReportMetric(float64(rep.TotalFlits()), "sim_flits")
-				b.ReportMetric(float64(rep.Stats.Get("l1.ownership_transfers")), "sim_transfers")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationDirectTransfer evaluates direct cache-to-cache
-// transfers (the paper's future-work optimization for remote L1 hits)
-// on the tree barrier, whose exchange phase reads remotely owned data
-// every iteration.
-func BenchmarkAblationDirectTransfer(b *testing.B) {
-	for _, direct := range []bool{false, true} {
-		direct := direct
-		name := "registry-path"
-		if direct {
-			name = "direct-transfer"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cfg := denovogpu.DD()
-				cfg.DirectTransfer = direct
-				rep, err := denovogpu.RunByName(cfg, "TB_LG")
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(rep.Cycles), "sim_cycles")
-				b.ReportMetric(float64(rep.Stats.Get("l1.direct_reads_served")), "sim_direct_hits")
-			}
-		})
 	}
 }
 

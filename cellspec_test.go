@@ -25,20 +25,20 @@ func TestCellKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"by-name", denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "GD"}, Workload: "LAVA"},
-			"7d5e52dee302b7794a55994c75b759f011dc2085651b84600689a3259fffe0bd"},
+			"52d3d1df40604ad671f6613d773c90ca3e4e6c76190836e818c6af58fc96d9dd"},
 		{"raw-config", denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Raw: &raw}, Workload: "SPM_L"},
-			"a942d6f0b81c4233715359d3122e28fd8b56fe8a152e33c418c363f8cf5c57c7"},
+			"0403b902456634090d59cb9c729603a7605fca01370ac09af3feb11f7ed9426e"},
 		{"seeded-bfs", denovogpu.CellSpec{Config: dd, Workload: "BFS", Seed: 9},
-			"3db81907742ea7bfb5bdae045c89a47577cf191685673a0eaf7ec763b24ee657"},
+			"73d3e8e2659424a72246bff1b9e2f52fc257b75b91c2ccda312f07173c47259e"},
 		{"two-device", denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "UTSx2"},
-			"f28558092bdf8f7a50e3c9398f66ad1334d0cb1bc60e4d60e1a9c78bb1abf1c9"},
+			"d8a0ed675080ee080678373302de581c5243ba10a39d5603b8de813f008ea8af"},
 		{"check-default", denovogpu.CellSpec{Config: dd, Program: "MP"},
-			"dd41dd2df055327d0496ad99320fa7941d2a12c46f1d9efae61ac5760186417c"},
+			"9c6325ad7e997fe3fba1b1a2c79cde880dfa4aee8cbb3dd2f59ea9246ce4166b"},
 		{"check-sleepset", denovogpu.CellSpec{Config: dd, Program: "MP", Explorer: "sleepset"},
-			"1c183c2e7db7cef6affa907a0fe62e97ae30ae0e917f47a0e5d210bcd480558e"},
+			"75f3dd36361148b9e74106f40e918c41b80fe4bd88cf81d817d6aa2ac9976687"},
 		{"check-shard", denovogpu.CellSpec{Config: dd, Program: "MP",
 			Shard: &denovogpu.CheckShard{Index: 1, Prefix: []uint32{7}, Sleep: []uint32{3}}},
-			"243c7608a6acb4893fae2c2377268e876a8bd11d7ebd439f5648698216460897"},
+			"1fca6c66a32ff1a6845788a7bab53e6970aed10dffc1cb363a20839db7dc500f"},
 	} {
 		got, err := denovogpu.CellKey("v1", c.spec)
 		if err != nil {

@@ -53,8 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	sbEntries := fs.Int("sbentries", 0, "override store-buffer entries (0 = paper default 256)")
 	cus := fs.Int("cus", 0, "override GPU CU count (0 = paper default 15)")
 	devices := fs.Int("devices", 0, "override device count (0 = default 1; the x2 benchmarks expect 2)")
-	backoff := fs.Bool("syncbackoff", false, "enable the DeNovoSync read-backoff extension")
-	direct := fs.Bool("directtransfer", false, "enable direct cache-to-cache transfers")
 	lazy := fs.Bool("lazywrites", false, "delay DeNovo data-write registration to global releases")
 	invariants := fs.Bool("invariants", false, "arm the protocol invariant sanitizer (hot-path assertions + post-kernel checks; reports stay byte-identical)")
 	tracePath := fs.String("trace", "", "write the event trace to this file: text, one line per protocol event and no word masks or raw packets, if it ends in .txt; Chrome trace_event JSON otherwise")
@@ -96,8 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *devices > 0 {
 		cfg.Devices = *devices
 	}
-	cfg.SyncBackoff = *backoff
-	cfg.DirectTransfer = *direct
 	cfg.LazyWrites = cfg.LazyWrites || *lazy
 	cfg.Invariants = *invariants
 	if err := cfg.Validate(); err != nil {

@@ -181,6 +181,8 @@ func TestErrorPaths(t *testing.T) {
 		{"unknown config", []string{"-bench", "LAVA", "-config", "ZZ"}, "unknown configuration"},
 		{"positional args", []string{"-bench", "LAVA", "-config", "DD", "extra"}, "unexpected arguments"},
 		{"retired MESI config", []string{"-bench", "LAVA", "-config", "MESI"}, "unknown configuration"},
+		{"retired syncbackoff flag", []string{"-bench", "LAVA", "-syncbackoff"}, "flag provided but not defined: -syncbackoff"},
+		{"retired directtransfer flag", []string{"-bench", "LAVA", "-directtransfer"}, "flag provided but not defined: -directtransfer"},
 		{"too many CUs", []string{"-bench", "LAVA", "-cus", "100"}, "100 CUs per device"},
 		{"x2 bench on one device", []string{"-bench", "TB_LGx2", "-config", "DD"}, "sized for 2 devices"},
 	}

@@ -200,19 +200,11 @@ const (
 	AtomicReq
 	// AtomicResp returns the atomic's result.
 	AtomicResp
-	// DirectReadReq asks a *predicted* owner L1 directly for registered
-	// words (the direct cache-to-cache transfer optimization; DeNovo
-	// with Options.DirectTransfer).
-	DirectReadReq
-	// ReadNack tells a direct requester the prediction missed; it falls
-	// back to the registry.
-	ReadNack
 )
 
 func (k MsgKind) String() string {
 	names := [...]string{"ReadReq", "ReadResp", "ReadFwd", "WriteThrough", "WriteThroughAck",
-		"RegReq", "RegAck", "RegFwd", "RegXfer", "WriteBack", "WriteBackAck", "AtomicReq", "AtomicResp",
-		"DirectReadReq", "ReadNack"}
+		"RegReq", "RegAck", "RegFwd", "RegXfer", "WriteBack", "WriteBackAck", "AtomicReq", "AtomicResp"}
 	if int(k) < len(names) {
 		return names[k]
 	}
@@ -271,7 +263,7 @@ func (m *Msg) NocRoute() noc.Route {
 // NocClass classifies traffic the way the paper's figures do.
 func (m *Msg) NocClass() stats.TrafficClass {
 	switch m.Kind {
-	case ReadReq, ReadResp, ReadFwd, DirectReadReq, ReadNack:
+	case ReadReq, ReadResp, ReadFwd:
 		return stats.TrafficRead
 	case RegReq, RegAck, RegFwd, RegXfer:
 		if m.Sync {

@@ -39,9 +39,6 @@ import (
 // Interned counter keys: hot-path counting indexes an array
 // instead of hashing the name per event (see stats.Intern).
 var (
-	kL1DirectReads           = stats.Intern("l1.direct_reads")
-	kL1DirectReadsNacked     = stats.Intern("l1.direct_reads_nacked")
-	kL1DirectReadsServed     = stats.Intern("l1.direct_reads_served")
 	kL1FillsDroppedStale     = stats.Intern("l1.fills_dropped_stale")
 	kL1FillsLate             = stats.Intern("l1.fills_late")
 	kL1FlashInvalidations    = stats.Intern("l1.flash_invalidations")
@@ -54,7 +51,6 @@ var (
 	kL1ReadsDeferred         = stats.Intern("l1.reads_deferred")
 	kL1RegRequests           = stats.Intern("l1.reg_requests")
 	kL1RemoteReadsServed     = stats.Intern("l1.remote_reads_served")
-	kL1SyncBackoffs          = stats.Intern("l1.sync_backoffs")
 	kL1SyncCoalesced         = stats.Intern("l1.sync_coalesced")
 	kL1SyncHits              = stats.Intern("l1.sync_hits")
 	kL1SyncLocal             = stats.Intern("l1.sync_local")
@@ -93,9 +89,6 @@ type readTxn struct {
 	requested mem.WordMask
 	arrived   mem.WordMask
 	waiters   []readWaiter
-	// direct marks a transaction whose first request went to a
-	// predicted owner; a ReadNack falls it back to the registry.
-	direct bool
 }
 
 type victimWord struct {
@@ -112,31 +105,7 @@ type Options struct {
 	// LazyWrites delays data-write registration until a global release
 	// (DH's "delay obtaining ownership for local writes").
 	LazyWrites bool
-	// NoMSHRCoalescing disables servicing same-CU sync waiters before a
-	// queued remote request (ablation of DeNovoSync0's locality
-	// optimization; see DESIGN.md).
-	NoMSHRCoalescing bool
-	// SyncBackoff enables DeNovoSync's refinement over DeNovoSync0:
-	// synchronization *reads* back off before re-registering a word
-	// whose ownership this CU lost very recently, reducing the
-	// ownership ping-pong of read-read contention (spinning readers).
-	// The paper evaluates DeNovoSync0 and leaves this off; it is
-	// provided as the paper's referenced extension and exercised by an
-	// ablation bench.
-	SyncBackoff bool
-	// DirectTransfer enables the direct cache-to-cache transfer
-	// optimization the paper's conclusion lists as future work: a read
-	// miss first tries the L1 that last supplied the line (2-hop)
-	// before falling back to the registry (3-hop).
-	DirectTransfer bool
 }
-
-// Backoff parameters for Options.SyncBackoff.
-const (
-	syncBackoffWindow = 64   // "recently lost" horizon, cycles
-	syncBackoffMin    = 32   // first delay
-	syncBackoffMax    = 1024 // cap
-)
 
 // Controller is one CU's (or the CPU's) DeNovo L1.
 type Controller struct {
@@ -179,12 +148,6 @@ type Controller struct {
 	epoch        uint64
 	relWaiters   []*relWaiter
 	spaceWaiters []func()
-
-	// lostAt/backoffDelay drive Options.SyncBackoff.
-	lostAt       wordmap.Map[sim.Time]
-	backoffDelay wordmap.Map[sim.Time]
-	// lastSupplier predicts owners for Options.DirectTransfer.
-	lastSupplier wordmap.Map[noc.NodeID]
 
 	// pool recycles coherence messages (see coherence.MsgPool); the
 	// free lists below recycle event payloads and transaction structs so
@@ -486,21 +449,10 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 		c.reads.Put(c.nextID, txn)
 		c.lineTxn.Put(uint64(l), c.nextID)
 		c.pin(l)
-		if pred, ok := c.lastSupplier.Get(uint64(l)); c.opts.DirectTransfer && ok && pred != c.node {
-			// Direct cache-to-cache transfer: try the L1 that last
-			// supplied this line (2 hops) before the registry (3 hops).
-			txn.direct = true
-			c.st.IncKey(kL1DirectReads, 1)
-			c.mesh.Send(c.pool.NewMsg(coherence.Msg{
-				Kind: coherence.DirectReadReq, Src: c.node, Dst: pred, Port: noc.PortL1,
-				Line: l, Mask: missing, ID: c.nextID,
-			}))
-		} else {
-			c.mesh.Send(c.pool.NewMsg(coherence.Msg{
-				Kind: coherence.ReadReq, Src: c.node, Dst: c.home(l), Port: noc.PortL2,
-				Line: l, Mask: missing, ID: c.nextID,
-			}))
-		}
+		c.mesh.Send(c.pool.NewMsg(coherence.Msg{
+			Kind: coherence.ReadReq, Src: c.node, Dst: c.home(l), Port: noc.PortL2,
+			Line: l, Mask: missing, ID: c.nextID,
+		}))
 	}
 	txn.waiters = append(txn.waiters, readWaiter{need: missing, vals: vals, cb: cb})
 }
@@ -683,27 +635,7 @@ func (c *Controller) Atomic(op coherence.AtomicOp, w mem.Word, operand, operand2
 		if c.rec != nil {
 			c.rec.Emit(obs.L1SyncMiss, int32(c.node), uint64(w))
 		}
-		if c.opts.SyncBackoff && op == coherence.AtomicLoad {
-			if lost, ok := c.lostAt.Get(uint64(w)); ok && c.eng.Now()-lost < syncBackoffWindow {
-				// DeNovoSync: a reader that just lost this word backs
-				// off before re-registering, breaking read-read
-				// ownership ping-pong.
-				d, _ := c.backoffDelay.Get(uint64(w))
-				if d == 0 {
-					d = syncBackoffMin
-				} else {
-					d = min(d*2, syncBackoffMax)
-				}
-				c.backoffDelay.Put(uint64(w), d)
-				c.st.IncKey(kL1SyncBackoffs, 1)
-				c.eng.Schedule(d, func() { c.sendRegReq(l, mem.Bit(w.Index()), true, true) })
-			} else {
-				c.backoffDelay.Delete(uint64(w))
-				c.sendRegReq(l, mem.Bit(w.Index()), true, true)
-			}
-		} else {
-			c.sendRegReq(l, mem.Bit(w.Index()), true, true)
-		}
+		c.sendRegReq(l, mem.Bit(w.Index()), true, true)
 	} else {
 		// Same-CU coalescing in the MSHR: another thread block on this
 		// CU already has a registration in flight for this word.
@@ -974,10 +906,6 @@ func (c *Controller) Deliver(p noc.Packet) {
 		c.regFwd(msg)
 	case coherence.WriteBackAck:
 		c.writeBackAck(msg)
-	case coherence.DirectReadReq:
-		c.directRead(msg)
-	case coherence.ReadNack:
-		c.readNack(msg)
 	default:
 		panic(fmt.Sprintf("denovo: unexpected message %v", msg.Kind))
 	}
@@ -989,13 +917,6 @@ func (c *Controller) Deliver(p noc.Packet) {
 // fill handles read data arriving from the L2 bank or a forwarding
 // owner L1.
 func (c *Controller) fill(msg *coherence.Msg) {
-	if c.opts.DirectTransfer {
-		if c.home(msg.Line) == msg.Src {
-			c.lastSupplier.Delete(uint64(msg.Line))
-		} else {
-			c.lastSupplier.Put(uint64(msg.Line), msg.Src)
-		}
-	}
 	txn, _ := c.reads.Get(msg.ID)
 	if txn == nil {
 		// The transaction completed from an earlier response that
@@ -1125,26 +1046,8 @@ func (c *Controller) ownershipArrived(l mem.Line, mask mem.WordMask, data [mem.W
 			panic(fmt.Sprintf("denovo: node %d ownership for %v without transaction", c.node, w))
 		}
 		c.st.IncKey(kL1OwnershipWords, 1)
-		waiters := txn.syncWaiters
-		if c.opts.NoMSHRCoalescing && len(waiters) > 1 {
-			// Ablation: service only the first waiter now; the rest
-			// re-register one by one after the deferred remote (if any)
-			// is serviced, modelling a protocol without same-CU
-			// coalescing.
-			head, rest := waiters[0], waiters[1:]
-			waiters = []syncOp{head}
-			txn.syncWaiters = nil
-			defer func() {
-				for _, op := range rest {
-					op := op
-					c.eng.Schedule(1, func() {
-						c.Atomic(op.op, w, op.operand, op.operand2, coherence.ScopeGlobal, op.cb)
-					})
-				}
-			}()
-		}
 		delay := sim.Time(coherence.L1HitCycles)
-		for _, op := range waiters {
+		for _, op := range txn.syncWaiters {
 			next, ret := op.op.Apply(val, op.operand, op.operand2)
 			val = next
 			c.scheduleSyncDone(delay, ret, op.cb)
@@ -1153,9 +1056,7 @@ func (c *Controller) ownershipArrived(l mem.Line, mask mem.WordMask, data [mem.W
 		}
 		c.regs.Delete(uint64(w))
 		c.unpin(l)
-		if !c.opts.NoMSHRCoalescing || txn.syncWaiters == nil {
-			c.freeRegTxn(txn)
-		}
+		c.freeRegTxn(txn)
 		// Install.
 		if e != nil {
 			e.Data[i] = val
@@ -1249,11 +1150,6 @@ func (c *Controller) regFwd(msg *coherence.Msg) {
 	}
 }
 
-// transfer passes ownership and data of word w to the requester.
-func (c *Controller) transfer(w mem.Word, to noc.NodeID, sync bool, id uint64) {
-	c.transferMask(w.LineOf(), mem.Bit(w.Index()), to, sync, id)
-}
-
 // transferMask passes ownership and data of a set of words of one line
 // to the requester in a single RegXfer.
 func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, sync bool, id uint64) {
@@ -1285,9 +1181,6 @@ func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, 
 			panic(fmt.Sprintf("denovo: node %d cannot transfer %v it does not own", c.node, w))
 		}
 		c.st.IncKey(kL1OwnershipTransfers, 1)
-		if c.opts.SyncBackoff {
-			c.lostAt.Put(uint64(w), c.eng.Now())
-		}
 	}
 	if e != nil {
 		e.Prune()
@@ -1307,53 +1200,8 @@ func (c *Controller) serviceDeferred(w mem.Word) {
 		return
 	}
 	c.deferredFwd.Delete(uint64(w))
-	c.transfer(w, msg.Requester, msg.Sync, msg.ID)
+	c.transferMask(w.LineOf(), mem.Bit(w.Index()), msg.Requester, msg.Sync, msg.ID)
 	c.pool.Put(msg)
-}
-
-// directRead serves a predicted-owner read: if every requested word is
-// registered here, respond directly (a 2-hop hit); otherwise nack so
-// the requester falls back to the registry.
-func (c *Controller) directRead(msg *coherence.Msg) {
-	e := c.cache.Peek(msg.Line)
-	var have mem.WordMask
-	var data [mem.WordsPerLine]uint32
-	if e != nil {
-		for i := 0; i < mem.WordsPerLine; i++ {
-			if msg.Mask.Has(i) && e.State[i] == cache.Registered {
-				have |= mem.Bit(i)
-				data[i] = e.Data[i]
-			}
-		}
-	}
-	if have == msg.Mask {
-		c.st.IncKey(kL1DirectReadsServed, 1)
-		c.meter.L1Access(1)
-		c.mesh.Send(c.pool.NewMsg(coherence.Msg{
-			Kind: coherence.ReadResp, Src: c.node, Dst: msg.Src, Port: noc.PortL1,
-			Line: msg.Line, Mask: have, Data: data, ID: msg.ID,
-		}))
-		return
-	}
-	c.st.IncKey(kL1DirectReadsNacked, 1)
-	c.mesh.Send(c.pool.NewMsg(coherence.Msg{
-		Kind: coherence.ReadNack, Src: c.node, Dst: msg.Src, Port: noc.PortL1,
-		Line: msg.Line, Mask: msg.Mask, ID: msg.ID,
-	}))
-}
-
-// readNack falls a missed direct read back to the registry.
-func (c *Controller) readNack(msg *coherence.Msg) {
-	txn, _ := c.reads.Get(msg.ID)
-	if txn == nil || !txn.direct {
-		return // transaction already satisfied some other way
-	}
-	txn.direct = false
-	c.lastSupplier.Delete(uint64(msg.Line))
-	c.mesh.Send(c.pool.NewMsg(coherence.Msg{
-		Kind: coherence.ReadReq, Src: c.node, Dst: c.home(msg.Line), Port: noc.PortL2,
-		Line: msg.Line, Mask: txn.requested &^ txn.arrived, ID: msg.ID,
-	}))
 }
 
 // writeBackAck resolves victim-buffer entries. Accepted words are done;
@@ -1408,23 +1256,6 @@ func (c *Controller) PeekWord(w mem.Word) (uint32, bool) {
 		return v, true
 	}
 	return 0, false
-}
-
-// DebugDump returns store-buffer slots with their lazy/pending state
-// (diagnostic aid for tests).
-func (c *Controller) DebugDump() string {
-	out := ""
-	for _, e := range c.sb.Entries() {
-		out += fmt.Sprintf("word %v lazy=%v regs=%v\n", e.Word, c.lazy.Has(uint64(e.Word)), c.regs.Has(uint64(e.Word)))
-	}
-	out += fmt.Sprintf("spaceWaiters=%d relWaiters=%d\n", len(c.spaceWaiters), len(c.relWaiters))
-	c.regs.ForEach(func(k uint64, txn *regTxn) {
-		out += fmt.Sprintf("reg pending %v dataWrite=%v waiters=%d deferredHere=%v\n", mem.Word(k), txn.dataWrite, len(txn.syncWaiters), c.deferredFwd.Has(k))
-	})
-	c.deferredFwd.ForEach(func(k uint64, _ *coherence.Msg) {
-		out += fmt.Sprintf("deferred fwd for %v (regs=%v)\n", mem.Word(k), c.regs.Has(k))
-	})
-	return out
 }
 
 // StoreBufferLen exposes store-buffer occupancy for tests.

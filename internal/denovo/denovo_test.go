@@ -421,131 +421,6 @@ func TestBatchedRegistrationOneRequestPerLine(t *testing.T) {
 	}
 }
 
-func TestNoMSHRCoalescingAblation(t *testing.T) {
-	r := testrig.New()
-	c0 := newCtl(r, 0, Options{NoMSHRCoalescing: true})
-	w := mem.Addr(0x2000).WordOf()
-	done := 0
-	r.Eng.Schedule(0, func() {
-		for i := 0; i < 3; i++ {
-			c0.Atomic(coherence.AtomicAdd, w, 1, 0, coherence.ScopeGlobal, func(uint32) { done++ })
-		}
-	})
-	r.Run(t)
-	if done != 3 {
-		t.Fatalf("completions = %d, want 3", done)
-	}
-	if v, ok := c0.PeekWord(w); !ok || v != 3 {
-		t.Fatalf("value %d, want 3", v)
-	}
-	// Without coalescing, only the head waiter is serviced when
-	// ownership arrives; the rest retry (and, with no remote contention,
-	// hit the now-owned word).
-	if got := r.Stats.Get("l1.sync_serviced_on_arrival"); got != 1 {
-		t.Fatalf("serviced on arrival = %d, want 1 without coalescing", got)
-	}
-	if got := r.Stats.Get("l1.sync_hits"); got != 2 {
-		t.Fatalf("sync hits = %d, want 2 (retried waiters)", got)
-	}
-}
-
-func TestSyncBackoffThrottlesSpinners(t *testing.T) {
-	run := func(backoff bool) (uint64, uint64) {
-		r := testrig.New()
-		var ctls []*Controller
-		for i := 0; i < 8; i++ {
-			ctls = append(ctls, newCtl(r, noc.NodeID(i), Options{SyncBackoff: backoff}))
-		}
-		w := mem.Addr(0x2000).WordOf()
-		// Controller 0 "holds a lock": spinners (1..7) poll with sync
-		// reads; after a while the holder stores the release value.
-		for i := 1; i < 8; i++ {
-			c := ctls[i]
-			var spin func()
-			spin = func() {
-				c.Atomic(coherence.AtomicLoad, w, 0, 0, coherence.ScopeGlobal, func(v uint32) {
-					if v == 0 {
-						r.Eng.Schedule(5, spin)
-					}
-				})
-			}
-			r.Eng.Schedule(0, spin)
-		}
-		r.Eng.Schedule(2000, func() {
-			ctls[0].Atomic(coherence.AtomicStore, w, 1, 0, coherence.ScopeGlobal, func(uint32) {})
-		})
-		if err := r.Eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return r.Stats.Get("l1.ownership_transfers"), r.Stats.Get("l1.sync_backoffs")
-	}
-	xfersNo, boNo := run(false)
-	xfersYes, boYes := run(true)
-	if boNo != 0 {
-		t.Fatal("backoff counted while disabled")
-	}
-	if boYes == 0 {
-		t.Fatal("backoff never engaged")
-	}
-	if xfersYes >= xfersNo {
-		t.Fatalf("backoff should reduce ownership ping-pong: %d -> %d", xfersNo, xfersYes)
-	}
-}
-
-func TestDirectTransferHitAndFallback(t *testing.T) {
-	r := testrig.New()
-	owner := newCtl(r, 2, Options{DirectTransfer: true})
-	reader := newCtl(r, 0, Options{DirectTransfer: true})
-	l := mem.Line(5)
-	var data [mem.WordsPerLine]uint32
-	data[3] = 71
-	r.Eng.Schedule(0, func() {
-		owner.WriteLine(l, mem.Bit(3), data, func() {
-			owner.Release(coherence.ScopeGlobal, func() {
-				// First read goes through the registry (no prediction yet)
-				// and learns the supplier.
-				reader.ReadLine(l, mem.Bit(3), func(v [mem.WordsPerLine]uint32) {
-					if v[3] != 71 {
-						t.Errorf("first read %d", v[3])
-					}
-					reader.Acquire(coherence.ScopeGlobal) // invalidate, force a new miss
-					reader.ReadLine(l, mem.Bit(3), func(v [mem.WordsPerLine]uint32) {
-						if v[3] != 71 {
-							t.Errorf("direct read %d", v[3])
-						}
-					})
-				})
-			})
-		})
-	})
-	r.Run(t)
-	if r.Stats.Get("l1.direct_reads") != 1 || r.Stats.Get("l1.direct_reads_served") != 1 {
-		t.Fatalf("direct reads = %d served = %d, want 1/1",
-			r.Stats.Get("l1.direct_reads"), r.Stats.Get("l1.direct_reads_served"))
-	}
-
-	// Fallback: owner loses the word (writeback via eviction is complex
-	// to force; use HostSteal + registry recall to simulate), then a
-	// predicted read must nack and fall back to the registry.
-	v, ok := owner.HostSteal(l.Word(3))
-	if !ok {
-		t.Fatal("steal failed")
-	}
-	r.Banks[int(mem.Line(5))%16].Recall(l.Word(3), v)
-	r.Eng.Schedule(0, func() {
-		reader.Acquire(coherence.ScopeGlobal)
-		reader.ReadLine(l, mem.Bit(3), func(v [mem.WordsPerLine]uint32) {
-			if v[3] != 71 {
-				t.Errorf("fallback read %d, want 71", v[3])
-			}
-		})
-	})
-	r.Run(t)
-	if r.Stats.Get("l1.direct_reads_nacked") != 1 {
-		t.Fatalf("nacked = %d, want 1", r.Stats.Get("l1.direct_reads_nacked"))
-	}
-}
-
 // A pinned frame whose last live word an acquire drops stays tagged;
 // once unpinned, the next acquire untags it even though nothing else
 // touched the line in between.

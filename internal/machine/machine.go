@@ -62,14 +62,6 @@ type Config struct {
 	// LazyWrites delays DeNovo data-write registration to the next
 	// global release (part of DH).
 	LazyWrites bool
-	// NoMSHRCoalescing disables DeNovoSync0's same-CU MSHR coalescing
-	// (ablation).
-	NoMSHRCoalescing bool
-	// SyncBackoff enables the DeNovoSync read-backoff extension.
-	SyncBackoff bool
-	// DirectTransfer enables direct cache-to-cache transfers (the
-	// paper's future-work optimization).
-	DirectTransfer bool
 	// Invariants arms the protocol invariant sanitizer: controllers gain
 	// hot-path assertions (DeNovo's lazy-reg-exclusive, GPU coherence's
 	// wt-balance) and CheckInvariants extends its always-on registry
@@ -482,12 +474,7 @@ func (m *Machine) buildL1Set(pp PhaseProto) []coherence.L1 {
 			}
 			l1 = gc
 		case ProtoDeNovo:
-			opts := denovo.Options{
-				LazyWrites:       cfg.LazyWrites,
-				NoMSHRCoalescing: cfg.NoMSHRCoalescing,
-				SyncBackoff:      cfg.SyncBackoff,
-				DirectTransfer:   cfg.DirectTransfer,
-			}
+			opts := denovo.Options{LazyWrites: cfg.LazyWrites}
 			if cfg.ReadOnlyOpt {
 				opts.ReadOnly = m.inReadOnly
 			}
@@ -1080,18 +1067,4 @@ func (m *Machine) ClearReadOnly() {
 	for _, l1 := range m.denovoL1s {
 		l1.(*denovo.Controller).ReadOnlyRevoked()
 	}
-}
-
-// DumpL1s returns a diagnostic dump of every L1 controller's pending
-// state (DeNovo only), for debugging hangs.
-func (m *Machine) DumpL1s() string {
-	out := ""
-	for _, pp := range m.setOrder {
-		for i, l1 := range m.sets[pp] {
-			if dn, ok := l1.(*denovo.Controller); ok {
-				out += fmt.Sprintf("== CU %d (drained=%v)\n%s", i, dn.Drained(), dn.DebugDump())
-			}
-		}
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"denovogpu/internal/coherence"
 	"denovogpu/internal/mem"
 	"denovogpu/internal/workload"
+	syncbench "denovogpu/internal/workload/sync"
 )
 
 // forEachConfig runs a subtest per paper configuration.
@@ -502,5 +503,30 @@ func TestInvariantCheckerCleanAfterRun(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("invariant violated on a clean run: %v", err)
+	}
+}
+
+// TestSmallL1BarrierCorrectness is a regression test for a same-node
+// FIFO bug: under heavy L1 pressure, a DeNovo eviction's WriteBack to a
+// co-located bank was overtaken by the immediately following
+// re-registration (shorter message, empty route), so the registry
+// accepted the writeback after re-granting ownership and stranded the
+// fresh value. An 8 KB L1 reproduces the eviction/re-register cadence.
+func TestSmallL1BarrierCorrectness(t *testing.T) {
+	for _, kb := range []int{4, 8} {
+		kb := kb
+		t.Run(fmt.Sprintf("l1=%dKB", kb), func(t *testing.T) {
+			w := syncbench.TreeBarrier(syncbench.BarrierParams{Iters: 30, Accesses: 10})
+			cfg := DD()
+			cfg.L1Bytes = kb * 1024
+			m := New(cfg)
+			w.Host(m)
+			if err := m.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Verify(m); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

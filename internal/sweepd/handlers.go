@@ -61,17 +61,16 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// maxSubmitBytes bounds a submitted matrix spec's body, and with it
-// the memory decoding takes: a three-byte "{}," is a whole CellSpec.
-// The golden job is 2 KB and a full catalog check split 16 ways is
-// about 300 KB.
+// maxSubmitBytes bounds a submitted matrix spec's body. The golden job
+// is 2 KB and a full catalog check split 16 ways is about 300 KB.
+// DecodeMatrixSpec stops a cells list at MaxMatrixCells, so a body of
+// three-byte "{}," cells cannot decode to more CellSpecs than a job
+// may hold.
 const maxSubmitBytes = 1 << 20
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec denovogpu.MatrixSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := denovogpu.DecodeMatrixSpec(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("parsing matrix spec: %w", err))
 		return
 	}

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -444,15 +446,23 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := client.Submit(ctx, spec); err == nil {
 		t.Error("seeded fixed-input workload accepted")
 	}
-	// Unknown JSON fields are rejected (catches client/coordinator skew).
-	resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json",
-		strings.NewReader(`{"cells":[],"bogus":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field accepted: status %d", resp.StatusCode)
+	// Unknown JSON fields are rejected (catches client/coordinator skew),
+	// among them the retired DeNovo extension switches in a raw config.
+	for _, body := range []string{
+		`{"cells":[],"bogus":1}`,
+		`{"cells":[{"config":{"config":{"Protocol":1,"SyncBackoff":true}},"workload":"LAVA"}]}`,
+		`{"cells":[{"config":{"config":{"Protocol":1,"DirectTransfer":true}},"workload":"LAVA"}]}`,
+		`{"cells":[{"config":{"config":{"Protocol":1,"NoMSHRCoalescing":true}},"workload":"LAVA"}]}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Errorf("%s: status %d (%s), want 400 for an unknown field", body, resp.StatusCode, msg)
+		}
 	}
 	// Machine shapes New cannot build, or too small for the workload,
 	// answer 400 instead of queueing a cell whose worker would panic or
@@ -526,5 +536,31 @@ func TestSubmitRejectsOversizedMatrix(t *testing.T) {
 	}
 	if code := post(`{"cells":[` + strings.Repeat(" ", maxSubmitBytes) + `]}`); code != http.StatusBadRequest {
 		t.Errorf("body past %d bytes: status %d, want 400", maxSubmitBytes, code)
+	}
+}
+
+// TestSubmitFloodAllocation: a body that fills maxSubmitBytes with
+// empty cells (or empty configs) is refused once the list passes
+// denovogpu.MaxMatrixCells, not after decoding all 349,521 entries.
+func TestSubmitFloodAllocation(t *testing.T) {
+	coord := New(Options{Version: "test-v1"})
+	for _, list := range []string{"cells", "configs"} {
+		n := (maxSubmitBytes - len(`{"`+list+`":[]}`) + 1) / 3
+		body := `{"` + list + `":[` + strings.TrimSuffix(strings.Repeat("{},", n), ",") + `]}`
+		if n <= denovogpu.MaxMatrixCells || len(body) > maxSubmitBytes {
+			t.Fatalf("%d %s in %d bytes", n, list, len(body))
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", strings.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%d %s: status %d, want 400", n, list, rec.Code)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32<<20 {
+			t.Errorf("refusing %d %s in %d bytes allocated %d MB, want under 32 MB", n, list, len(body), alloc>>20)
+		}
 	}
 }

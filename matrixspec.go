@@ -9,12 +9,15 @@ package denovogpu
 // serial goldens.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 
@@ -267,6 +270,61 @@ func (m MatrixSpec) CellCount() (int, bool) {
 		return 0, false
 	}
 	return n + len(m.Cells), true
+}
+
+// DecodeMatrixSpec reads a JSON matrix spec as the sweep service takes
+// a submit: unknown fields are errors, and each list is refused once it
+// passes MaxMatrixCells entries, so the cell bound, not the body size,
+// bounds what decoding allocates. A longer list either expands past the
+// bound or adds no cell at all (configs with no workloads). CellCount
+// still judges the whole spec.
+func DecodeMatrixSpec(r io.Reader) (MatrixSpec, error) {
+	var w struct { // the bounded lists shadow MatrixSpec's
+		MatrixSpec
+		Configs   boundedList[ConfigSpec] `json:"configs,omitempty"`
+		Workloads boundedList[string]     `json:"workloads,omitempty"`
+		Seeds     boundedList[uint64]     `json:"seeds,omitempty"`
+		Cells     boundedList[CellSpec]   `json:"cells,omitempty"`
+	}
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&w)
+	spec := w.MatrixSpec
+	spec.Configs, spec.Workloads, spec.Seeds, spec.Cells = w.Configs, w.Workloads, w.Seeds, w.Cells
+	return spec, err
+}
+
+// boundedList decodes a JSON array strictly, one element at a time. It
+// grows by doubling up to the bound, so a refused list allocates about
+// twice what it holds (append's 1.25x steps would make that five).
+type boundedList[T any] []T
+
+func (l *boundedList[T]) UnmarshalJSON(data []byte) error {
+	if string(data) == "null" {
+		*l = nil
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('[') {
+		return errors.New("denovogpu: matrix spec list is not a JSON array")
+	}
+	list := (*l)[:0]
+	for dec.More() {
+		if len(list) == MaxMatrixCells {
+			return fmt.Errorf("denovogpu: matrix spec list has more than %d entries", MaxMatrixCells)
+		}
+		if len(list) == cap(list) {
+			list = slices.Grow(list, min(max(len(list), 1), MaxMatrixCells-len(list)))
+		}
+		var zero T
+		list = append(list, zero)
+		if err := dec.Decode(&list[len(list)-1]); err != nil {
+			return err
+		}
+	}
+	*l = list
+	return nil
 }
 
 // CellSpecs expands the spec into its per-cell list. Check CellCount

@@ -108,6 +108,43 @@ func TestUnmarshalReportRejectsUnknownDimensions(t *testing.T) {
 	}
 }
 
+// TestDecodeMatrixSpec: the submit decoder reads every field of the
+// wire spec, is strict inside cells too, and refuses a list at the
+// first entry past MaxMatrixCells.
+func TestDecodeMatrixSpec(t *testing.T) {
+	cells := func(n int) string {
+		return `{"cells":[` + strings.TrimSuffix(strings.Repeat(`{},`, n), ",") + `]}`
+	}
+	for _, c := range []struct {
+		name, body string
+		cells      int // -1: refused
+	}{
+		{"bound", cells(denovogpu.MaxMatrixCells), denovogpu.MaxMatrixCells},
+		{"past bound", cells(denovogpu.MaxMatrixCells + 1), -1},
+		{"null", `{"cells":null,"keep_going":true}`, 0},
+		{"repeated key", `{"cells":[{},{}],"Cells":[{"workload":"LAVA"}]}`, 1},
+		{"not an array", `{"cells":{}}`, -1},
+		{"unknown cell field", `{"cells":[{"bogus":1}]}`, -1},
+		{"unknown config field", `{"cells":[{"config":{"config":{"SyncBackoff":true}}}]}`, -1},
+		{"configs past bound", `{"configs":[` + strings.TrimSuffix(strings.Repeat(`{},`, denovogpu.MaxMatrixCells+1), ",") + `],"cells":[{}]}`, -1},
+		{"seeds past bound", `{"seeds":[` + strings.TrimSuffix(strings.Repeat(`0,`, denovogpu.MaxMatrixCells+1), ",") + `],"cells":[{}]}`, -1},
+	} {
+		spec, err := denovogpu.DecodeMatrixSpec(strings.NewReader(c.body))
+		switch {
+		case c.cells < 0 && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.cells >= 0 && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.cells >= 0 && len(spec.Cells) != c.cells:
+			t.Errorf("%s: %d cells, want %d", c.name, len(spec.Cells), c.cells)
+		}
+	}
+	spec, err := denovogpu.DecodeMatrixSpec(strings.NewReader(`{"cells":[{"workload":"LAVA"}],"workloads":["BFS"],"keep_going":true}`))
+	if err != nil || spec.Cells[0].Workload != "LAVA" || spec.Workloads[0] != "BFS" || !spec.KeepGoing {
+		t.Errorf("decoded %+v, %v", spec, err)
+	}
+}
+
 // FuzzMatrixSpec is the wire contract for whole sweeps: bytes decoded
 // the way the sweep service decodes a submit either fail to decode,
 // count past MaxMatrixCells, or name a spec that expands to exactly the
@@ -131,10 +168,7 @@ func FuzzMatrixSpec(f *testing.F) {
 		`],"seeds":[` + list("0", 1000) + `]}`))
 
 	decode := func(data []byte) (denovogpu.MatrixSpec, error) {
-		var s denovogpu.MatrixSpec
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		return s, dec.Decode(&s)
+		return denovogpu.DecodeMatrixSpec(bytes.NewReader(data))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decode(data)
