@@ -33,12 +33,10 @@ func TestCellKeyGolden(t *testing.T) {
 		{"two-device", denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "UTSx2"},
 			"d8a0ed675080ee080678373302de581c5243ba10a39d5603b8de813f008ea8af"},
 		{"check-default", denovogpu.CellSpec{Config: dd, Program: "MP"},
-			"9c6325ad7e997fe3fba1b1a2c79cde880dfa4aee8cbb3dd2f59ea9246ce4166b"},
-		{"check-sleepset", denovogpu.CellSpec{Config: dd, Program: "MP", Explorer: "sleepset"},
-			"75f3dd36361148b9e74106f40e918c41b80fe4bd88cf81d817d6aa2ac9976687"},
+			"2de7d3961c4a80e7387886dd7f4231854ee769bb885301682e10ae8cab3fb979"},
 		{"check-shard", denovogpu.CellSpec{Config: dd, Program: "MP",
 			Shard: &denovogpu.CheckShard{Index: 1, Prefix: []uint32{7}, Sleep: []uint32{3}}},
-			"1fca6c66a32ff1a6845788a7bab53e6970aed10dffc1cb363a20839db7dc500f"},
+			"0486e720a340ac3b0f4bd0f81e3528119d4e216776c9ed296a5b094ab65b2871"},
 	} {
 		got, err := denovogpu.CellKey("v1", c.spec)
 		if err != nil {
@@ -66,21 +64,19 @@ func TestCellKeyCanonicalization(t *testing.T) {
 	base := denovogpu.CellSpec{Config: dd, Program: "MP"}
 	k1 := key(base)
 
-	// Explicitly spelled defaults share the key with omitted ones.
+	// An explicitly spelled default shares the key with an omitted one.
 	spelled := base
 	spelled.Budget = 20_000_000 // mcheck.DefaultBudget
-	spelled.Explorer = "dpor"
 	if key(spelled) != k1 {
-		t.Error("spelled-out defaults changed the key")
+		t.Error("spelled-out default budget changed the key")
 	}
 
 	// Anything that changes what the cell explores changes the key.
 	for name, mut := range map[string]denovogpu.CellSpec{
-		"program":  {Config: dd, Program: "LB"},
-		"config":   {Config: denovogpu.ConfigSpec{Name: "DH"}, Program: "MP"},
-		"budget":   {Config: dd, Program: "MP", Budget: 1000},
-		"explorer": {Config: dd, Program: "MP", Explorer: "sleepset"},
-		"shard":    {Config: dd, Program: "MP", Shard: &denovogpu.CheckShard{Index: 1, Prefix: []uint32{7}}},
+		"program": {Config: dd, Program: "LB"},
+		"config":  {Config: denovogpu.ConfigSpec{Name: "DH"}, Program: "MP"},
+		"budget":  {Config: dd, Program: "MP", Budget: 1000},
+		"shard":   {Config: dd, Program: "MP", Shard: &denovogpu.CheckShard{Index: 1, Prefix: []uint32{7}}},
 	} {
 		if key(mut) == k1 {
 			t.Errorf("changing %s did not change the key", name)
@@ -92,11 +88,9 @@ func TestCellKeyCanonicalization(t *testing.T) {
 
 	// Unresolvable specs are rejected.
 	for name, bad := range map[string]denovogpu.CellSpec{
-		"program":        {Config: dd, Program: "NOPE"},
-		"config":         {Config: denovogpu.ConfigSpec{Name: "NOPE"}, Program: "MP"},
-		"explorer":       {Config: dd, Program: "MP", Explorer: "bfs"},
-		"sharded-sleeps": {Config: dd, Program: "MP", Explorer: "sleepset", Shard: &denovogpu.CheckShard{}},
-		"workload":       {Config: dd, Workload: "NOPE"},
+		"program":  {Config: dd, Program: "NOPE"},
+		"config":   {Config: denovogpu.ConfigSpec{Name: "NOPE"}, Program: "MP"},
+		"workload": {Config: dd, Workload: "NOPE"},
 	} {
 		if _, err := denovogpu.CellKey("v1", bad); err == nil {
 			t.Errorf("bad %s accepted", name)
@@ -111,7 +105,7 @@ func TestCellSpecKinds(t *testing.T) {
 	for name, good := range map[string]denovogpu.CellSpec{
 		"simulation": {Config: dd, Workload: "LAVA"},
 		"seeded":     {Config: dd, Workload: "PR", Seed: 4},
-		"check":      {Config: dd, Program: "MP", Budget: 1000, Explorer: "sleepset"},
+		"check":      {Config: dd, Program: "MP", Budget: 1000},
 		"shard":      {Config: dd, Program: "MP", Shard: &denovogpu.CheckShard{Index: 2}},
 	} {
 		if err := good.Validate(); err != nil {
@@ -123,7 +117,6 @@ func TestCellSpecKinds(t *testing.T) {
 		"neither":           {Config: dd},
 		"seed on check":     {Config: dd, Program: "MP", Seed: 1},
 		"budget on sim":     {Config: dd, Workload: "LAVA", Budget: 10},
-		"explorer on sim":   {Config: dd, Workload: "LAVA", Explorer: "dpor"},
 		"shard on sim":      {Config: dd, Workload: "LAVA", Shard: &denovogpu.CheckShard{}},
 		"seeded fixed":      {Config: dd, Workload: "LAVA", Seed: 3},
 		"no config":         {Workload: "LAVA"},
@@ -187,7 +180,7 @@ func FuzzCellSpec(f *testing.F) {
 		denovogpu.CellSpec{Config: dd, Workload: "BFS", Seed: 9},
 		denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "UTSx2"},
 		denovogpu.CellSpec{Config: dd, Program: "MP"},
-		denovogpu.CellSpec{Config: dd, Program: "SB+sync", Budget: 5000, Explorer: "sleepset"},
+		denovogpu.CellSpec{Config: dd, Program: "SB+sync", Budget: 5000},
 		denovogpu.CellSpec{Config: dd, Program: "MP", Shard: &denovogpu.CheckShard{Index: 1, Prefix: []uint32{7}, Sleep: []uint32{3}}},
 		denovogpu.CellSpec{Config: dd, Workload: "LAVA", Program: "MP"},
 		denovogpu.CellSpec{Config: dd, Program: "MP", Seed: 2},

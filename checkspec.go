@@ -5,8 +5,8 @@ package denovogpu
 // configuration exploration, a CellSpec with Program set), the split
 // into shard cells, and the canonical report/verdict encodings. The
 // same determinism contract applies — a check cell's canonical report
-// depends only on (code version, config, program, budget, explorer,
-// shard), never on which worker ran it — so check results cache and
+// depends only on (code version, config, program, budget, shard),
+// never on which worker ran it — so check results cache and
 // distribute through exactly the same sweepd machinery as simulation
 // cells.
 //
@@ -106,7 +106,6 @@ func SplitCheckCell(s CellSpec, shards int) ([]CellSpec, CheckReport, error) {
 		Schema:    checkReportSchema,
 		Program:   r.prog.Name,
 		Config:    r.cfg.Name(),
-		Explorer:  r.opts.Explorer.String(),
 		Budget:    r.opts.Budget,
 		States:    plan.States,
 		Outcomes:  sortedOutcomeKeys(plan.Outcomes),
@@ -116,9 +115,8 @@ func SplitCheckCell(s CellSpec, shards int) ([]CellSpec, CheckReport, error) {
 	for i, u := range plan.Units {
 		c := s
 		// Canonicalized so every shard of a cell keys against the same
-		// budget and explorer spelling as its siblings.
+		// budget as its siblings.
 		c.Budget = r.opts.Budget
-		c.Explorer = r.opts.Explorer.String()
 		c.Shard = &CheckShard{Index: i, Prefix: u.Prefix, Sleep: u.Sleep}
 		cells = append(cells, c)
 	}
@@ -143,7 +141,6 @@ type CheckReport struct {
 	Schema    string          `json:"schema"`
 	Program   string          `json:"program"`
 	Config    string          `json:"config"`
-	Explorer  string          `json:"explorer"`
 	Budget    int             `json:"budget"`
 	Shard     *CheckShard     `json:"shard,omitempty"`
 	States    int             `json:"states"`
@@ -152,10 +149,10 @@ type CheckReport struct {
 }
 
 // checkReportSchema versions the report encoding.
-const checkReportSchema = "denovogpu-checkreport/v1"
+const checkReportSchema = "denovogpu-checkreport/v2"
 
 // checkVerdictSchema versions the verdict encoding.
-const checkVerdictSchema = "denovogpu-checkverdict/v1"
+const checkVerdictSchema = "denovogpu-checkverdict/v2"
 
 // MarshalCheckReport serializes a report canonically (the cache
 // payload and sweepd report-endpoint format for check cells): two byte
@@ -186,13 +183,11 @@ func UnmarshalCheckReport(data []byte) (CheckReport, error) {
 // the given shard of it — and returns its canonical report bytes plus
 // the states count.
 func (r resolvedCell) check(shard *CheckShard) ([]byte, uint64, error) {
-	var res *mcheck.Result
-	var err error
+	var u mcheck.Unit
 	if shard != nil {
-		res, err = mcheck.CheckShard(r.cfg, r.prog, r.opts, mcheck.Unit{Prefix: shard.Prefix, Sleep: shard.Sleep})
-	} else {
-		res, err = mcheck.Check(r.cfg, r.prog, r.opts)
+		u = mcheck.Unit{Prefix: shard.Prefix, Sleep: shard.Sleep}
 	}
+	res, err := mcheck.CheckShard(r.cfg, r.prog, r.opts, u)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -200,7 +195,6 @@ func (r resolvedCell) check(shard *CheckShard) ([]byte, uint64, error) {
 		Schema:    checkReportSchema,
 		Program:   r.prog.Name,
 		Config:    r.cfg.Name(),
-		Explorer:  r.opts.Explorer.String(),
 		Budget:    r.opts.Budget,
 		Shard:     shard,
 		States:    res.States,
@@ -239,7 +233,6 @@ type CheckVerdict struct {
 	Schema    string          `json:"schema"`
 	Program   string          `json:"program"`
 	Config    string          `json:"config"`
-	Explorer  string          `json:"explorer"`
 	Budget    int             `json:"budget"`
 	Outcomes  []string        `json:"outcomes"`
 	Violation *CheckViolation `json:"violation"`
@@ -252,23 +245,22 @@ type CheckVerdict struct {
 // deliberately absent: per-shard totals are deterministic, their sum
 // across shard counts is not, and the verdict is the artifact pinned
 // byte-for-byte against a serial run. Reports must agree on program,
-// config, explorer and budget.
+// config and budget.
 func MergeCheckVerdict(reports []CheckReport) (CheckVerdict, error) {
 	if len(reports) == 0 {
 		return CheckVerdict{}, fmt.Errorf("denovogpu: merging zero check reports")
 	}
 	v := CheckVerdict{
-		Schema:   checkVerdictSchema,
-		Program:  reports[0].Program,
-		Config:   reports[0].Config,
-		Explorer: reports[0].Explorer,
-		Budget:   reports[0].Budget,
+		Schema:  checkVerdictSchema,
+		Program: reports[0].Program,
+		Config:  reports[0].Config,
+		Budget:  reports[0].Budget,
 	}
 	union := make(map[string]bool)
 	for i, r := range reports {
-		if r.Program != v.Program || r.Config != v.Config || r.Explorer != v.Explorer || r.Budget != v.Budget {
-			return CheckVerdict{}, fmt.Errorf("denovogpu: check report %d (%s under %s, %s, budget %d) does not belong to cell %s under %s, %s, budget %d",
-				i, r.Program, r.Config, r.Explorer, r.Budget, v.Program, v.Config, v.Explorer, v.Budget)
+		if r.Program != v.Program || r.Config != v.Config || r.Budget != v.Budget {
+			return CheckVerdict{}, fmt.Errorf("denovogpu: check report %d (%s under %s, budget %d) does not belong to cell %s under %s, budget %d",
+				i, r.Program, r.Config, r.Budget, v.Program, v.Config, v.Budget)
 		}
 		for _, k := range r.Outcomes {
 			union[k] = true

@@ -16,7 +16,7 @@ func TestRunCheckCellRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Program != "MP" || r.Config != "DD" || r.Explorer != "dpor" {
+	if r.Program != "MP" || r.Config != "DD" {
 		t.Errorf("report identity: %+v", r)
 	}
 	if uint64(r.States) != states || states == 0 {
@@ -152,7 +152,7 @@ func TestMergeCheckVerdictMismatch(t *testing.T) {
 	if _, err := MergeCheckVerdict(nil); err == nil {
 		t.Error("merging zero reports accepted")
 	}
-	a := CheckReport{Schema: "denovogpu-checkreport/v1", Program: "MP", Config: "DD", Explorer: "dpor", Budget: 100}
+	a := CheckReport{Schema: "denovogpu-checkreport/v2", Program: "MP", Config: "DD", Budget: 100}
 	b := a
 	b.Config = "DH"
 	if _, err := MergeCheckVerdict([]CheckReport{a, b}); err == nil {

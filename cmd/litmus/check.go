@@ -28,33 +28,22 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("litmus check", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		budget   = fs.Int("budget", mcheck.DefaultBudget, "exploration node budget per (configuration, program) — per shard when -shards > 1")
-		gen      = fs.Int("gen", 0, "also model-check N seeded generated programs after the catalog")
-		seed     = fs.Uint64("seed", 20260805, "base seed for -gen programs and counterexample replay schedules")
-		jobs     = fs.Int("j", 0, "programs checked in parallel (0 = GOMAXPROCS, 1 = serial; any value reports the same lowest-index violation)")
-		out      = fs.String("out", "", "directory for counterexample artifacts (case JSON + model trace)")
-		por      = fs.Bool("por", true, "use partial-order reduction (disable only for debugging; implies -explorer sleepset)")
-		explorer = fs.String("explorer", "dpor", "exploration strategy: dpor (stateless source-DPOR, O(depth) memory) or sleepset (visited-table reference)")
-		shards   = fs.Int("shards", 1, "split every cell into this many prefix work units run on the -j pool (programs then run serially; requires the dpor explorer)")
-		stats    = fs.Bool("stats", false, "print a per-cell table (states, wall time, states/sec, allocation); timing columns vary run to run, and allocation is shown only with -j 1 and no -shards (the heap counter is process-wide)")
-		jsonOut  = fs.String("json", "", "write a machine-readable denovogpu-check/v1 summary of a clean run to this file (alloc_mb per cell only with -j 1 and no -shards)")
-		fault    = fs.Bool("fault", false, "inject the acquire-invalidation fault into every configuration (pipeline self-test; violations expected)")
-		nsched   = fs.Int("schedules", 5, "simulator schedules used to reproduce a counterexample")
+		budget  = fs.Int("budget", mcheck.DefaultBudget, "exploration node budget per (configuration, program) — per shard when -shards > 1")
+		gen     = fs.Int("gen", 0, "also model-check N seeded generated programs after the catalog")
+		seed    = fs.Uint64("seed", 20260805, "base seed for -gen programs and counterexample replay schedules")
+		jobs    = fs.Int("j", 0, "programs checked in parallel (0 = GOMAXPROCS, 1 = serial; any value reports the same lowest-index violation)")
+		out     = fs.String("out", "", "directory for counterexample artifacts (case JSON + model trace)")
+		shards  = fs.Int("shards", 1, "split every cell into this many prefix work units run on the -j pool (programs then run serially)")
+		stats   = fs.Bool("stats", false, "print a per-cell table (states, wall time, states/sec, allocation); timing columns vary run to run, and allocation is shown only with -j 1 and no -shards (the heap counter is process-wide)")
+		jsonOut = fs.String("json", "", "write a machine-readable denovogpu-check/v2 summary of a clean run to this file (alloc_mb per cell only with -j 1 and no -shards)")
+		fault   = fs.Bool("fault", false, "inject the acquire-invalidation fault into every configuration (pipeline self-test; violations expected)")
+		nsched  = fs.Int("schedules", 5, "simulator schedules used to reproduce a counterexample")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "litmus check: unexpected arguments %q\n", fs.Args())
-		return 2
-	}
-	ex, err := mcheck.ExplorerByName(*explorer)
-	if err != nil {
-		fmt.Fprintf(stderr, "litmus check: %v\n", err)
-		return 2
-	}
-	if *shards > 1 && (ex != mcheck.ExplorerDPOR || !*por) {
-		fmt.Fprintln(stderr, "litmus check: -shards requires the dpor explorer with POR enabled")
 		return 2
 	}
 
@@ -102,7 +91,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	}
 	runner.Run(len(progs), runner.Options{Workers: outerWorkers}, func(i int) error {
 		r := &results[i]
-		opts := mcheck.Options{Budget: *budget, DisablePOR: !*por, Explorer: ex}
+		opts := mcheck.Options{Budget: *budget}
 		for _, cfg := range cfgs {
 			var m0, m1 runtime.MemStats
 			if wantAlloc {
@@ -187,10 +176,9 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout)
 	if *jsonOut != "" {
 		sum := checkSummary{
-			Schema:     "denovogpu-check/v1",
+			Schema:     "denovogpu-check/v2",
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Explorer:   ex.String(),
 			Budget:     *budget,
 			Workers:    *jobs,
 			Shards:     *shards,
@@ -214,7 +202,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 
 // checkCell is one (configuration, program) cell of a check summary.
 // Timing and allocation columns vary run to run; States and Outcomes
-// are deterministic for a given explorer and shard count (States
+// are deterministic for a given shard count (States
 // differs between shard counts — different reductions prune
 // differently — but the outcome count and verdict never do). AllocMB
 // is the Go heap allocated while the cell ran, recorded only when the
@@ -231,12 +219,11 @@ type checkCell struct {
 	Skipped      string  `json:"skipped,omitempty"`
 }
 
-// checkSummary is the -json report, schema denovogpu-check/v1.
+// checkSummary is the -json report, schema denovogpu-check/v2.
 type checkSummary struct {
 	Schema     string      `json:"schema"`
 	GoVersion  string      `json:"go_version"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
-	Explorer   string      `json:"explorer"`
 	Budget     int         `json:"budget"`
 	Workers    int         `json:"workers"`
 	Shards     int         `json:"shards"`

@@ -216,6 +216,12 @@ func TestErrorPaths(t *testing.T) {
 	if code, _, _ := runCmd(t, "check", "stray"); code != 2 {
 		t.Fatalf("check stray arg: exit %d, want 2", code)
 	}
+	// Retired: DPOR is the only explorer.
+	for _, flag := range []string{"-explorer=sleepset", "-por=false"} {
+		if code, _, _ := runCmd(t, "check", flag); code != 2 {
+			t.Fatalf("check %s: exit %d, want 2", flag, code)
+		}
+	}
 	if code, _, errb := runCmd(t, "-replay", "/nonexistent/case.json"); code != 1 || !strings.Contains(errb, "no such file") {
 		t.Fatalf("missing file: exit %d, stderr: %s", code, errb)
 	}

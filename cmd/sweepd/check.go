@@ -34,7 +34,6 @@ func runCheckCmd(args []string, stdout, stderr io.Writer) int {
 		programs = fs.String("programs", "", "comma-separated catalog litmus programs (default: the whole catalog)")
 		configs  = fs.String("configs", "", "comma-separated configuration names (default: the full model-checking set incl. the DH lazy ablation)")
 		budget   = fs.Int("budget", 0, "exploration node budget — per shard in a sharded run (0 = the mcheck default)")
-		explorer = fs.String("explorer", "dpor", "exploration strategy: dpor or sleepset (sharding requires dpor)")
 		shards   = fs.Int("shards", 4, "prefix work units per cell in server mode (branching permitting)")
 		outDir   = fs.String("out", "", "write each cell's canonical verdict JSON into this directory")
 	)
@@ -43,10 +42,6 @@ func runCheckCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "sweepd: unexpected arguments %q\n", fs.Args())
-		return cli.ExitUsage
-	}
-	if !*local && *shards > 1 && *explorer != "dpor" {
-		fmt.Fprintln(stderr, "sweepd: sharded checking requires the dpor explorer")
 		return cli.ExitUsage
 	}
 
@@ -66,7 +61,7 @@ func runCheckCmd(args []string, stdout, stderr io.Writer) int {
 	for _, p := range progNames {
 		for _, c := range cfgSpecs {
 			cells = append(cells, denovogpu.CellSpec{
-				Config: c, Program: p, Budget: *budget, Explorer: *explorer,
+				Config: c, Program: p, Budget: *budget,
 			})
 		}
 	}

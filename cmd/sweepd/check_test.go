@@ -20,8 +20,9 @@ func TestCheckUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"check", "-nope"},
 		{"check", "stray"},
-		{"check", "-local", "-explorer", "bfs"},
-		{"check", "-server", "http://x", "-shards", "2", "-explorer", "sleepset"},
+		// Retired: DPOR is the only explorer.
+		{"check", "-local", "-explorer", "dpor"},
+		{"check", "-local", "-por=false"},
 		{"check", "-local", "-programs", "NOPE"},
 		{"check", "-local", "-configs", "NOPE"},
 	} {

@@ -12,9 +12,9 @@ import (
 // Stateless source-DPOR exploration (Abdulla, Aronis, Jonsson,
 // Sagonas: "Source Sets: A Foundation for Optimal Dynamic Partial
 // Order Reduction", adapted to this transition system). Where the
-// legacy explorer (explore.go) prunes with a visited table keyed by a
-// canonical state encoding — memory proportional to the number of
-// distinct states — this explorer keeps only the current execution: a
+// tests' reference explorer (reference_test.go) prunes with a visited
+// table keyed by a canonical state encoding — memory proportional to
+// the number of distinct states — this explorer keeps only the current execution: a
 // stack of frames, one per depth, each holding the state reached, the
 // happens-before clock of its incoming event, and the backtrack/sleep
 // bookkeeping of the node. Peak memory is O(depth), independent of how
@@ -39,7 +39,7 @@ import (
 // dependent.
 //
 // Dependence uses a *dynamic* footprint (dynFootprint), finer than the
-// legacy explorer's static one. The legacy relation is per-CU: any two
+// reference explorer's static one. That relation is per-CU: any two
 // transitions touching the same CU are dependent. That coarseness is
 // nearly free under a visited table — both orders of a commuting pair
 // re-converge on a hashed state — but fatal for stateless search,
@@ -93,13 +93,13 @@ import (
 // always-sound Flanagan-Godefroid degenerate case and is rare in
 // practice.
 //
-// Sleep sets are carried exactly as in the legacy explorer: a child
+// Sleep sets are carried exactly as in the reference explorer: a child
 // inherits the parent's sleep entries plus its already-explored
 // siblings, filtered to those independent of the taken transition; a
 // node whose enabled set is entirely asleep is a redundant prefix and
 // is abandoned. The reported States metric counts frames visited
 // (executed transitions plus the root), the stateless analogue of the
-// legacy explorer's expanded-node count.
+// reference explorer's expanded-node count.
 
 // ebits is a growable bitset over event indices (execution depths).
 type ebits []uint64

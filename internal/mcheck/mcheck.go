@@ -5,9 +5,11 @@
 // writethrough (with or without HRF partial blocks) or DeNovo
 // registration (eager or lazy) — checking a machine-readable
 // invariant suite on every reachable state and the consistency oracle
-// on every terminal outcome. Sleep-set partial-order reduction over a
-// footprint-based independence relation keeps the enumeration
-// tractable at litmus-program sizes.
+// on every terminal outcome. Stateless source-DPOR with sleep sets
+// over a footprint-based independence relation (dpor.go) keeps the
+// enumeration tractable at litmus-program sizes in O(depth) memory,
+// and splits into prefix units for distribution (shard.go). It is the
+// only explorer; the tests diff it against a visited-table reference.
 //
 // The model abstracts the cycle-level simulator but keeps the
 // properties the protocols rely on: per-(source, destination, word)
@@ -38,57 +40,12 @@ import (
 // programs cannot wedge a CI run.
 const DefaultBudget = 20_000_000
 
-// Explorer selects the exploration algorithm.
-type Explorer int
-
-const (
-	// ExplorerDPOR is the default: stateless source-DPOR (dpor.go).
-	// Peak memory is O(execution depth) — independent of the number of
-	// states visited — so budgets in the tens of millions run at flat
-	// RSS, and explorations split into Units for distribution.
-	ExplorerDPOR Explorer = iota
-	// ExplorerSleepSet is the legacy explorer (explore.go): sleep-set
-	// POR with a canonical-encoding visited table. Kept as the
-	// reference implementation for the differential wall; peak memory
-	// grows with the visited set.
-	ExplorerSleepSet
-)
-
-func (e Explorer) String() string {
-	switch e {
-	case ExplorerDPOR:
-		return "dpor"
-	case ExplorerSleepSet:
-		return "sleepset"
-	}
-	return fmt.Sprintf("Explorer(%d)", int(e))
-}
-
-// ExplorerByName parses an explorer name ("dpor" or "sleepset").
-func ExplorerByName(name string) (Explorer, error) {
-	switch name {
-	case "dpor":
-		return ExplorerDPOR, nil
-	case "sleepset":
-		return ExplorerSleepSet, nil
-	}
-	return 0, fmt.Errorf("mcheck: unknown explorer %q (want dpor or sleepset)", name)
-}
-
 // Options tunes a Check call.
 type Options struct {
 	// Budget caps explored nodes; <= 0 uses DefaultBudget. Exceeding it
 	// returns a *BudgetError. In a sharded run the budget applies per
 	// unit (each shard enforces it independently).
 	Budget int
-	// Explorer selects the algorithm; the zero value is ExplorerDPOR.
-	Explorer Explorer
-	// DisablePOR explores the full interleaving graph with no
-	// reduction at all (it implies ExplorerSleepSet, whose unreduced
-	// DFS is the ground truth). Exists to validate the reductions
-	// (same outcomes, same verdict) and for debugging; expect orders
-	// of magnitude more states.
-	DisablePOR bool
 	// OracleStateLimit is passed through to litmus.Oracle (<= 0 uses
 	// its default). A *litmus.StateLimitError from the oracle is
 	// returned as an error, never as a violation.
@@ -184,33 +141,5 @@ func Configs() []machine.Config {
 // (*litmus.StateLimitError), or exploration budget exhaustion
 // (*BudgetError).
 func Check(cfg machine.Config, p *litmus.Program, opts Options) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := newModel(cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := litmus.Oracle(p, cfg.Model, opts.OracleStateLimit)
-	if err != nil {
-		return nil, err
-	}
-	budget := opts.Budget
-	if budget <= 0 {
-		budget = DefaultBudget
-	}
-	var (
-		states   int
-		outcomes map[string]litmus.Outcome
-		viol     *Violation
-	)
-	if opts.Explorer == ExplorerSleepSet || opts.DisablePOR {
-		states, outcomes, viol, err = m.explore(oracle, budget, opts.DisablePOR)
-	} else {
-		states, outcomes, viol, err = m.exploreDPOR(oracle, budget, Unit{})
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &Result{States: states, Outcomes: outcomes, Violation: viol}, nil
+	return CheckShard(cfg, p, opts, Unit{})
 }

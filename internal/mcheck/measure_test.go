@@ -44,7 +44,7 @@ func TestMeasureExplorers(t *testing.T) {
 			if len(wantCfg) > 0 && !wantCfg[cfg.Name()] {
 				continue
 			}
-			for _, ex := range []Explorer{ExplorerDPOR, ExplorerSleepSet} {
+			for _, ex := range explorers {
 				runtime.GC()
 				var m0 runtime.MemStats
 				runtime.ReadMemStats(&m0)
@@ -67,16 +67,16 @@ func TestMeasureExplorers(t *testing.T) {
 					}
 				}()
 				st := time.Now()
-				res, err := Check(cfg, e.Program, Options{Explorer: ex, Budget: 40_000_000})
+				res, err := ex.check(cfg, e.Program, 40_000_000)
 				el := time.Since(st)
 				close(stop)
 				<-done
 				if err != nil {
-					fmt.Printf("%-8s %-16s %-8s ERR %v (%.1fs)\n", cfg.Name(), e.Program.Name, ex, err, el.Seconds())
+					fmt.Printf("%-8s %-16s %-9s ERR %v (%.1fs)\n", cfg.Name(), e.Program.Name, ex.name, err, el.Seconds())
 					continue
 				}
-				fmt.Printf("%-8s %-16s %-8s %9d states %2d outcomes %7.2fs %7.1f MB peak heap\n",
-					cfg.Name(), e.Program.Name, ex, res.States, len(res.Outcomes), el.Seconds(),
+				fmt.Printf("%-8s %-16s %-9s %9d states %2d outcomes %7.2fs %7.1f MB peak heap\n",
+					cfg.Name(), e.Program.Name, ex.name, res.States, len(res.Outcomes), el.Seconds(),
 					float64(peak)/1e6)
 			}
 		}

@@ -65,21 +65,24 @@ type splitNode struct {
 	prefix []trans
 }
 
-// Split partitions the exploration of p under cfg into at least target
-// independent units (branching permitting). Requires the DPOR
-// explorer; the sleep-set explorer's visited table cannot be sharded.
-func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*SplitPlan, error) {
-	if opts.DisablePOR || opts.Explorer == ExplorerSleepSet {
-		return nil, fmt.Errorf("mcheck: sharded exploration requires the DPOR explorer")
-	}
+// prepare validates p and builds its model and consistency oracle
+// under cfg: the setup every exploration shares.
+func prepare(cfg machine.Config, p *litmus.Program, opts Options) (*model, map[string]litmus.Outcome, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, err := newModel(cfg, p)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	oracle, err := litmus.Oracle(p, cfg.Model, opts.OracleStateLimit)
+	return m, oracle, err
+}
+
+// Split partitions the exploration of p under cfg into at least target
+// independent units (branching permitting).
+func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*SplitPlan, error) {
+	m, oracle, err := prepare(cfg, p, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -170,17 +173,7 @@ func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*Sp
 // source-DPOR runs below the cut. The zero Unit is a whole unsharded
 // exploration. Budget applies to this unit alone.
 func CheckShard(cfg machine.Config, p *litmus.Program, opts Options, u Unit) (*Result, error) {
-	if opts.DisablePOR || opts.Explorer == ExplorerSleepSet {
-		return nil, fmt.Errorf("mcheck: sharded exploration requires the DPOR explorer")
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := newModel(cfg, p)
-	if err != nil {
-		return nil, err
-	}
-	oracle, err := litmus.Oracle(p, cfg.Model, opts.OracleStateLimit)
+	m, oracle, err := prepare(cfg, p, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,7 @@ func TestCounterexampleTraceGolden(t *testing.T) {
 	}{
 		{"dpor", func(cfg machine.Config) (*Result, error) { return Check(cfg, mp, Options{}) }},
 		{"sharded4", func(cfg machine.Config) (*Result, error) { return CheckSharded(cfg, mp, Options{}, 4, 2) }},
-		{"sleepset", func(cfg machine.Config) (*Result, error) {
-			return Check(cfg, mp, Options{Explorer: ExplorerSleepSet})
-		}},
+		{"sleepset", func(cfg machine.Config) (*Result, error) { return checkReference(cfg, mp, 0, false) }},
 	}
 	for _, base := range []machine.Config{machine.GD(), machine.DD()} {
 		cfg := base

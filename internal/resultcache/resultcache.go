@@ -1,8 +1,8 @@
 // Package resultcache is the sweep service's content-addressed result
 // store: cell reports keyed by the canonical cell key (api.CellKey —
 // SHA-256 over code version, canonicalized config, and the workload and
-// seed of a simulation cell or the program, budget, explorer and shard
-// of a check cell), held on disk with an LRU size cap.
+// seed of a simulation cell or the program, budget and shard of a
+// check cell), held on disk with an LRU size cap.
 //
 // The store is deliberately paranoid in both directions:
 //

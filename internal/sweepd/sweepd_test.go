@@ -447,9 +447,11 @@ func TestSubmitValidation(t *testing.T) {
 		t.Error("seeded fixed-input workload accepted")
 	}
 	// Unknown JSON fields are rejected (catches client/coordinator skew),
-	// among them the retired DeNovo extension switches in a raw config.
+	// among them the retired DeNovo extension switches in a raw config
+	// and a check cell still choosing an explorer (DPOR is the only one).
 	for _, body := range []string{
 		`{"cells":[],"bogus":1}`,
+		`{"cells":[{"config":{"name":"DD"},"program":"MP","explorer":"dpor"}]}`,
 		`{"cells":[{"config":{"config":{"Protocol":1,"SyncBackoff":true}},"workload":"LAVA"}]}`,
 		`{"cells":[{"config":{"config":{"Protocol":1,"DirectTransfer":true}},"workload":"LAVA"}]}`,
 		`{"cells":[{"config":{"config":{"Protocol":1,"NoMSHRCoalescing":true}},"workload":"LAVA"}]}`,

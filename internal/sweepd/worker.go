@@ -61,6 +61,11 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 		worked, err := w.RunOne(ctx)
 		if err != nil {
+			if ctx.Err() != nil {
+				// The request failed because Run was cancelled, not
+				// because the coordinator is unreachable.
+				return nil
+			}
 			consecutiveErrs++
 			if consecutiveErrs >= 30 {
 				return fmt.Errorf("sweepd worker %s: coordinator unreachable: %w", w.Name, err)

@@ -92,7 +92,9 @@ func TestWorkerGivesUpAfterConsecutiveErrors(t *testing.T) {
 // lease and complete once, in a fixed order: each is retried, and a
 // success in between resets the give-up count, so 29 errors before a
 // good exchange and 29 after it (with a stale-lease drop and a single
-// error between) do not stop the worker.
+// error between) do not stop the worker. Nor does a 30th that fails
+// because Run's own context was cancelled: that is not a coordinator
+// error, so Run returns nil.
 func TestWorkerRetriesTransportAndHTTPErrors(t *testing.T) {
 	stubRunCell(t)
 	failures := []func(http.ResponseWriter){
@@ -120,12 +122,13 @@ func TestWorkerRetriesTransportAndHTTPErrors(t *testing.T) {
 	for i := 0; i < 29; i++ {
 		script = append(script, step{"/api/v1/lease", failures[i%len(failures)]})
 	}
-	// An idle answer resets the count before the cancelling request
-	// fails with the context's error.
-	script = append(script, step{"/api/v1/lease", func(w http.ResponseWriter) { w.WriteHeader(http.StatusNoContent) }})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	srv := scriptedCoordinator(t, script, cancel)
+	script = append(script, step{"/api/v1/lease", func(w http.ResponseWriter) {
+		cancel()
+		hangUp(w)
+	}})
+	srv := scriptedCoordinator(t, script, func() { t.Error("worker asked again after cancellation") })
 	w := &Worker{Server: srv.URL, Name: "w", IdlePoll: time.Millisecond}
 	if err := w.Run(ctx); err != nil {
 		t.Fatalf("Run = %v, want nil after cancellation", err)

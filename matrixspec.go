@@ -73,13 +73,12 @@ func (s ConfigSpec) Resolve() (Config, error) {
 //     benchmarks.
 //   - A check cell sets Program: a configuration, a catalog litmus
 //     program, and the exploration parameters. Budget <= 0 selects
-//     mcheck.DefaultBudget and Explorer "" selects "dpor"; both are
-//     canonicalized before keying, so specs that spell the defaults
-//     differently share a cache key. A nil Shard means the whole
-//     exploration.
+//     mcheck.DefaultBudget and is canonicalized before keying, so
+//     specs that spell the default differently share a cache key. A
+//     nil Shard means the whole exploration.
 //
 // Validate rejects a cell that sets both or neither of Workload and
-// Program, a Seed on a check cell, and Budget, Explorer or Shard on a
+// Program, a Seed on a check cell, and Budget or Shard on a
 // simulation cell, so one cell can never mean two different runs.
 // Both kinds flow through the same sweepd queue, lease and cache
 // machinery, keyed by CellKey and executed by Run.
@@ -89,7 +88,6 @@ type CellSpec struct {
 	Seed     uint64      `json:"seed,omitempty"`
 	Program  string      `json:"program,omitempty"`
 	Budget   int         `json:"budget,omitempty"`
-	Explorer string      `json:"explorer,omitempty"`
 	Shard    *CheckShard `json:"shard,omitempty"`
 }
 
@@ -116,8 +114,8 @@ func (s CellSpec) resolve() (resolvedCell, error) {
 		return resolvedCell{}, err
 	}
 	if s.Program == "" {
-		if s.Budget != 0 || s.Explorer != "" || s.Shard != nil {
-			return resolvedCell{}, fmt.Errorf("denovogpu: simulation cell %q sets a check-only field (budget, explorer or shard)", s.Workload)
+		if s.Budget != 0 || s.Shard != nil {
+			return resolvedCell{}, fmt.Errorf("denovogpu: simulation cell %q sets a check-only field (budget or shard)", s.Workload)
 		}
 		if s.Seed == 0 {
 			var w Workload
@@ -136,26 +134,15 @@ func (s CellSpec) resolve() (resolvedCell, error) {
 	if err != nil {
 		return resolvedCell{}, err
 	}
-	explorer := s.Explorer
-	if explorer == "" {
-		explorer = "dpor"
-	}
-	ex, err := mcheck.ExplorerByName(explorer)
-	if err != nil {
-		return resolvedCell{}, err
-	}
-	if s.Shard != nil && ex != mcheck.ExplorerDPOR {
-		return resolvedCell{}, fmt.Errorf("denovogpu: sharded check cells require the dpor explorer, not %q", explorer)
-	}
 	budget := s.Budget
 	if budget <= 0 {
 		budget = mcheck.DefaultBudget
 	}
-	return resolvedCell{cfg: cfg, prog: p, opts: mcheck.Options{Budget: budget, Explorer: ex}}, nil
+	return resolvedCell{cfg: cfg, prog: p, opts: mcheck.Options{Budget: budget}}, nil
 }
 
 // Validate rejects an unresolvable or ill-formed cell (unknown config,
-// workload, program or explorer, a field of the other kind, or fewer
+// workload or program, a field of the other kind, or fewer
 // devices than the workload is sized for) without running anything.
 func (s CellSpec) Validate() error {
 	_, err := s.resolve()
@@ -416,19 +403,20 @@ func CodeVersion() string {
 // CellKey returns the canonical content address of one cell: the hex
 // SHA-256 of length-prefixed parts. A simulation cell hashes
 // ("denovogpu-cell/v2", code version, canonicalized configuration,
-// workload name, seed); a check cell hashes ("denovogpu-check/v1", code
-// version, canonicalized configuration, program, budget, explorer,
-// shard), with budget and explorer canonicalized and the shard as its
-// canonical JSON ("" when nil). The configuration is canonicalized by
-// applying Defaults() and serializing the resulting struct — so specs
-// that spell the same machine differently (JSON field order, explicit
-// default values vs omitted fields) share a key, and any field that
+// workload name, seed); a check cell hashes ("denovogpu-check/v2", code
+// version, canonicalized configuration, program, budget, shard), with
+// budget canonicalized and the shard as its canonical JSON ("" when
+// nil). The configuration is canonicalized by applying Defaults() and
+// serializing the resulting struct — so specs that spell the same
+// machine differently (JSON field order, explicit default values vs
+// omitted fields) share a key, and any field that
 // changes simulated behavior changes it. Everything in Config is part
 // of the key, including fields proven behavior-neutral (Invariants,
 // GenericL1): a spurious miss only costs a re-run, a spurious hit would
-// be wrong. The domain strings are versioned ("/v2" since the Devices
-// field landed) so warm caches written by older binaries can never
-// satisfy a lookup from a build with a different schema. CellKey
+// be wrong. The domain strings are versioned (the cell domain "/v2"
+// since the Devices field landed, the check domain "/v2" since the
+// explorer part left it) so warm caches written by older binaries can
+// never satisfy a lookup from a build with a different schema. CellKey
 // validates the cell, so an unkeyable cell is an invalid one.
 func CellKey(codeVersion string, s CellSpec) (string, error) {
 	r, err := s.resolve()
@@ -450,8 +438,8 @@ func CellKey(codeVersion string, s CellSpec) (string, error) {
 		}
 		shard = string(b)
 	}
-	return hashParts("denovogpu-check/v1", codeVersion, string(cfgJSON), r.prog.Name,
-		fmt.Sprintf("%d", r.opts.Budget), r.opts.Explorer.String(), shard), nil
+	return hashParts("denovogpu-check/v2", codeVersion, string(cfgJSON), r.prog.Name,
+		fmt.Sprintf("%d", r.opts.Budget), shard), nil
 }
 
 // hashParts is the hex SHA-256 of each part written as "len:part", so
