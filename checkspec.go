@@ -179,15 +179,17 @@ func UnmarshalCheckReport(data []byte) (CheckReport, error) {
 	return r, nil
 }
 
-// check explores a resolved check cell — the whole exploration, or
-// the given shard of it — and returns its canonical report bytes plus
-// the states count.
+// check explores a resolved check cell — the whole exploration on
+// every core (mcheck.Check), or the given shard of it serially — and
+// returns its canonical report bytes plus the states count.
 func (r resolvedCell) check(shard *CheckShard) ([]byte, uint64, error) {
-	var u mcheck.Unit
+	var res *mcheck.Result
+	var err error
 	if shard != nil {
-		u = mcheck.Unit{Prefix: shard.Prefix, Sleep: shard.Sleep}
+		res, err = mcheck.CheckShard(r.cfg, r.prog, r.opts, mcheck.Unit{Prefix: shard.Prefix, Sleep: shard.Sleep})
+	} else {
+		res, err = mcheck.Check(r.cfg, r.prog, r.opts)
 	}
-	res, err := mcheck.CheckShard(r.cfg, r.prog, r.opts, u)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -23,19 +23,19 @@ import (
 // every configuration, including the DH lazy-writes ablation. Programs
 // are sharded over a worker pool exactly like -fuzz: dispatch is
 // in-order and failures resolve to the lowest program index, so any -j
-// reports the same verdict as a serial run.
+// reports the same verdict as a serial run. Each cell's Check also
+// splits its exploration over every core.
 func runCheck(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("litmus check", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		budget  = fs.Int("budget", mcheck.DefaultBudget, "exploration node budget per (configuration, program) — per shard when -shards > 1")
+		budget  = fs.Int("budget", mcheck.DefaultBudget, "exploration node budget per (configuration, program), one for the whole cell however many cores explore it")
 		gen     = fs.Int("gen", 0, "also model-check N seeded generated programs after the catalog")
 		seed    = fs.Uint64("seed", 20260805, "base seed for -gen programs and counterexample replay schedules")
 		jobs    = fs.Int("j", 0, "programs checked in parallel (0 = GOMAXPROCS, 1 = serial; any value reports the same lowest-index violation)")
 		out     = fs.String("out", "", "directory for counterexample artifacts (case JSON + model trace)")
-		shards  = fs.Int("shards", 1, "split every cell into this many prefix work units run on the -j pool (programs then run serially)")
-		stats   = fs.Bool("stats", false, "print a per-cell table (states, wall time, states/sec, allocation); timing columns vary run to run, and allocation is shown only with -j 1 and no -shards (the heap counter is process-wide)")
-		jsonOut = fs.String("json", "", "write a machine-readable denovogpu-check/v2 summary of a clean run to this file (alloc_mb per cell only with -j 1 and no -shards)")
+		stats   = fs.Bool("stats", false, "print a per-cell table (states, wall time, states/sec, allocation); timing columns vary run to run, and allocation is shown only with -j 1 (the heap counter is process-wide)")
+		jsonOut = fs.String("json", "", "write a machine-readable denovogpu-check/v3 summary of a clean run to this file (alloc_mb per cell only with -j 1)")
 		fault   = fs.Bool("fault", false, "inject the acquire-invalidation fault into every configuration (pipeline self-test; violations expected)")
 		nsched  = fs.Int("schedules", 5, "simulator schedules used to reproduce a counterexample")
 	)
@@ -70,13 +70,11 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 
 	// One runner shard per program; each sweeps the configurations
 	// serially so the first violation for a program is always the one
-	// the lowest-numbered configuration produces. With -shards > 1 the
-	// parallelism moves inside the cell (prefix work units on the -j
-	// pool), so programs run serially.
+	// the lowest-numbered configuration produces.
 	wantStats := *stats || *jsonOut != ""
 	// The heap counter is process-wide, so a cell's allocation is its
-	// own only when no other cell or shard runs beside it.
-	wantAlloc := wantStats && *jobs == 1 && *shards <= 1
+	// own only when no other cell runs beside it.
+	wantAlloc := wantStats && *jobs == 1
 	type result struct {
 		viol  *mcheck.Violation
 		cells []checkCell
@@ -85,11 +83,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	}
 	results := make([]result, len(progs))
 	failed := errors.New("shard failed")
-	outerWorkers := *jobs
-	if *shards > 1 {
-		outerWorkers = 1
-	}
-	runner.Run(len(progs), runner.Options{Workers: outerWorkers}, func(i int) error {
+	runner.Run(len(progs), runner.Options{Workers: *jobs}, func(i int) error {
 		r := &results[i]
 		opts := mcheck.Options{Budget: *budget}
 		for _, cfg := range cfgs {
@@ -98,13 +92,7 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 				runtime.ReadMemStats(&m0)
 			}
 			t0 := time.Now()
-			var res *mcheck.Result
-			var err error
-			if *shards > 1 {
-				res, err = mcheck.CheckSharded(cfg, progs[i].p, opts, *shards, *jobs)
-			} else {
-				res, err = mcheck.Check(cfg, progs[i].p, opts)
-			}
+			res, err := mcheck.Check(cfg, progs[i].p, opts)
 			wall := time.Since(t0)
 			cell := checkCell{Program: progs[i].name, Config: cfg.Name(), WallMS: float64(wall.Nanoseconds()) / 1e6}
 			if wantAlloc {
@@ -176,12 +164,11 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout)
 	if *jsonOut != "" {
 		sum := checkSummary{
-			Schema:     "denovogpu-check/v2",
+			Schema:     "denovogpu-check/v3",
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			Budget:     *budget,
 			Workers:    *jobs,
-			Shards:     *shards,
 			Programs:   checked,
 			Configs:    len(cfgs),
 			States:     states,
@@ -202,12 +189,10 @@ func runCheck(args []string, stdout, stderr io.Writer) int {
 
 // checkCell is one (configuration, program) cell of a check summary.
 // Timing and allocation columns vary run to run; States and Outcomes
-// are deterministic for a given shard count (States
-// differs between shard counts — different reductions prune
-// differently — but the outcome count and verdict never do). AllocMB
-// is the Go heap allocated while the cell ran, recorded only when the
-// cell ran alone (-j 1, no -shards): the counter is process-wide, so
-// cells or shards running beside it would be counted too.
+// are deterministic at any -j and core count. AllocMB is the Go heap
+// allocated while the cell ran, recorded only when the cell ran alone
+// (-j 1): the counter is process-wide, so cells running beside it
+// would be counted too.
 type checkCell struct {
 	Program      string  `json:"program"`
 	Config       string  `json:"config"`
@@ -219,14 +204,13 @@ type checkCell struct {
 	Skipped      string  `json:"skipped,omitempty"`
 }
 
-// checkSummary is the -json report, schema denovogpu-check/v2.
+// checkSummary is the -json report, schema denovogpu-check/v3.
 type checkSummary struct {
 	Schema     string      `json:"schema"`
 	GoVersion  string      `json:"go_version"`
 	GOMAXPROCS int         `json:"gomaxprocs"`
 	Budget     int         `json:"budget"`
 	Workers    int         `json:"workers"`
-	Shards     int         `json:"shards"`
 	Programs   int         `json:"programs"`
 	Configs    int         `json:"configs"`
 	States     int         `json:"states"`

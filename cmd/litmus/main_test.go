@@ -228,9 +228,10 @@ func TestErrorPaths(t *testing.T) {
 }
 
 // TestCheckAllocOnlyWhenAlone pins when a cell's alloc_mb is reported:
-// the heap counter is process-wide, so only a cell that ran alone (-j 1,
-// no -shards) gets the figure; beside other cells or shards it is
-// omitted from the -json summary and shown as "-" in the -stats table.
+// the heap counter is process-wide, so only a cell that ran alone (-j 1)
+// gets the figure; beside other cells it is omitted from the -json
+// summary and shown as "-" in the -stats table. The retired -shards
+// flag is a usage error.
 func TestCheckAllocOnlyWhenAlone(t *testing.T) {
 	smallCatalog(t, "MP", "CoWW")
 	for _, tc := range []struct {
@@ -239,7 +240,6 @@ func TestCheckAllocOnlyWhenAlone(t *testing.T) {
 	}{
 		{[]string{"-j", "1"}, true},
 		{[]string{"-j", "2"}, false},
-		{[]string{"-j", "1", "-shards", "2"}, false},
 	} {
 		path := filepath.Join(t.TempDir(), "check.json")
 		args := append([]string{"check", "-stats", "-json", path}, tc.args...)
@@ -281,5 +281,8 @@ func TestCheckAllocOnlyWhenAlone(t *testing.T) {
 		if rows != len(sum.Cells) {
 			t.Fatalf("%v: %d stats rows for %d cells:\n%s", tc.args, rows, len(sum.Cells), out)
 		}
+	}
+	if code, _, _ := runCmd(t, "check", "-shards", "2"); code != 2 {
+		t.Fatalf("check -shards: exit %d, want 2", code)
 	}
 }

@@ -20,17 +20,18 @@ import (
 // api.SplitCheckCell), the units are submitted as one job — cached,
 // leased and executed exactly like simulation cells — and the per-unit
 // reports merge into one verdict per cell. The verdict excludes the
-// shard-count-dependent States total, so `sweepd check -local` (a
-// serial in-process run) and a sharded run across any number of
-// workers write byte-identical verdict files for clean programs; that
-// byte equality is the sharded checker's end-to-end correctness test,
-// the same way `diff -r` against the goldens is the simulator sweep's.
+// shard-count-dependent States total, so `sweepd check -local` (an
+// in-process run, one whole cell at a time) and a sharded run across
+// any number of workers write byte-identical verdict files for clean
+// programs; that byte equality is the sharded checker's end-to-end
+// correctness test, the same way `diff -r` against the goldens is the
+// simulator sweep's.
 func runCheckCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweepd check", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		server   = fs.String("server", "http://localhost:8080", "coordinator base URL")
-		local    = fs.Bool("local", false, "run serially in-process (no coordinator); the reference for sharded runs")
+		local    = fs.Bool("local", false, "run in-process, one whole cell at a time (no coordinator); the reference for sharded runs")
 		programs = fs.String("programs", "", "comma-separated catalog litmus programs (default: the whole catalog)")
 		configs  = fs.String("configs", "", "comma-separated configuration names (default: the full model-checking set incl. the DH lazy ablation)")
 		budget   = fs.Int("budget", 0, "exploration node budget — per shard in a sharded run (0 = the mcheck default)")

@@ -41,7 +41,8 @@ func TestDPORAllocationWall(t *testing.T) {
 }
 
 // BenchmarkExploreDPOR times the DPOR loop alone (model and oracle
-// built once) on MP+preload under DD, reporting per-node cost:
+// built once, one explorer, no split) on MP+preload under DD,
+// reporting per-node cost:
 //
 //	go test ./internal/mcheck -run '^$' -bench ExploreDPOR
 func BenchmarkExploreDPOR(b *testing.B) {
@@ -59,9 +60,11 @@ func BenchmarkExploreDPOR(b *testing.B) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
+	x := getExplorer()
 	nodes := 0
 	for i := 0; i < b.N; i++ {
-		n, _, _, err := m.exploreDPOR(oracle, DefaultBudget, Unit{})
+		clear(x.seen)
+		n, _, err := x.explore(m, oracle, &splitNode{}, 0, newLedger(DefaultBudget, 0, 1))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,9 +1,11 @@
 package mcheck
 
 import (
+	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"time"
+	"sync"
 
 	"denovogpu/internal/coherence"
 	"denovogpu/internal/litmus"
@@ -14,15 +16,16 @@ import (
 // Order Reduction", adapted to this transition system). Where the
 // tests' reference explorer (reference_test.go) prunes with a visited
 // table keyed by a canonical state encoding — memory proportional to
-// the number of distinct states — this explorer keeps only the current execution: a
-// stack of frames, one per depth, each holding the state reached, the
-// happens-before clock of its incoming event, and the backtrack/sleep
-// bookkeeping of the node. Peak memory is O(depth), independent of how
-// many states the search visits, which is what lets the budget rise
-// from state-table scale (~2M) to tens of millions.
+// the number of distinct states — this explorer keeps only the current
+// execution: a stack of frames, one per depth, each holding the state
+// reached and the backtrack/sleep bookkeeping of the node, plus the
+// executed events with their footprints and happens-before clocks.
+// Peak memory is O(depth) (the clocks O(depth²) bits), independent of
+// how many states the search visits, which is what lets the budget
+// rise from state-table scale (~2M) to tens of millions.
 //
 // The stack also makes a node cost no allocation. Each depth owns one
-// state buffer and one set of frame slices for the whole exploration:
+// state buffer and one set of frame slices for the explorer's lifetime:
 // a child state is the parent's copied into its depth's buffer and
 // advanced in place, and a frame pushed where an earlier one was popped
 // reuses that frame's slices. A depth's state is therefore valid only
@@ -70,13 +73,17 @@ import (
 // order within one execution: event i happens-before event n iff i < n
 // and a chain of pairwise-dependent events connects them. Each event
 // carries a clock — the bitset of its happens-before predecessors —
-// computed incrementally when the event is appended: scanning
-// backwards from the new event, a dependent earlier event i that is
-// not already covered by the clocks merged so far is a *race* (nothing
-// between them is ordered after i and before the new event, so the
-// two are adjacent in the happens-before order and their order could
-// be reversed); dependent events merge their clocks into the covered
-// set either way, which makes the test exact.
+// computed incrementally when the event is appended. The explorer
+// keeps, per footprint bit, the set of events whose footprint holds
+// it, so the new event's dependent predecessors are the union of its
+// bits' sets. Walking them in descending order, a dependent event i
+// that is not already covered by the clocks merged so far is a *race*
+// (nothing between them is ordered after i and before the new event,
+// so the two are adjacent in the happens-before order and their order
+// could be reversed); every dependent event merges its clock into the
+// covered set. A covered event's clock is already inside the covered
+// set (clocks are transitively closed), so skipping covered events
+// loses nothing and the test stays exact.
 //
 // For a race (i, n) the reversal candidate sequence is
 // v = notdep(i, E)·t_n: the events after i that do not happen-after i,
@@ -100,31 +107,6 @@ import (
 // is abandoned. The reported States metric counts frames visited
 // (executed transitions plus the root), the stateless analogue of the
 // reference explorer's expanded-node count.
-
-// ebits is a growable bitset over event indices (execution depths).
-type ebits []uint64
-
-func (b ebits) test(i int) bool {
-	w := i >> 6
-	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
-}
-
-func (b *ebits) set(i int) {
-	w := i >> 6
-	for len(*b) <= w {
-		*b = append(*b, 0)
-	}
-	(*b)[w] |= 1 << (uint(i) & 63)
-}
-
-func (b *ebits) or(o ebits) {
-	for len(*b) < len(o) {
-		*b = append(*b, 0)
-	}
-	for i, w := range o {
-		(*b)[i] |= w
-	}
-}
 
 // Dynamic-footprint territory bits. Slots 0..35 are (CU, word) pairs;
 // above them one bit per thread's control state, per variable's home,
@@ -257,18 +239,20 @@ type Unit struct {
 	Sleep  []uint32 `json:"sleep,omitempty"`
 }
 
-// dframe is one depth of the DPOR stack: the state reached, the
-// incoming event's identity/footprint/clock (meaningless at the root),
-// and the node's exploration bookkeeping. A frame's state buffer and
-// slices belong to its depth for the whole exploration: popping a frame
+// event is one executed transition of the current execution and its
+// dynamic footprint.
+type event struct {
+	t  trans
+	fp uint64
+}
+
+// dframe is one depth of the DPOR stack: the state reached and the
+// node's exploration bookkeeping. A frame's state buffer and slices
+// belong to its depth for the explorer's lifetime: popping a frame
 // leaves them in the stack's backing array, and the next frame pushed
 // at that depth overwrites them in place (see push).
 type dframe struct {
 	s *state
-
-	t     trans  // incoming transition (event index = depth-1)
-	fp    uint64 // its footprint
-	clock ebits  // its happens-before predecessors
 
 	visited bool
 	enab    []trans
@@ -278,11 +262,60 @@ type dframe struct {
 	sleep   []sleepEnt
 }
 
-// dporScratch holds reverseRace's working sets, reused across calls.
-type dporScratch struct {
-	notdep   []int
-	initials []trans
+// explorer is one worker's DPOR stack: the frames, the executed events
+// indexed by event index (event i is the transition into frame i+1),
+// and the happens-before bitsets over those indices. It is reused
+// across the units a worker runs and, through the stacks pool, across
+// Check calls, so a node costs no allocation once the stack has grown
+// to the exploration's depth.
+type explorer struct {
+	frames []dframe
+	ev     []event
+
+	// Bitsets over event indices, nw words each: clocks holds event i's
+	// happens-before predecessors at clocks[i*nw:], byBit the events
+	// whose footprint holds bit b at byBit[b*nw:]. Entries of events
+	// above the current depth are stale; readers mask them off.
+	nw     int
+	clocks []uint64
+	byBit  []uint64
+
+	deps, notdep []uint64 // racesOnAppend/reverseRace scratch, nw words
+	initials     []trans
+
+	// seen maps every outcome this explorer reached in the current
+	// Check to the lowest unit that reached it (the split phase is
+	// unit -1). A worker runs its units in increasing order, so the
+	// first unit to record an outcome is the lowest.
+	seen map[outKey]seenOutcome
+
+	// Split-phase buffers.
+	replay state
+	enab   []trans
 }
+
+type seenOutcome struct {
+	unit int
+	key  string
+	o    litmus.Outcome
+}
+
+// stacks recycles explorers across Check calls. Nothing depends on a
+// hit: a fresh explorer allocates only as its stack first grows.
+var stacks = sync.Pool{New: func() any { return new(explorer) }}
+
+func getExplorer() *explorer {
+	x := stacks.Get().(*explorer)
+	if x.seen == nil {
+		x.seen = make(map[outKey]seenOutcome)
+	}
+	clear(x.seen)
+	return x
+}
+
+// errStop is how an exploration reports that its ledger granted no
+// more nodes: the budget is exhausted or the unit is no longer needed.
+var errStop = errors.New("mcheck: exploration stopped by its ledger")
 
 // falses returns b resliced to n elements, all false, reusing its
 // backing array when it is large enough.
@@ -292,27 +325,29 @@ func falses(b []bool, n int) []bool {
 	return b
 }
 
-// exploreDPOR runs stateless source-DPOR over unit. It returns frames
-// visited below the cut (the prefix was counted once by the split
-// phase), terminal outcomes, and the first violation in deterministic
-// DFS order, or a *BudgetError carrying progress at exhaustion.
-func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit Unit) (int, map[string]litmus.Outcome, *Violation, error) {
-	outcomes := make(map[string]litmus.Outcome)
-	seen := make(map[outKey]struct{}) // outcomes already checked and recorded
-	states := 0
-	start := time.Now()
-	cut := len(unit.Prefix)
-	var sc dporScratch
+// explore runs stateless source-DPOR over one unit: replay prefix from
+// the root (uncounted: the split phase counted it), then explore below
+// the cut, taking node grants from l as unit j. It returns the nodes
+// visited below the cut and the first violation in deterministic DFS
+// order; errStop when l grants no more nodes.
+func (x *explorer) explore(m *model, oracle map[string]litmus.Outcome, u *splitNode, j int, l *ledger) (int, *Violation, error) {
+	states, limit := 0, 0
+	cut := len(u.prefix)
 
-	stack := make([]dframe, 1, 64)
-	stack[0] = dframe{s: m.initial()}
+	x.frames = slices.Grow(x.frames[:0], 1)[:1]
+	root := &x.frames[0]
+	if root.s == nil {
+		root.s = new(state)
+	}
+	m.reset(root.s)
+	root.visited, root.sleep = false, root.sleep[:0]
 
 	// violation builds the counterexample from the live stack: the
-	// transitions of frames 1..top are the execution that reached it.
+	// events 0..top-1 are the execution that reached it.
 	violation := func(name, detail string, obs *litmus.Outcome) *Violation {
-		ts := make([]trans, len(stack)-1)
+		ts := make([]trans, len(x.frames)-1)
 		for i := range ts {
-			ts[i] = stack[i+1].t
+			ts[i] = x.ev[i].t
 		}
 		return &Violation{
 			Invariant: name,
@@ -324,50 +359,48 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 		}
 	}
 
-	for len(stack) > 0 {
-		d := len(stack) - 1
-		fr := &stack[d]
+	for len(x.frames) > 0 {
+		d := len(x.frames) - 1
+		fr := &x.frames[d]
 
 		if !fr.visited {
 			fr.visited = true
 			s := fr.s
 			if d >= cut {
-				if states >= budget {
-					return states, outcomes, nil, &BudgetError{
-						Budget: budget, Config: m.mcfg.Name(), Program: m.p.Name,
-						States: states, Elapsed: time.Since(start),
+				if states >= limit {
+					if limit = l.grant(j, states); states >= limit {
+						return states, nil, errStop
 					}
 				}
 				states++
 			}
 			if s.viol != "" {
-				return states, outcomes, violation(s.viol, s.violDetail, nil), nil
+				return states, violation(s.viol, s.violDetail, nil), nil
 			}
 			if name, detail := m.checkInvariants(s); name != "" {
-				return states, outcomes, violation(name, detail, nil), nil
+				return states, violation(name, detail, nil), nil
 			}
 			if m.terminal(s) {
 				key, ok := m.outcomeKey(s)
 				if !ok {
-					return states, outcomes, violation(s.viol, s.violDetail, nil), nil
+					return states, violation(s.viol, s.violDetail, nil), nil
 				}
-				if _, dup := seen[key]; !dup {
+				if _, dup := x.seen[key]; !dup {
 					o := m.outcomeOf(&key)
 					k := o.Key()
 					if _, permitted := oracle[k]; !permitted {
-						return states, outcomes, violation("oracle-conformance",
+						return states, violation("oracle-conformance",
 							fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
 							&o), nil
 					}
-					outcomes[k] = o
-					seen[key] = struct{}{}
+					x.seen[key] = seenOutcome{j, k, o}
 				}
-				stack = stack[:d]
+				x.frames = x.frames[:d]
 				continue
 			}
 			fr.enab = m.enabledInto(fr.enab, s)
 			if len(fr.enab) == 0 {
-				return states, outcomes, violation("deadlock",
+				return states, violation("deadlock",
 					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
 					nil), nil
 			}
@@ -380,26 +413,21 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 			switch {
 			case d < cut:
 				// Prefix replay: the split phase already branched here; take
-				// exactly the shard's transition.
-				want := trans(unit.Prefix[d])
-				found := false
-				for i, t := range fr.enab {
-					if t == want {
-						fr.back[i] = true
-						found = true
-						break
-					}
-				}
-				if !found {
-					return states, outcomes, nil, fmt.Errorf(
+				// exactly the unit's transition.
+				idx := slices.Index(fr.enab, u.prefix[d])
+				if idx < 0 {
+					return states, nil, fmt.Errorf(
 						"mcheck: shard prefix transition %#x not enabled at depth %d of %q under %s (stale shard?)",
-						unit.Prefix[d], d, m.p.Name, m.mcfg.Name())
+						uint32(u.prefix[d]), d, m.p.Name, m.mcfg.Name())
 				}
+				fr.back[idx] = true
 			default:
-				if d == cut && len(unit.Sleep) > 0 {
+				if d == cut {
+					// The cut frame inherits the unit's sleep set in place of
+					// the (empty) one the prefix replay carried down.
 					fr.sleep = fr.sleep[:0]
-					for _, u := range unit.Sleep {
-						fr.sleep = append(fr.sleep, sleepEnt{trans(u), m.dynFootprint(s, trans(u))})
+					for _, e := range u.sleep {
+						fr.sleep = append(fr.sleep, sleepEnt{e.t, m.dynFootprint(s, e.t)})
 					}
 				}
 				seeded := false
@@ -413,7 +441,7 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 				if !seeded {
 					// Sleep-blocked: every enabled transition is covered by a
 					// sibling exploration. Redundant prefix; abandon.
-					stack = stack[:d]
+					x.frames = x.frames[:d]
 					continue
 				}
 			}
@@ -428,23 +456,23 @@ func (m *model) exploreDPOR(oracle map[string]litmus.Outcome, budget int, unit U
 			}
 		}
 		if sel < 0 {
-			stack = stack[:d]
+			x.frames = x.frames[:d]
 			continue
 		}
 		fr.done[sel] = true
-		stack = m.push(stack, sel, cut, &sc)
+		x.push(m, sel, cut)
 	}
-	return states, outcomes, nil, nil
+	return states, nil, nil
 }
 
 // push executes the top frame's transition sel into the next depth's
-// reused buffers (see dframe) and returns the stack with the child on
-// top. It allocates only the first time a depth is reached or when a
-// buffer must grow.
-func (m *model) push(stack []dframe, sel, cut int, sc *dporScratch) []dframe {
-	d := len(stack) - 1
-	stack = slices.Grow(stack, 1)
-	fr, ch := &stack[d], &stack[:d+2][d+1]
+// reused buffers (see dframe) and makes the child the top frame. It
+// allocates only the first time a depth is reached or when a buffer
+// must grow.
+func (x *explorer) push(m *model, sel, cut int) {
+	d := len(x.frames) - 1 // the new event's index
+	x.frames = slices.Grow(x.frames, 1)[:d+2]
+	fr, ch := &x.frames[d], &x.frames[d+1]
 	t, ft := fr.enab[sel], fr.enabFp[sel]
 	if ch.s == nil {
 		// First time at this depth: size its buffers like the parent's,
@@ -456,8 +484,7 @@ func (m *model) push(stack []dframe, sel, cut int, sc *dporScratch) []dframe {
 		ch.sleep = make([]sleepEnt, 0, n)
 	}
 
-	// Race detection for the new event, and its clock.
-	ch.clock = m.racesOnAppend(stack, t, ft, cut, ch.clock[:0], sc)
+	x.appendEvent(d, t, ft, cut)
 
 	// Child sleep: inherited entries and already-explored siblings,
 	// filtered to those independent of the taken transition.
@@ -475,77 +502,127 @@ func (m *model) push(stack []dframe, sel, cut int, sc *dporScratch) []dframe {
 
 	ch.s.copyFrom(fr.s)
 	m.apply(ch.s, t)
-	ch.t, ch.fp, ch.visited = t, ft, false
-	return stack[:d+2]
+	ch.visited = false
 }
 
-// racesOnAppend computes the happens-before clock of the event about
-// to be appended (taken from the current top frame) into covered, and
-// schedules a reversal for every race it closes. Scanning backwards,
-// `covered` accumulates the clocks of dependent events: a dependent
-// event not yet covered is adjacent to the new event in happens-before
-// — a race. Races whose frame lies inside a shard's replayed prefix are
-// skipped: the split phase branched every top-region node fully, so
-// the reversed order lives in a sibling unit.
-func (m *model) racesOnAppend(stack []dframe, tn trans, ftn uint64, cut int, covered ebits, sc *dporScratch) ebits {
-	d := len(stack) - 1 // index of the new event
-	for i := d - 1; i >= 0; i-- {
-		ev := &stack[i+1] // event i
-		if independent(ev.fp, ftn) {
-			continue
-		}
-		if i >= cut && !covered.test(i) {
-			m.reverseRace(stack, i, tn, covered, sc)
-		}
-		covered.set(i)
-		covered.or(ev.clock)
+// appendEvent records event n (transition t, footprint ft), computing
+// its clock and scheduling a reversal for every race it closes.
+func (x *explorer) appendEvent(n int, t trans, ft uint64, cut int) {
+	if n >= 64*x.nw {
+		x.widen()
 	}
-	return covered
+	nw, w, bit := x.nw, n>>6, uint64(1)<<(n&63)
+	if n < len(x.ev) {
+		// Drop the stale event n from the footprint-bit sets.
+		for f := x.ev[n].fp; f != 0; f &= f - 1 {
+			x.byBit[bits.TrailingZeros64(f)*nw+w] &^= bit
+		}
+		x.ev[n] = event{t, ft}
+	} else {
+		x.ev = append(x.ev, event{t, ft})
+		x.clocks = append(x.clocks, make([]uint64, nw)...)
+	}
+	x.racesOnAppend(n, t, ft, cut)
+	for f := ft; f != 0; f &= f - 1 {
+		x.byBit[bits.TrailingZeros64(f)*nw+w] |= bit
+	}
+}
+
+// widen adds a word to every event bitset, for executions deeper than
+// the current width.
+func (x *explorer) widen() {
+	nw := x.nw + 1
+	regrid := func(old []uint64, rows int) []uint64 {
+		b := make([]uint64, rows*nw)
+		for r := 0; r < rows && x.nw > 0; r++ {
+			copy(b[r*nw:], old[r*x.nw:][:x.nw])
+		}
+		return b
+	}
+	x.clocks = regrid(x.clocks, len(x.ev))
+	x.byBit = regrid(x.byBit, 64)
+	x.deps, x.notdep = make([]uint64, nw), make([]uint64, nw)
+	x.nw = nw
+}
+
+// clock is event i's happens-before predecessor set.
+func (x *explorer) clock(i int) []uint64 { return x.clocks[i*x.nw:][:x.nw] }
+
+// racesOnAppend builds the clock of new event n into place. Its
+// dependent predecessors are the union of the per-footprint-bit event
+// sets; walking them in descending order, one not yet covered is a
+// race, and each merges its clock into the covered set, which ends as
+// the new event's clock. Races whose frame lies inside a unit's
+// replayed prefix are skipped: the split phase branched every
+// top-region node fully, so the reversed order lives in a sibling
+// unit.
+func (x *explorer) racesOnAppend(n int, tn trans, ftn uint64, cut int) {
+	nw := x.nw
+	deps := x.deps
+	clear(deps)
+	for f := ftn; f != 0; f &= f - 1 {
+		for k, e := range x.byBit[bits.TrailingZeros64(f)*nw:][:nw] {
+			deps[k] |= e
+		}
+	}
+	top := n >> 6
+	deps[top] &= 1<<(n&63) - 1 // events at n and above are stale
+	clear(deps[top+1:])
+
+	covered := x.clock(n)
+	clear(covered)
+	for w := top; w >= 0; w-- {
+		for {
+			live := deps[w] &^ covered[w]
+			if live == 0 {
+				break
+			}
+			i := w<<6 | (63 - bits.LeadingZeros64(live))
+			if i >= cut {
+				x.reverseRace(i, n, tn, covered)
+			}
+			covered[w] |= 1 << (i & 63)
+			for k, c := range x.clock(i)[:w+1] {
+				covered[k] |= c
+			}
+		}
+	}
 }
 
 // reverseRace schedules, at frame i, an alternative exploration that
-// runs the new event's side of the race (i, new) first: one initial of
+// runs the new event n's side of the race (i, n) first: one initial of
 // v = notdep(i, E)·t_n, unless an initial is already scheduled there.
-func (m *model) reverseRace(stack []dframe, i int, tn trans, covered ebits, sc *dporScratch) {
-	d := len(stack) - 1
-	fr := &stack[i]
+// covered holds the events between i and n that happen-before n.
+func (x *explorer) reverseRace(i, n int, tn trans, covered []uint64) {
+	fr := &x.frames[i]
+	nw := x.nw
 
 	// notdep: events after i that do not happen-after event i.
-	notdep := sc.notdep[:0]
-	for j := i + 1; j < d; j++ {
-		if !stack[j+1].clock.test(i) {
-			notdep = append(notdep, j)
+	notdep := x.notdep
+	clear(notdep)
+	iw, ib := i>>6, uint64(1)<<(i&63)
+	for j := i + 1; j < n; j++ {
+		if x.clocks[j*nw+iw]&ib == 0 {
+			notdep[j>>6] |= 1 << (j & 63)
 		}
 	}
-	sc.notdep = notdep
 
 	// Initials of v: events with no happens-before predecessor inside
-	// v. The new event qualifies when nothing in notdep happens-before
-	// it — `covered` holds exactly the events that do.
-	initials := sc.initials[:0]
-	for a, j := range notdep {
-		isInit := true
-		for _, k := range notdep[:a] {
-			if stack[j+1].clock.test(k) {
-				isInit = false
-				break
+	// v, in execution order. The new event qualifies when nothing in
+	// notdep happens-before it.
+	initials := x.initials[:0]
+	for w, word := range notdep {
+		for ; word != 0; word &= word - 1 {
+			j := w<<6 | bits.TrailingZeros64(word)
+			if !intersects(x.clock(j), notdep) {
+				initials = append(initials, x.ev[j].t)
 			}
 		}
-		if isInit {
-			initials = append(initials, stack[j+1].t)
-		}
 	}
-	tnInit := true
-	for _, j := range notdep {
-		if covered.test(j) {
-			tnInit = false
-			break
-		}
-	}
-	if tnInit {
+	if !intersects(covered, notdep) {
 		initials = append(initials, tn)
 	}
-	sc.initials = initials
+	x.initials = initials
 
 	// Source-set check: an initial already scheduled at frame i covers
 	// this race.
@@ -569,4 +646,13 @@ func (m *model) reverseRace(stack []dframe, i int, tn trans, covered ebits, sc *
 	for idx := range fr.back {
 		fr.back[idx] = true
 	}
+}
+
+func intersects(a, b []uint64) bool {
+	for k := range a {
+		if a[k]&b[k] != 0 {
+			return true
+		}
+	}
+	return false
 }

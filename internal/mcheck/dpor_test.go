@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"denovogpu/internal/coherence"
 	"denovogpu/internal/litmus"
 	"denovogpu/internal/machine"
 )
@@ -52,6 +53,18 @@ var explorers = []struct {
 // under DH+lazy, the largest, in 233,259 states).
 const referenceFullBudget = 2_000_000
 
+// dporGapBudget is the DPOR budget of the cells in dporGap. They
+// exceed the default budget (see EXPERIMENTS.md), so exploring them to
+// it only ends in a skip the reference then decides; this budget ends
+// them sooner, on the same skip.
+const dporGapBudget = 2_000_000
+
+// dporGap lists the cells DPOR cannot finish at the default budget.
+// The list must shrink when the gap closes: a cell DPOR completes
+// belongs back at the default budget, where its outcome set is
+// compared.
+var dporGap = map[string]bool{"DD/IRIW+scoped": true, "DD+RO/IRIW+scoped": true, "DH+lazy/IRIW+scoped": true}
+
 // TestDPORConformance is the differential wall for the stateless
 // source-DPOR explorer: over the full litmus catalog × every
 // configuration (the litmus six plus DH+lazy), DPOR and the reference
@@ -66,10 +79,11 @@ const referenceFullBudget = 2_000_000
 //
 // Then all 72 cells run under both explorers. The reference must
 // complete every cell clean within referenceFullBudget; DPOR runs at
-// the default budget and may exhaust it (IRIW+scoped under DD, DD+RO
-// and DH+lazy does: see EXPERIMENTS.md), but only on a cell the
-// reference completes, and wherever DPOR completes the outcome sets
-// must be equal. At least 69 cells must be compared that way.
+// the default budget (dporGapBudget on the dporGap cells) and may
+// exhaust it (IRIW+scoped under DD, DD+RO and DH+lazy does: see
+// EXPERIMENTS.md), but only on a cell the reference completes, and
+// wherever DPOR completes the outcome sets must be equal. At least 69
+// cells must be compared that way.
 func TestDPORConformance(t *testing.T) {
 	full := os.Getenv("MCHECK_FULL") == "1"
 	heavy := map[string]bool{"IRIW+sync": true, "IRIW+scoped": true, "ISA2+transitive": true}
@@ -101,7 +115,11 @@ func TestDPORConformance(t *testing.T) {
 				if full && ref.Violation != nil {
 					t.Fatalf("reference: %v", ref.Violation)
 				}
-				dpor, err := Check(cfg, e.Program, Options{})
+				opts := Options{}
+				if dporGap[cfg.Name()+"/"+e.Program.Name] {
+					opts.Budget = dporGapBudget
+				}
+				dpor, err := Check(cfg, e.Program, opts)
 				var be *BudgetError
 				if full && errors.As(err, &be) {
 					t.Logf("dpor: %v; reference completed in %d states, %d outcomes",
@@ -158,10 +176,112 @@ func TestDPORConformanceUnderFault(t *testing.T) {
 	}
 }
 
-// TestShardDeterminism is the shard-split guarantee: a sharded
-// exploration (any unit count, any worker count) reports the same
-// verdict and the same terminal-outcome set as a serial one, and
-// reruns of the same split are byte-identical (same States total).
+// TestDeepExecutionWidensClocks covers happens-before bitsets wider
+// than one word, which no catalog cell reaches (their executions stay
+// under 40 events). Two CUs each issuing eight global releases run 66
+// events deep under GD, so the explorer widens its bitsets in the
+// middle of the exploration. It must explore exactly what an explorer
+// that was two words wide from the start explores, and reach the
+// reference explorer's outcome set. Widening must also keep every
+// recorded clock and footprint-bit event set: 100 synthetic events
+// appended to a fresh explorer and to a three-word one give the same
+// bitsets.
+func TestDeepExecutionWidensClocks(t *testing.T) {
+	p := &litmus.Program{Name: "deep-releases", Vars: []litmus.VarClass{litmus.Sync, litmus.Sync}}
+	for ti := 0; ti < 2; ti++ {
+		th := litmus.Thread{CU: ti}
+		for i := 0; i < maxOpsPerThread; i++ {
+			th.Ops = append(th.Ops, litmus.Op{Kind: litmus.OpSyncStore, Var: ti, Val: uint32(i + 1), Scope: coherence.ScopeGlobal})
+		}
+		p.Threads = append(p.Threads, th)
+	}
+	cfg := machine.GD()
+	m, oracle, err := prepare(cfg, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explore := func(x *explorer) (int, []string) {
+		clear(x.seen)
+		n, viol, err := x.explore(m, oracle, &splitNode{}, 0, newLedger(DefaultBudget, 0, 1))
+		if err != nil || viol != nil {
+			t.Fatalf("explore: %v %v", err, viol)
+		}
+		return n, outcomeKeys(outcomesUpTo([]*explorer{x}, 0))
+	}
+	fresh := &explorer{seen: make(map[outKey]seenOutcome)}
+	n, keys := explore(fresh)
+	if fresh.nw < 2 {
+		t.Fatalf("executions reached %d events; the test needs more than 64", len(fresh.ev))
+	}
+	wide := &explorer{seen: make(map[outKey]seenOutcome)}
+	wide.widen()
+	wide.widen()
+	if wn, wkeys := explore(wide); wn != n || !sameKeys(wkeys, keys) {
+		t.Fatalf("widened mid-run: %d states, %d outcomes; two words from the start: %d states, %d outcomes", n, len(keys), wn, len(wkeys))
+	}
+	ref, err := checkReference(cfg, p, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rk := outcomeKeys(ref.Outcomes); !sameKeys(keys, rk) {
+		t.Fatalf("outcome sets differ:\n  dpor      (%d): %v\n  reference (%d): %v", len(keys), keys, len(rk), rk)
+	}
+
+	const events = 100 // appended with the cut above them: no race reversals
+	grown, three := &explorer{}, &explorer{}
+	for range 3 {
+		three.widen()
+	}
+	for n := 0; n < events; n++ {
+		fp := uint64(1)<<(n%5) | uint64(1)<<(5+n%3)
+		grown.appendEvent(n, trans(n), fp, events)
+		three.appendEvent(n, trans(n), fp, events)
+	}
+	word := func(x *explorer, rows []uint64, r, w int) uint64 {
+		if w >= x.nw {
+			return 0
+		}
+		return rows[r*x.nw+w]
+	}
+	for w := 0; w < three.nw; w++ {
+		for n := 0; n < events; n++ {
+			if g, h := word(grown, grown.clocks, n, w), word(three, three.clocks, n, w); g != h {
+				t.Fatalf("event %d clock word %d: %#x grown, %#x three words wide", n, w, g, h)
+			}
+		}
+		for b := 0; b < 64; b++ {
+			if g, h := word(grown, grown.byBit, b, w), word(three, three.byBit, b, w); g != h {
+				t.Fatalf("footprint bit %d events word %d: %#x grown, %#x three words wide", b, w, g, h)
+			}
+		}
+	}
+}
+
+// checkSplit is sweepd's path run in process: Split into at least
+// target units, every unit through CheckShard on its own budget, and
+// MergeShardResults.
+func checkSplit(cfg machine.Config, p *litmus.Program, opts Options, target int) (*Result, error) {
+	plan, err := Split(cfg, p, opts, target)
+	if err != nil {
+		return nil, err
+	}
+	var results []*Result
+	for _, u := range plan.Units {
+		r, err := CheckShard(cfg, p, opts, u)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, r)
+	}
+	return MergeShardResults(plan, results), nil
+}
+
+// TestShardDeterminism is the shard-split guarantee on sweepd's path: a
+// split exploration (any unit count) reports the same verdict and the
+// same terminal-outcome set as Check, reruns of the same split give
+// the same States total, and a split into one unit is exactly the
+// unsplit exploration. At Check's own unit count the path gives
+// Check's States exactly: Check is this walk, run on every core.
 func TestShardDeterminism(t *testing.T) {
 	shapes := map[string]bool{"MP": true, "SB+sync": true, "CoRR": true, "LB": true, "WRC": true}
 	for _, cfg := range Configs() {
@@ -169,38 +289,46 @@ func TestShardDeterminism(t *testing.T) {
 			if !shapes[e.Program.Name] {
 				continue
 			}
-			serial, err := Check(cfg, e.Program, Options{})
+			name := cfg.Name() + " / " + e.Program.Name
+			whole, err := CheckShard(cfg, e.Program, Options{}, Unit{})
 			if err != nil {
-				t.Fatalf("%s / %s serial: %v", cfg.Name(), e.Program.Name, err)
+				t.Fatalf("%s unsplit: %v", name, err)
 			}
-			s1, err := CheckSharded(cfg, e.Program, Options{}, 1, 1)
+			s1, err := checkSplit(cfg, e.Program, Options{}, 1)
 			if err != nil {
-				t.Fatalf("%s / %s shards=1: %v", cfg.Name(), e.Program.Name, err)
+				t.Fatalf("%s units=1: %v", name, err)
 			}
-			// shards <= 1 must be *exactly* the serial exploration.
-			if s1.States != serial.States || !sameKeys(outcomeKeys(s1.Outcomes), outcomeKeys(serial.Outcomes)) {
-				t.Fatalf("%s / %s: shards=1 (%d states) differs from serial (%d states)",
-					cfg.Name(), e.Program.Name, s1.States, serial.States)
+			if s1.States != whole.States || !sameKeys(outcomeKeys(s1.Outcomes), outcomeKeys(whole.Outcomes)) {
+				t.Fatalf("%s: units=1 (%d states) differs from unsplit (%d states)", name, s1.States, whole.States)
 			}
-			s8a, err := CheckSharded(cfg, e.Program, Options{}, 8, 1)
+			s8a, err := checkSplit(cfg, e.Program, Options{}, 8)
 			if err != nil {
-				t.Fatalf("%s / %s shards=8 workers=1: %v", cfg.Name(), e.Program.Name, err)
+				t.Fatalf("%s units=8: %v", name, err)
 			}
-			s8b, err := CheckSharded(cfg, e.Program, Options{}, 8, 8)
+			s8b, err := checkSplit(cfg, e.Program, Options{}, 8)
 			if err != nil {
-				t.Fatalf("%s / %s shards=8 workers=8: %v", cfg.Name(), e.Program.Name, err)
+				t.Fatalf("%s units=8 rerun: %v", name, err)
 			}
 			if s8a.States != s8b.States {
-				t.Fatalf("%s / %s: worker count changed the merged state total (%d vs %d)",
-					cfg.Name(), e.Program.Name, s8a.States, s8b.States)
+				t.Fatalf("%s: rerun changed the merged state total (%d vs %d)", name, s8a.States, s8b.States)
 			}
-			if (s8a.Violation == nil) != (serial.Violation == nil) {
-				t.Fatalf("%s / %s: sharded verdict %v, serial %v",
-					cfg.Name(), e.Program.Name, s8a.Violation, serial.Violation)
+			if (s8a.Violation == nil) != (whole.Violation == nil) {
+				t.Fatalf("%s: split verdict %v, unsplit %v", name, s8a.Violation, whole.Violation)
 			}
-			if !sameKeys(outcomeKeys(s8a.Outcomes), outcomeKeys(serial.Outcomes)) {
-				t.Fatalf("%s / %s: sharded outcomes %v, serial %v",
-					cfg.Name(), e.Program.Name, outcomeKeys(s8a.Outcomes), outcomeKeys(serial.Outcomes))
+			if !sameKeys(outcomeKeys(s8a.Outcomes), outcomeKeys(whole.Outcomes)) {
+				t.Fatalf("%s: split outcomes %v, unsplit %v", name, outcomeKeys(s8a.Outcomes), outcomeKeys(whole.Outcomes))
+			}
+			res, err := Check(cfg, e.Program, Options{})
+			if err != nil {
+				t.Fatalf("%s Check: %v", name, err)
+			}
+			split, err := checkSplit(cfg, e.Program, Options{}, checkUnits)
+			if err != nil {
+				t.Fatalf("%s units=%d: %v", name, checkUnits, err)
+			}
+			if res.States != split.States || !sameKeys(outcomeKeys(res.Outcomes), outcomeKeys(split.Outcomes)) {
+				t.Fatalf("%s: Check (%d states) differs from the split path at %d units (%d states)",
+					name, res.States, checkUnits, split.States)
 			}
 		}
 	}
@@ -263,7 +391,7 @@ func TestShardFaultFindsViolation(t *testing.T) {
 	}
 	cfg := machine.DD()
 	cfg.FaultDisableAcquireInval = true
-	res, err := CheckSharded(cfg, mp, Options{}, 8, 4)
+	res, err := checkSplit(cfg, mp, Options{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +399,7 @@ func TestShardFaultFindsViolation(t *testing.T) {
 		t.Fatalf("sharded run missed the injected fault: %v", res.Violation)
 	}
 	// Determinism: rerunning reports the identical counterexample.
-	res2, err := CheckSharded(cfg, mp, Options{}, 8, 1)
+	res2, err := checkSplit(cfg, mp, Options{}, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

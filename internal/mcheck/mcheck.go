@@ -8,8 +8,9 @@
 // on every terminal outcome. Stateless source-DPOR with sleep sets
 // over a footprint-based independence relation (dpor.go) keeps the
 // enumeration tractable at litmus-program sizes in O(depth) memory,
-// and splits into prefix units for distribution (shard.go). It is the
-// only explorer; the tests diff it against a visited-table reference.
+// and splits into prefix units (shard.go) that Check runs on every
+// core and sweepd distributes. It is the only explorer; the tests diff
+// it against a visited-table reference.
 //
 // The model abstracts the cycle-level simulator but keeps the
 // properties the protocols rely on: per-(source, destination, word)
@@ -26,6 +27,7 @@ package mcheck
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"time"
 
@@ -43,8 +45,10 @@ const DefaultBudget = 20_000_000
 // Options tunes a Check call.
 type Options struct {
 	// Budget caps explored nodes; <= 0 uses DefaultBudget. Exceeding it
-	// returns a *BudgetError. In a sharded run the budget applies per
-	// unit (each shard enforces it independently).
+	// returns a *BudgetError. Check charges one budget for the whole
+	// exploration, split phase included, whatever its worker count;
+	// CheckShard charges it to its one unit, so a cell sweepd splits has
+	// a budget per unit.
 	Budget int
 	// OracleStateLimit is passed through to litmus.Oracle (<= 0 uses
 	// its default). A *litmus.StateLimitError from the oracle is
@@ -135,11 +139,40 @@ func Configs() []machine.Config {
 	return append(cfgs, lazy)
 }
 
+func (o Options) budget() int {
+	if o.Budget <= 0 {
+		return DefaultBudget
+	}
+	return o.Budget
+}
+
 // Check exhaustively explores program p under configuration cfg.
 // A Violation is reported in the Result, not as an error; errors are
 // invalid programs, oracle state-limit exhaustion
 // (*litmus.StateLimitError), or exploration budget exhaustion
 // (*BudgetError).
+//
+// The model and oracle are built once; the exploration is split into a
+// fixed number of prefix units that run on runtime.GOMAXPROCS(0)
+// workers, charged against the one budget in unit order (see shard.go).
+// The Result — States, Outcomes and the Violation's trace — and a
+// BudgetError's States are the same at every worker count.
 func Check(cfg machine.Config, p *litmus.Program, opts Options) (*Result, error) {
-	return CheckShard(cfg, p, opts, Unit{})
+	return check(cfg, p, opts, runtime.GOMAXPROCS(0))
+}
+
+// check is Check on the given number of workers.
+func check(cfg machine.Config, p *litmus.Program, opts Options, workers int) (*Result, error) {
+	m, oracle, err := prepare(cfg, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	x := getExplorer()
+	defer stacks.Put(x)
+	start := time.Now()
+	sp, err := x.split(m, oracle, opts.budget(), checkUnits)
+	if err != nil {
+		return nil, m.budgetError(opts.budget(), start)
+	}
+	return m.runUnits(oracle, opts.budget(), sp, x, workers, start)
 }

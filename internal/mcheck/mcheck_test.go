@@ -2,6 +2,8 @@ package mcheck
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"denovogpu/internal/litmus"
@@ -172,6 +174,64 @@ func TestBudgetError(t *testing.T) {
 	}
 	if be.Budget != 10 || be.Program != "MP" {
 		t.Fatalf("budget error fields: %+v", be)
+	}
+}
+
+// TestCheckDeterministicAcrossWorkers is the determinism wall of the
+// parallel Check: at 1, 2 and 8 workers it must give equal States,
+// outcome keys, Violation.Error() bytes and BudgetError.States on the
+// light catalog cells, on the fault-injected MP+preload cells under GD
+// and DD, on MP under a budget of 10 nodes (the split phase exhausts
+// it) and on MP+preload under DD with a budget its units exhaust.
+func TestCheckDeterministicAcrossWorkers(t *testing.T) {
+	type cell struct {
+		cfg    machine.Config
+		p      *litmus.Program
+		budget int
+	}
+	heavy := map[string]bool{"IRIW+sync": true, "IRIW+scoped": true, "ISA2+transitive": true}
+	var cells []cell
+	for _, cfg := range Configs() {
+		for _, e := range litmus.Catalog() {
+			if !heavy[e.Program.Name] {
+				cells = append(cells, cell{cfg, e.Program, 0})
+			}
+		}
+	}
+	mp, preload := catalogProgram(t, "MP"), catalogProgram(t, "MP+preload")
+	for _, base := range []machine.Config{machine.GD(), machine.DD()} {
+		cfg := base
+		cfg.FaultDisableAcquireInval = true
+		cells = append(cells, cell{cfg, preload, 0})
+	}
+	cells = append(cells, cell{machine.GD(), mp, 10}, cell{machine.DD(), preload, 20_000})
+
+	// verdict renders everything a Check returns that must not depend
+	// on the worker count.
+	verdict := func(c cell, workers int) string {
+		res, err := check(c.cfg, c.p, Options{Budget: c.budget}, workers)
+		var be *BudgetError
+		switch {
+		case errors.As(err, &be):
+			return fmt.Sprintf("budget %d exhausted at %d states", be.Budget, be.States)
+		case err != nil:
+			t.Fatalf("%s / %s at %d workers: %v", c.cfg.Name(), c.p.Name, workers, err)
+		case res.Violation != nil:
+			return fmt.Sprintf("%d states, outcomes %v\n%s", res.States, outcomeKeys(res.Outcomes), res.Violation.Error())
+		}
+		return fmt.Sprintf("%d states, outcomes %v", res.States, outcomeKeys(res.Outcomes))
+	}
+	for _, c := range cells {
+		want := verdict(c, 1)
+		for _, workers := range []int{2, 8} {
+			if got := verdict(c, workers); got != want {
+				t.Fatalf("%s / %s (budget %d): %d workers differ from 1:\n--- got\n%s\n--- want\n%s",
+					c.cfg.Name(), c.p.Name, c.budget, workers, got, want)
+			}
+		}
+		if c.budget > 0 && !strings.HasPrefix(want, fmt.Sprintf("budget %d exhausted at %d states", c.budget, c.budget)) {
+			t.Fatalf("%s / %s: budget %d not exhausted after exactly its nodes: %s", c.cfg.Name(), c.p.Name, c.budget, want)
+		}
 	}
 }
 

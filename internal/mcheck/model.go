@@ -319,10 +319,16 @@ func newModel(cfg machine.Config, p *litmus.Program) (*model, error) {
 
 func (m *model) initial() *state {
 	s := new(state)
+	m.reset(s)
+	return s
+}
+
+// reset makes s the initial state, keeping its message buffer.
+func (m *model) reset(s *state) {
+	*s = state{msgs: s.msgs[:0]}
 	for v := 0; v < maxVars; v++ {
 		s.owner[v] = -1
 	}
-	return s
 }
 
 // applyOp evaluates a sync operation against a current value.
@@ -1056,13 +1062,4 @@ func (m *model) outcomeOf(k *outKey) litmus.Outcome {
 	o.Final = make([]uint32, m.nv)
 	copy(o.Final, k.final[:])
 	return o
-}
-
-// outcome reads a terminal state's outcome (see outcomeKey).
-func (m *model) outcome(s *state) (litmus.Outcome, bool) {
-	k, ok := m.outcomeKey(s)
-	if !ok {
-		return litmus.Outcome{}, false
-	}
-	return m.outcomeOf(&k), true
 }

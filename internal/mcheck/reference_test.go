@@ -296,3 +296,12 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 	}
 	return expanded, outcomes, nil, nil
 }
+
+// outcome reads a terminal state's outcome (see outcomeKey).
+func (m *model) outcome(s *state) (litmus.Outcome, bool) {
+	k, ok := m.outcomeKey(s)
+	if !ok {
+		return litmus.Outcome{}, false
+	}
+	return m.outcomeOf(&k), true
+}

@@ -2,21 +2,23 @@ package mcheck
 
 import (
 	"fmt"
-	"slices"
+	"sync"
+	"time"
 
 	"denovogpu/internal/litmus"
 	"denovogpu/internal/machine"
-	"denovogpu/internal/runner"
 )
 
-// Prefix-based shard splitting. The top of the exploration tree is
-// expanded breadth-first with *full branching* — every enabled
-// transition at every node, filtered only by sleep sets — until the
-// frontier is at least the requested unit count. Each frontier leaf
-// becomes an independent Unit: the transition prefix that reaches it
-// plus the sleep set it inherited. Units then run stateless
-// source-DPOR below the cut (exploreDPOR with a non-zero Unit), and
-// their results merge deterministically.
+// Prefix-based splitting. The top of the exploration tree is expanded
+// breadth-first with *full branching* — every enabled transition at
+// every node, filtered only by sleep sets — until the frontier is at
+// least the requested unit count. Each frontier leaf becomes an
+// independent unit: the transition prefix that reaches it plus the
+// sleep set it inherited. Units then run stateless source-DPOR below
+// the cut (explorer.explore), and their results merge
+// deterministically. Check runs its units on every core; sweepd ships
+// them to remote workers as Units (Split, CheckShard,
+// MergeShardResults).
 //
 // Soundness of the cut: a race between an event inside the prefix and
 // one below the cut would normally schedule a reversal at a prefix
@@ -28,21 +30,31 @@ import (
 // siblings in one DFS: a unit whose first awake transition is asleep
 // abandons the redundant prefix immediately.
 //
-// The merge contract (matching api.RunMatrix error semantics): States
-// sum (the split phase's own expansions count once, prefix replays
-// count zero), Outcomes union, and the Violation of the
-// lowest-indexed unit — with a split-phase violation, which precedes
-// every unit, winning outright. A *BudgetError from any unit surfaces
-// as the lowest-unit-index error. Verdict and outcome set are
-// identical to an unsharded run at any unit count or worker count;
-// the States total differs between shard counts (different reductions
-// prune differently) but is identical across reruns of the same
-// split.
+// The merge contract is a serial walk of the split phase and then the
+// units in order: States sum (the split phase's own expansions count
+// once, prefix replays count zero), Outcomes union, and the lowest
+// violation wins — a split-phase violation, which precedes every unit,
+// outright. Check stops its walk at that violation and charges one
+// budget along the walk (see ledger); on sweepd's path every unit has
+// a budget of its own. Verdict and outcome set are identical at any
+// unit count; the
+// States total differs between unit counts (different reductions prune
+// differently) but is identical across reruns and worker counts.
 
 // maxSplitDepth bounds the breadth-first split phase; beyond this the
 // frontier is returned as-is (programs this deep still shard, just
 // into however many units exist at the cap).
 const maxSplitDepth = 24
+
+// checkUnits is the unit count Check splits every exploration into. It
+// does not depend on the worker count, so neither does Result.States.
+// At 64 the largest catalog units are small enough for two workers to
+// share the catalog's work almost evenly, and the split phase expands
+// a few hundred nodes.
+const checkUnits = 64
+
+// grantChunk is how many nodes a unit explores between ledger grants.
+const grantChunk = 4096
 
 // SplitPlan is the outcome of the split phase: the work units, plus
 // everything the top-region expansion itself already determined.
@@ -59,14 +71,26 @@ type SplitPlan struct {
 	Violation *Violation
 }
 
+// splitNode is a frontier node of the split phase, and the unit it
+// becomes: the transitions that reach it and the sleep set it
+// inherited.
 type splitNode struct {
-	s      *state
-	sleep  []sleepEnt
 	prefix []trans
+	sleep  []sleepEnt
+}
+
+// splitPhase is what the split phase determined: the frontier units,
+// the nodes it expanded, and a violation inside the top region. The
+// outcomes it reached are in the explorer's seen set as unit -1.
+type splitPhase struct {
+	units  []splitNode
+	states int
+	viol   *Violation
 }
 
 // prepare validates p and builds its model and consistency oracle
-// under cfg: the setup every exploration shares.
+// under cfg: the setup every exploration shares. Both are read-only
+// afterwards, so the workers of one Check share them.
 func prepare(cfg machine.Config, p *litmus.Program, opts Options) (*model, map[string]litmus.Outcome, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, err
@@ -79,83 +103,113 @@ func prepare(cfg machine.Config, p *litmus.Program, opts Options) (*model, map[s
 	return m, oracle, err
 }
 
+// split runs the split phase toward target units, charging its
+// expansions against budget (errStop when they exhaust it). A node's
+// state is rebuilt by replaying its prefix into one buffer, and every
+// node's prefix and sleep set are cut from two shared arenas, so the
+// phase allocates per level rather than per node.
+func (x *explorer) split(m *model, oracle map[string]litmus.Outcome, budget, target int) (splitPhase, error) {
+	var (
+		sp             splitPhase
+		pfx            []trans    // every node's prefix
+		slp, explored  []sleepEnt // every node's sleep set; one node's explored siblings
+		frontier, next = []splitNode{{}}, []splitNode(nil)
+		s              = &x.replay
+	)
+	fail := func(name, detail string, obs *litmus.Outcome, prefix []trans) splitPhase {
+		sp.units = nil
+		sp.viol = &Violation{
+			Invariant: name, Detail: detail, Config: m.mcfg, Program: m.p,
+			Observed: obs, Trace: m.labels(prefix),
+		}
+		return sp
+	}
+
+	for depth := 0; depth < maxSplitDepth && len(frontier) > 0 && len(frontier) < target; depth++ {
+		next = next[:0]
+		for _, nd := range frontier {
+			if sp.states >= budget {
+				return sp, errStop
+			}
+			sp.states++
+			m.reset(s)
+			for _, t := range nd.prefix {
+				m.apply(s, t)
+			}
+			if s.viol != "" {
+				return fail(s.viol, s.violDetail, nil, nd.prefix), nil
+			}
+			if name, detail := m.checkInvariants(s); name != "" {
+				return fail(name, detail, nil, nd.prefix), nil
+			}
+			if m.terminal(s) {
+				key, ok := m.outcomeKey(s)
+				if !ok {
+					return fail(s.viol, s.violDetail, nil, nd.prefix), nil
+				}
+				if _, dup := x.seen[key]; !dup {
+					o := m.outcomeOf(&key)
+					k := o.Key()
+					if _, permitted := oracle[k]; !permitted {
+						return fail("oracle-conformance",
+							fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
+							&o, nd.prefix), nil
+					}
+					x.seen[key] = seenOutcome{-1, k, o}
+				}
+				continue
+			}
+			x.enab = m.enabledInto(x.enab, s)
+			if len(x.enab) == 0 {
+				return fail("deadlock",
+					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
+					nil, nd.prefix), nil
+			}
+			explored = explored[:0]
+			for _, t := range x.enab {
+				if sleepHas(nd.sleep, t) {
+					continue
+				}
+				ft := m.dynFootprint(s, t)
+				p0, s0 := len(pfx), len(slp)
+				pfx = append(append(pfx, nd.prefix...), t)
+				for _, u := range nd.sleep {
+					if independent(u.fp, ft) {
+						slp = append(slp, u)
+					}
+				}
+				for _, u := range explored {
+					if independent(u.fp, ft) {
+						slp = append(slp, u)
+					}
+				}
+				next = append(next, splitNode{prefix: pfx[p0:len(pfx):len(pfx)], sleep: slp[s0:len(slp):len(slp)]})
+				explored = append(explored, sleepEnt{t, ft})
+			}
+		}
+		frontier, next = next, frontier
+	}
+	sp.units = frontier
+	return sp, nil
+}
+
 // Split partitions the exploration of p under cfg into at least target
-// independent units (branching permitting).
+// independent units (branching permitting). The split phase's own
+// expansions count against opts.Budget.
 func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*SplitPlan, error) {
 	m, oracle, err := prepare(cfg, p, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	plan := &SplitPlan{Outcomes: make(map[string]litmus.Outcome)}
-	violation := func(name, detail string, obs *litmus.Outcome, prefix []trans) *SplitPlan {
-		plan.Units = nil
-		plan.Violation = &Violation{
-			Invariant: name, Detail: detail, Config: m.mcfg, Program: m.p,
-			Observed: obs, Trace: m.labels(prefix),
-		}
-		return plan
+	x := getExplorer()
+	defer stacks.Put(x)
+	start := time.Now()
+	sp, err := x.split(m, oracle, opts.budget(), target)
+	if err != nil {
+		return nil, m.budgetError(opts.budget(), start)
 	}
-
-	frontier := []splitNode{{s: m.initial()}}
-	for depth := 0; depth < maxSplitDepth && len(frontier) > 0 && len(frontier) < target; depth++ {
-		var next []splitNode
-		for _, nd := range frontier {
-			plan.States++
-			s := nd.s
-			if s.viol != "" {
-				return violation(s.viol, s.violDetail, nil, nd.prefix), nil
-			}
-			if name, detail := m.checkInvariants(s); name != "" {
-				return violation(name, detail, nil, nd.prefix), nil
-			}
-			if m.terminal(s) {
-				o, ok := m.outcome(s)
-				if !ok {
-					return violation(s.viol, s.violDetail, nil, nd.prefix), nil
-				}
-				k := o.Key()
-				if _, permitted := oracle[k]; !permitted {
-					return violation("oracle-conformance",
-						fmt.Sprintf("reachable outcome %s is not permitted by the %v oracle", k, m.cfg.model),
-						&o, nd.prefix), nil
-				}
-				plan.Outcomes[k] = o
-				continue
-			}
-			enab := m.enabledInto(nil, s)
-			if len(enab) == 0 {
-				return violation("deadlock",
-					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
-					nil, nd.prefix), nil
-			}
-			var explored []sleepEnt
-			for _, t := range enab {
-				if sleepHas(nd.sleep, t) {
-					continue
-				}
-				ft := m.dynFootprint(s, t)
-				var cs []sleepEnt
-				for _, u := range nd.sleep {
-					if independent(u.fp, ft) {
-						cs = append(cs, u)
-					}
-				}
-				for _, u := range explored {
-					if independent(u.fp, ft) {
-						cs = append(cs, u)
-					}
-				}
-				n := s.clone()
-				m.apply(n, t)
-				pfx := append(slices.Clip(nd.prefix), t)
-				next = append(next, splitNode{s: n, sleep: cs, prefix: pfx})
-				explored = append(explored, sleepEnt{t, ft})
-			}
-		}
-		frontier = next
-	}
-	for _, nd := range frontier {
+	plan := &SplitPlan{States: sp.states, Outcomes: outcomesUpTo([]*explorer{x}, -1), Violation: sp.viol}
+	for _, nd := range sp.units {
 		var u Unit
 		for _, t := range nd.prefix {
 			u.Prefix = append(u.Prefix, uint32(t))
@@ -168,24 +222,26 @@ func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*Sp
 	return plan, nil
 }
 
-// CheckShard explores one Unit of program p under cfg: the prefix is
-// replayed from the root (deterministically, uncounted), then
-// source-DPOR runs below the cut. The zero Unit is a whole unsharded
-// exploration. Budget applies to this unit alone.
+// CheckShard explores one Unit of program p under cfg, serially: the
+// prefix is replayed from the root (deterministically, uncounted),
+// then source-DPOR runs below the cut. The zero Unit is a whole
+// exploration without a split phase. The budget applies to this unit
+// alone.
 func CheckShard(cfg machine.Config, p *litmus.Program, opts Options, u Unit) (*Result, error) {
 	m, oracle, err := prepare(cfg, p, opts)
 	if err != nil {
 		return nil, err
 	}
-	budget := opts.Budget
-	if budget <= 0 {
-		budget = DefaultBudget
+	nd := splitNode{prefix: make([]trans, len(u.Prefix)), sleep: make([]sleepEnt, len(u.Sleep))}
+	for i, t := range u.Prefix {
+		nd.prefix[i] = trans(t)
 	}
-	states, outcomes, viol, err := m.exploreDPOR(oracle, budget, u)
-	if err != nil {
-		return nil, err
+	for i, t := range u.Sleep {
+		nd.sleep[i].t = trans(t) // the footprint is taken at the cut
 	}
-	return &Result{States: states, Outcomes: outcomes, Violation: viol}, nil
+	x := getExplorer()
+	defer stacks.Put(x)
+	return m.runUnits(oracle, opts.budget(), splitPhase{units: []splitNode{nd}}, x, 1, time.Now())
 }
 
 // MergeShardResults combines a split plan with its per-unit results in
@@ -217,33 +273,176 @@ func MergeShardResults(plan *SplitPlan, unitResults []*Result) *Result {
 	return merged
 }
 
-// CheckSharded splits the exploration into at least shards units and
-// runs them on a local worker pool (workers as in runner.Options: 0 =
-// GOMAXPROCS, 1 = serial). Verdict and outcome set are identical to
-// Check at any shard or worker count; shards <= 1 is exactly Check.
-// Errors resolve to the lowest unit index (runner semantics), so a
-// *BudgetError is deterministic too.
-func CheckSharded(cfg machine.Config, p *litmus.Program, opts Options, shards, workers int) (*Result, error) {
-	if shards <= 1 {
-		return Check(cfg, p, opts)
+// runUnits explores the units of sp on up to workers explorers — x,
+// which ran the split phase, and more from the stacks pool — under one
+// ledger, and assembles the serial walk's result.
+func (m *model) runUnits(oracle map[string]litmus.Outcome, budget int, sp splitPhase, x *explorer, workers int, start time.Time) (*Result, error) {
+	xs := []*explorer{x}
+	if sp.viol != nil || len(sp.units) == 0 {
+		return &Result{States: sp.states, Outcomes: outcomesUpTo(xs, -1), Violation: sp.viol}, nil
 	}
-	plan, err := Split(cfg, p, opts, shards)
-	if err != nil {
-		return nil, err
+	l := newLedger(budget, sp.states, len(sp.units))
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, len(sp.units)); w++ {
+		y := getExplorer()
+		defer stacks.Put(y)
+		xs = append(xs, y)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.work(m, oracle, sp.units, y)
+		}()
 	}
-	if plan.Violation != nil || len(plan.Units) == 0 {
-		return &Result{States: plan.States, Outcomes: plan.Outcomes, Violation: plan.Violation}, nil
+	l.work(m, oracle, sp.units, x)
+	wg.Wait()
+
+	if l.exhausted {
+		return nil, m.budgetError(budget, start)
 	}
-	results := make([]*Result, len(plan.Units))
-	if _, err := runner.Run(len(plan.Units), runner.Options{Workers: workers}, func(i int) error {
-		r, err := CheckShard(cfg, p, opts, plan.Units[i])
-		if err != nil {
-			return err
+	last := &l.runs[l.end-1]
+	if last.err != nil {
+		return nil, last.err
+	}
+	return &Result{States: l.charged, Outcomes: outcomesUpTo(xs, l.end-1), Violation: last.viol}, nil
+}
+
+// outcomesUpTo collects the outcomes the explorers reached in the split
+// phase and in units up to last.
+func outcomesUpTo(xs []*explorer, last int) map[string]litmus.Outcome {
+	out := make(map[string]litmus.Outcome)
+	for _, x := range xs {
+		for _, so := range x.seen {
+			if so.unit <= last {
+				out[so.key] = so.o
+			}
 		}
-		results[i] = r
-		return nil
-	}); err != nil {
-		return nil, err
 	}
-	return MergeShardResults(plan, results), nil
+	return out
+}
+
+func (m *model) budgetError(budget int, start time.Time) *BudgetError {
+	return &BudgetError{
+		Budget: budget, Config: m.mcfg.Name(), Program: m.p.Name,
+		States: budget, Elapsed: time.Since(start),
+	}
+}
+
+// ledger charges the nodes of one exploration's units against its
+// budget in unit order, so the result is the one a serial walk of the
+// split phase and then the units gives — completion, the lowest unit's
+// violation, or budget exhaustion after exactly Budget nodes — however
+// many workers run the units and however they interleave. Units
+// explore in grants of nodes:
+//
+//   - The lowest uncharged unit runs on the budget the units below it
+//     left, exactly as it would in the serial walk; needing a node
+//     beyond that exhausts the budget.
+//   - A unit above it runs speculatively, on nodes no other unit holds,
+//     and waits when there are none. Its exploration does not depend on
+//     when it waits, and once charged it either fits the budget left or
+//     exhausts it.
+//
+// Speculation stops once the nodes held reach the budget, so a budget
+// skip explores less than twice Budget nodes in total (the lowest unit
+// may still need the whole budget), not Budget per unit, and a
+// violation in unit j stops every unit above j.
+type ledger struct {
+	mu   sync.Mutex
+	wake sync.Cond // a charge, an exhaustion or a stop
+
+	budget    int
+	charged   int // the split phase's nodes and those of the units below next
+	granted   int // nodes granted to, or explored by, the units from next up
+	claimed   int // units handed to workers
+	next      int // the lowest unit not yet charged
+	end       int // units from end up are not needed: a lower one ended the walk
+	exhausted bool
+	runs      []unitRun
+}
+
+type unitRun struct {
+	limit    int // nodes granted; nodes explored once finished
+	viol     *Violation
+	err      error
+	finished bool
+}
+
+func newLedger(budget, charged, units int) *ledger {
+	l := &ledger{budget: budget, charged: charged, end: units, runs: make([]unitRun, units)}
+	l.wake.L = &l.mu
+	return l
+}
+
+// work runs units on x, in increasing order, until none is needed.
+func (l *ledger) work(m *model, oracle map[string]litmus.Outcome, units []splitNode, x *explorer) {
+	for j := l.claim(); j >= 0; j = l.claim() {
+		states, viol, err := x.explore(m, oracle, &units[j], j, l)
+		l.finish(j, states, viol, err)
+	}
+}
+
+// claim hands out the next unit, or -1 when no further unit is needed.
+func (l *ledger) claim() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.exhausted || l.claimed >= l.end {
+		return -1
+	}
+	l.claimed++
+	return l.claimed - 1
+}
+
+// grant raises unit j's node limit, which it has reached at states
+// nodes. A limit of states or less stops the unit.
+func (l *ledger) grant(j, states int) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		if l.exhausted || j >= l.end {
+			return states
+		}
+		room := l.budget - l.charged - l.granted
+		if j == l.next {
+			if room = l.budget - l.charged - states; room <= 0 {
+				l.exhausted = true
+				l.wake.Broadcast()
+				return states
+			}
+		}
+		if room > 0 {
+			r := &l.runs[j]
+			lim := states + min(room, grantChunk)
+			l.granted += lim - r.limit
+			r.limit = lim
+			return lim
+		}
+		l.wake.Wait()
+	}
+}
+
+// finish records unit j's exploration and charges, in order, every
+// finished unit that is now the lowest uncharged one.
+func (l *ledger) finish(j, states int, viol *Violation, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if err == errStop {
+		return // exhausted, or above a unit that ended the walk
+	}
+	r := &l.runs[j]
+	l.granted += states - r.limit
+	r.limit, r.viol, r.err, r.finished = states, viol, err, true
+	if viol != nil || err != nil {
+		l.end = min(l.end, j+1)
+	}
+	for !l.exhausted && l.next < l.end && l.runs[l.next].finished {
+		n := l.runs[l.next].limit
+		if l.charged+n > l.budget {
+			l.exhausted = true
+			break
+		}
+		l.charged += n
+		l.granted -= n
+		l.next++
+	}
+	l.wake.Broadcast()
 }

@@ -14,9 +14,9 @@ var update = flag.Bool("update", false, "rewrite testdata/trace golden counterex
 
 // TestCounterexampleTraceGolden pins the full counterexample — invariant,
 // detail and every trace step, as Violation.Error renders them — for
-// the fault-injected MP+preload cell under GD and DD. All three
-// explorers (serial DPOR, 4-shard DPOR and the sleep-set reference)
-// report the same first counterexample on this cell, so each config has
+// the fault-injected MP+preload cell under GD and DD. Every explorer
+// (Check on every core, sweepd's 4-unit split path and the sleep-set
+// reference) reports the same first counterexample on this cell, so each config has
 // one golden file that every explorer must match. Trace labels are
 // built from transitions only once a violation is found; this is the
 // wall that keeps that rebuild byte-stable.
@@ -31,7 +31,7 @@ func TestCounterexampleTraceGolden(t *testing.T) {
 		run  func(machine.Config) (*Result, error)
 	}{
 		{"dpor", func(cfg machine.Config) (*Result, error) { return Check(cfg, mp, Options{}) }},
-		{"sharded4", func(cfg machine.Config) (*Result, error) { return CheckSharded(cfg, mp, Options{}, 4, 2) }},
+		{"sharded4", func(cfg machine.Config) (*Result, error) { return checkSplit(cfg, mp, Options{}, 4) }},
 		{"sleepset", func(cfg machine.Config) (*Result, error) { return checkReference(cfg, mp, 0, false) }},
 	}
 	for _, base := range []machine.Config{machine.GD(), machine.DD()} {
