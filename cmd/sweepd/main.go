@@ -7,7 +7,7 @@
 // Usage:
 //
 //	sweepd serve  -addr :8080 -cache /var/cache/sweepd     # coordinator
-//	sweepd work   -server http://coordinator:8080          # worker (repeatable)
+//	sweepd work   -server http://coordinator:8080          # worker: a cell per core (GOMAXPROCS)
 //	sweepd submit -server ... -golden -out reports/        # submit + wait + fetch
 //	sweepd submit -server ... -spec sweep.json -summary    # custom matrix
 //	sweepd check  -server ... -shards 4 -out verdicts/     # sharded model checking
@@ -31,6 +31,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -141,8 +142,8 @@ func runWork(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		server = fs.String("server", "http://localhost:8080", "coordinator base URL")
-		name   = fs.String("name", "", "worker name shown in job events (default host:pid)")
-		poll   = fs.Duration("poll", 200*time.Millisecond, "idle sleep between lease attempts")
+		name   = fs.String("name", "", "worker name shown in job events, shared by its GOMAXPROCS slots (default host:pid)")
+		poll   = fs.Duration("poll", 200*time.Millisecond, "a slot's idle sleep between lease attempts")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -153,7 +154,7 @@ func runWork(args []string, stdout, stderr io.Writer) int {
 	}
 	ctx, cancel := signalCtx()
 	defer cancel()
-	fmt.Fprintf(stdout, "sweepd: worker %s pulling from %s\n", *name, *server)
+	fmt.Fprintf(stdout, "sweepd: worker %s pulling from %s on %d slots\n", *name, *server, runtime.GOMAXPROCS(0))
 	w := &sweepd.Worker{Server: *server, Name: *name, IdlePoll: *poll}
 	if err := w.Run(ctx); err != nil {
 		fmt.Fprintf(stderr, "sweepd: %v\n", err)

@@ -65,7 +65,6 @@ type Event struct {
 	CacheHit bool      `json:"cache_hit,omitempty"`
 	WallMS   float64   `json:"wall_ms,omitempty"`
 	Events   uint64    `json:"events,omitempty"`
-	Allocs   uint64    `json:"allocs,omitempty"`
 	Err      string    `json:"error,omitempty"`
 }
 
@@ -108,7 +107,6 @@ type cell struct {
 	cacheHit bool
 	wallMS   float64
 	events   uint64
-	allocs   uint64
 	errMsg   string
 	report   []byte
 }
@@ -290,7 +288,6 @@ func (c *Coordinator) emitLocked(j *job, cl *cell, state CellState) {
 		CacheHit: cl.cacheHit,
 		WallMS:   cl.wallMS,
 		Events:   cl.events,
-		Allocs:   cl.allocs,
 		Err:      cl.errMsg,
 	})
 	j.cond.Broadcast()
@@ -412,7 +409,6 @@ type CompleteRequest struct {
 	Report []byte  `json:"report_b64,omitempty"` // []byte marshals as base64
 	WallMS float64 `json:"wall_ms"`
 	Events uint64  `json:"events,omitempty"`
-	Allocs uint64  `json:"allocs,omitempty"`
 	Err    string  `json:"error,omitempty"`
 }
 
@@ -441,7 +437,6 @@ func (c *Coordinator) Complete(req CompleteRequest) error {
 	cl.leaseID = ""
 	cl.wallMS = req.WallMS
 	cl.events = req.Events
-	cl.allocs = req.Allocs
 	if req.Err != "" {
 		cl.state = StateFailed
 		cl.errMsg = req.Err

@@ -364,8 +364,10 @@ func TestFailFastAndEventStream(t *testing.T) {
 	_, srv, client := newTestServer(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	// One slot: with two, LAVA can finish and NN be leased before ST's
+	// failure lands, so NN would run instead of being skipped.
 	w := &Worker{Server: srv.URL, Name: "w1", IdlePoll: 5 * time.Millisecond}
-	go func() { _ = w.Run(ctx) }()
+	go func() { _ = w.run(ctx, 1) }()
 
 	sr, err := client.Submit(ctx, smallSpec("LAVA", "ST", "NN"))
 	if err != nil {

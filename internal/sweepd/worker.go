@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"sync"
 	"time"
 
 	"denovogpu"
@@ -19,20 +20,23 @@ var runCell = denovogpu.CellSpec.Run
 
 // Worker is a pull-based executor: it leases cells from a coordinator
 // over HTTP, runs them through the api package, and posts back
-// canonical report bytes. Workers are stateless — all bookkeeping
-// (cache, leases, job store) lives in the coordinator — so a worker
-// can be killed at any moment and the lease TTL returns its cell to
-// the queue.
+// canonical report bytes. It keeps one cell in flight per
+// runtime.GOMAXPROCS(0), so one worker process per host uses every
+// core; set GOMAXPROCS to run fewer at once. Workers are stateless —
+// all bookkeeping (cache, leases, job store) lives in the coordinator —
+// so a worker can be killed at any moment and the lease TTL returns
+// its cells to the queue.
 type Worker struct {
 	// Server is the coordinator's base URL, e.g. "http://coordinator:8080".
 	Server string
-	// Name identifies the worker in progress events.
+	// Name identifies the worker in progress events; every slot of the
+	// worker leases under it.
 	Name string
 	// Client is the HTTP client; nil selects a default with sane
 	// timeouts for everything but the (long-polling-free) lease calls.
 	Client *http.Client
-	// IdlePoll is the sleep between lease attempts when the queue is
-	// empty; 0 selects 200ms.
+	// IdlePoll is a slot's sleep between lease attempts when the queue
+	// is empty or the last exchange failed; 0 selects 200ms.
 	IdlePoll time.Duration
 }
 
@@ -50,38 +54,64 @@ func (w *Worker) idlePoll() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// Run pulls and executes cells until ctx is canceled (its only
-// non-error exit) or the coordinator becomes unreachable for longer
-// than its lease TTL would tolerate anyway.
+// maxConsecutiveErrors is how many failed exchanges in a row, counted
+// across all of a worker's slots, make Run give up on the coordinator.
+const maxConsecutiveErrors = 30
+
+// Run pulls and executes cells on runtime.GOMAXPROCS(0) slots until ctx
+// is cancelled (its only non-error exit) or maxConsecutiveErrors
+// exchanges with the coordinator have failed in a row. A cancelled Run
+// returns once every slot's in-flight cell has finished running; the
+// cancelled completion drops that cell's result and its lease expires
+// back to the queue.
 func (w *Worker) Run(ctx context.Context) error {
-	consecutiveErrs := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil
-		}
-		worked, err := w.RunOne(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The request failed because Run was cancelled, not
-				// because the coordinator is unreachable.
-				return nil
+	return w.run(ctx, runtime.GOMAXPROCS(0))
+}
+
+// run is Run on a given number of slots. Each slot loops RunOne, the
+// lease → run → complete step with its own heartbeat. The slots share
+// one count of consecutive failed exchanges: a success on any slot
+// resets it, and the failure that reaches maxConsecutiveErrors stops
+// every slot. run returns after all of its slots have.
+func (w *Worker) run(ctx context.Context, slots int) error {
+	ctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var (
+		mu              sync.Mutex
+		consecutiveErrs int
+		giveUp          error
+	)
+	var wg sync.WaitGroup
+	for range slots {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				worked, err := w.RunOne(ctx)
+				if err != nil && ctx.Err() != nil {
+					// The request failed because Run was stopped, not
+					// because the coordinator is unreachable.
+					return
+				}
+				mu.Lock()
+				if err == nil {
+					consecutiveErrs = 0
+				} else {
+					consecutiveErrs++
+					if consecutiveErrs >= maxConsecutiveErrors && giveUp == nil {
+						giveUp = fmt.Errorf("sweepd worker %s: coordinator unreachable: %w", w.Name, err)
+						stop()
+					}
+				}
+				mu.Unlock()
+				if (err != nil || !worked) && !sleep(ctx, w.idlePoll()) {
+					return
+				}
 			}
-			consecutiveErrs++
-			if consecutiveErrs >= 30 {
-				return fmt.Errorf("sweepd worker %s: coordinator unreachable: %w", w.Name, err)
-			}
-			if !sleep(ctx, w.idlePoll()) {
-				return nil
-			}
-			continue
-		}
-		consecutiveErrs = 0
-		if !worked {
-			if !sleep(ctx, w.idlePoll()) {
-				return nil
-			}
-		}
+		}()
 	}
+	wg.Wait()
+	return giveUp
 }
 
 func sleep(ctx context.Context, d time.Duration) bool {
@@ -111,23 +141,15 @@ func (w *Worker) RunOne(ctx context.Context) (worked bool, err error) {
 		go w.heartbeatLoop(hbCtx, info.Lease, time.Duration(info.TTLMS)*time.Millisecond/3)
 	}
 
-	// Allocation accounting is exact when this process runs one cell at
-	// a time (cmd/sweepd work default) and approximate under in-process
-	// concurrency, since runtime.MemStats is process-global. Events
-	// counts fired simulator events, or explored states for a check
-	// cell.
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+	// Events counts fired simulator events, or explored states for a
+	// check cell.
 	t0 := time.Now()
 	report, events, runErr := runCell(info.Spec)
 	wall := time.Since(t0)
-	runtime.ReadMemStats(&after)
 	stopHB()
 	req := CompleteRequest{
 		Lease:  info.Lease,
 		WallMS: float64(wall.Nanoseconds()) / 1e6,
-		Allocs: after.Mallocs - before.Mallocs,
 	}
 	if runErr != nil {
 		req.Err = runErr.Error()

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,6 +74,9 @@ func stubRunCell(t *testing.T) {
 	t.Cleanup(func() { runCell = orig })
 }
 
+// The scripted tests run one slot (w.run(ctx, 1)): each asserts an
+// exact request order, which concurrent slots would interleave.
+
 // TestWorkerGivesUpAfterConsecutiveErrors: a coordinator that answers
 // every lease with an error stops the worker after exactly 30 tries.
 func TestWorkerGivesUpAfterConsecutiveErrors(t *testing.T) {
@@ -82,7 +86,7 @@ func TestWorkerGivesUpAfterConsecutiveErrors(t *testing.T) {
 	}
 	srv := scriptedCoordinator(t, script, func() { t.Error("worker asked past its 30th error") })
 	w := &Worker{Server: srv.URL, Name: "w", IdlePoll: time.Millisecond}
-	err := w.Run(context.Background())
+	err := w.run(context.Background(), 1)
 	if err == nil || !strings.Contains(err.Error(), "coordinator unreachable") || !strings.Contains(err.Error(), "scripted failure") {
 		t.Fatalf("Run = %v, want the give-up error carrying the last failure", err)
 	}
@@ -130,7 +134,7 @@ func TestWorkerRetriesTransportAndHTTPErrors(t *testing.T) {
 	}})
 	srv := scriptedCoordinator(t, script, func() { t.Error("worker asked again after cancellation") })
 	w := &Worker{Server: srv.URL, Name: "w", IdlePoll: time.Millisecond}
-	if err := w.Run(ctx); err != nil {
+	if err := w.run(ctx, 1); err != nil {
 		t.Fatalf("Run = %v, want nil after cancellation", err)
 	}
 }
@@ -145,7 +149,7 @@ func TestWorkerStopsWhileBackingOff(t *testing.T) {
 		errorReply(http.StatusInternalServerError)(w)
 	}}}, func() { t.Error("worker asked again after cancellation") })
 	w := &Worker{Server: srv.URL, Name: "w", IdlePoll: time.Hour}
-	if err := w.Run(ctx); err != nil {
+	if err := w.run(ctx, 1); err != nil {
 		t.Fatalf("Run = %v, want nil", err)
 	}
 }
@@ -162,5 +166,71 @@ func TestWorkerReportsCompleteErrors(t *testing.T) {
 	worked, err := w.RunOne(context.Background())
 	if !worked || err == nil || !strings.Contains(err.Error(), "400") {
 		t.Fatalf("RunOne = %v, %v; want worked and a 400 error", worked, err)
+	}
+}
+
+// TestWorkerSlotsGiveUpTogether: the slots share one count of
+// consecutive errors, so a coordinator that fails every request stops
+// all four slots after the 30th failure, give or take the requests
+// other slots had in flight.
+func TestWorkerSlotsGiveUpTogether(t *testing.T) {
+	var requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		errorReply(http.StatusInternalServerError)(w)
+	}))
+	t.Cleanup(srv.Close)
+	w := &Worker{Server: srv.URL, Name: "w", IdlePoll: time.Millisecond}
+	err := w.run(context.Background(), 4)
+	if err == nil || !strings.Contains(err.Error(), "coordinator unreachable") {
+		t.Fatalf("Run = %v, want the give-up error", err)
+	}
+	if n := requests.Load(); n < maxConsecutiveErrors || n > maxConsecutiveErrors+3 {
+		t.Errorf("%d requests before giving up, want %d to %d", n, maxConsecutiveErrors, maxConsecutiveErrors+3)
+	}
+}
+
+// TestWorkerCancelWaitsForSlots: cancelling Run while four slots each
+// run a cell returns nil, and only after every one of those cells has
+// finished.
+func TestWorkerCancelWaitsForSlots(t *testing.T) {
+	started := make(chan struct{}, 4)
+	release := make(chan struct{})
+	var finished atomic.Int64
+	injectRunCell(t, func(denovogpu.CellSpec, func(denovogpu.CellSpec) ([]byte, uint64, error)) ([]byte, uint64, error) {
+		started <- struct{}{}
+		<-release
+		finished.Add(1)
+		return []byte(`{}`), 1, nil
+	})
+
+	_, srv, client := newTestServer(t, Options{})
+	if _, err := client.Submit(context.Background(), smallSpec("LAVA", "ST", "NN", "BP", "SRAD")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	w := &Worker{Server: srv.URL, Name: "w", IdlePoll: time.Millisecond}
+	go func() { done <- w.run(ctx, 4) }()
+	for i := range 4 {
+		select {
+		case <-started:
+		case <-time.After(time.Minute):
+			close(release)
+			t.Fatalf("only %d of the slots started a cell", i)
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		t.Fatalf("Run = %v while its slots still ran cells", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("Run = %v, want nil", err)
+	}
+	if n := finished.Load(); n != 4 {
+		t.Errorf("Run returned with %d of its 4 cells finished", n)
 	}
 }
