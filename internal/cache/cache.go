@@ -111,9 +111,10 @@ func (k Keep) spares(e *Entry, w int) bool {
 
 // Cache is a set-associative sector cache.
 type Cache struct {
-	sets int
-	ways int
-	keep Keep
+	// setMask is the set count minus one (the count is a power of two).
+	setMask uint64
+	ways    int
+	keep    Keep
 	// frames[set*ways+way]
 	frames []Entry
 	// One bit per frame in each bitmap, both set whenever a frame
@@ -143,18 +144,18 @@ func New(sizeBytes, ways int, keep Keep) *Cache {
 		panic(fmt.Sprintf("cache: %d sets (size %d, ways %d) is not a power of two", sets, sizeBytes, ways))
 	}
 	words := (sets*ways + 63) / 64
-	return &Cache{sets: sets, ways: ways, keep: keep, frames: make([]Entry, sets*ways),
+	return &Cache{setMask: uint64(sets - 1), ways: ways, keep: keep, frames: make([]Entry, sets*ways),
 		occ: make([]uint64, words), since: make([]uint64, words)}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
 func (c *Cache) set(l mem.Line) (base int, set []Entry) {
-	s := int(uint64(l) % uint64(c.sets))
+	s := int(uint64(l) & c.setMask)
 	return s * c.ways, c.frames[s*c.ways : (s+1)*c.ways]
 }
 

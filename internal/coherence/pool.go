@@ -27,10 +27,13 @@ type MsgPool struct {
 	sim.FreeList[Msg]
 }
 
-// NewMsg returns a pooled message initialized to v — a drop-in for
-// &Msg{...} literals at send sites.
-func (p *MsgPool) NewMsg(v Msg) *Msg {
+// NewMsg returns a pooled message initialized to a copy of *v — a
+// drop-in for &Msg{...} literals at send sites. v is taken by pointer
+// so the message is copied once, not once into the argument and again
+// into the pooled struct; a literal passed as v stays on the sender's
+// stack.
+func (p *MsgPool) NewMsg(v *Msg) *Msg {
 	m := p.Get()
-	*m = v
+	*m = *v
 	return m
 }

@@ -379,7 +379,7 @@ func (c *Controller) evict(e *cache.Entry) {
 			c.vstate.Put(uint64(w), victimWord{})
 		}
 	}
-	c.mesh.Send(c.pool.NewMsg(coherence.Msg{
+	c.mesh.Send(c.pool.NewMsg(&coherence.Msg{
 		Kind: coherence.WriteBack, Src: c.node, Dst: c.home(e.Line), Port: noc.PortL2,
 		Line: e.Line, Mask: reg, Data: e.Data,
 	}))
@@ -435,7 +435,7 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 				// forward); issue a supplementary request under the same
 				// transaction.
 				t.requested |= extra
-				c.mesh.Send(c.pool.NewMsg(coherence.Msg{
+				c.mesh.Send(c.pool.NewMsg(&coherence.Msg{
 					Kind: coherence.ReadReq, Src: c.node, Dst: c.home(l), Port: noc.PortL2,
 					Line: l, Mask: extra, ID: id,
 				}))
@@ -449,7 +449,7 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 		c.reads.Put(c.nextID, txn)
 		c.lineTxn.Put(uint64(l), c.nextID)
 		c.pin(l)
-		c.mesh.Send(c.pool.NewMsg(coherence.Msg{
+		c.mesh.Send(c.pool.NewMsg(&coherence.Msg{
 			Kind: coherence.ReadReq, Src: c.node, Dst: c.home(l), Port: noc.PortL2,
 			Line: l, Mask: missing, ID: c.nextID,
 		}))
@@ -569,7 +569,7 @@ func (c *Controller) kickOldestLazy() {
 
 func (c *Controller) sendRegReq(l mem.Line, mask mem.WordMask, sync, needsData bool) {
 	c.st.IncKey(kL1RegRequests, 1)
-	c.mesh.Send(c.pool.NewMsg(coherence.Msg{
+	c.mesh.Send(c.pool.NewMsg(&coherence.Msg{
 		Kind: coherence.RegReq, Src: c.node, Dst: c.home(l), Port: noc.PortL2,
 		Line: l, Mask: mask, Sync: sync, NeedsData: needsData,
 	}))
@@ -996,7 +996,7 @@ func (c *Controller) readFwd(msg *coherence.Msg) {
 		} else if v, ok := c.victim.Get(w); ok {
 			data[i] = v
 		} else if c.regs.Has(uint64(w)) {
-			m := c.pool.NewMsg(*msg)
+			m := c.pool.NewMsg(msg)
 			m.Mask = mem.Bit(i)
 			q := c.deferredReads.Upsert(uint64(w))
 			*q = append(*q, m)
@@ -1012,7 +1012,7 @@ func (c *Controller) readFwd(msg *coherence.Msg) {
 	}
 	c.st.IncKey(kL1RemoteReadsServed, 1)
 	c.meter.L1Access(1)
-	c.mesh.Send(c.pool.NewMsg(coherence.Msg{
+	c.mesh.Send(c.pool.NewMsg(&coherence.Msg{
 		Kind: coherence.ReadResp, Src: c.node, Dst: msg.Requester, Port: noc.PortL1,
 		Line: msg.Line, Mask: now, Data: data, ID: msg.ID,
 	}))
@@ -1137,7 +1137,7 @@ func (c *Controller) regFwd(msg *coherence.Msg) {
 			if c.deferredFwd.Has(uint64(w)) {
 				panic(fmt.Sprintf("denovo: node %d second deferred forward for %v", c.node, w))
 			}
-			m := c.pool.NewMsg(*msg)
+			m := c.pool.NewMsg(msg)
 			m.Mask = mem.Bit(i)
 			c.deferredFwd.Put(uint64(w), m)
 			c.st.IncKey(kL1FwdDeferred, 1)
@@ -1186,7 +1186,7 @@ func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, 
 		e.Prune()
 	}
 	c.meter.L1Access(1)
-	c.mesh.Send(c.pool.NewMsg(coherence.Msg{
+	c.mesh.Send(c.pool.NewMsg(&coherence.Msg{
 		Kind: coherence.RegXfer, Src: c.node, Dst: to, Port: noc.PortL1,
 		Line: l, Mask: mask, Data: data, Sync: sync, ID: id,
 	}))
