@@ -151,7 +151,8 @@ func (c Config) Defaults() Config {
 // Validate rejects exactly the shapes New cannot build (New panics on
 // them), so callers taking a Config from users can refuse it before
 // running anything. Zero fields take their Defaults first, as in New.
-// The shapes are: fewer than one device; fewer than one or more than
+// The shapes are: fewer than one device, or more than the L2 registry
+// has owner ids for (2,048); fewer than one or more than
 // noc.Nodes CUs per device; an unknown protocol, as the base or in a
 // phase; a negative store-buffer size; and an L1 geometry whose set
 // count is not a positive power of two.
@@ -161,6 +162,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Devices < 1:
 		return fmt.Errorf("machine: %d devices (want >= 1)", c.Devices)
+	case c.Devices > l2.MaxNodes/noc.Nodes:
+		return fmt.Errorf("machine: %d devices (want at most %d: the L2 registry holds %d node ids)", c.Devices, l2.MaxNodes/noc.Nodes, l2.MaxNodes)
 	case c.NumCUs < 1 || c.NumCUs > noc.Nodes:
 		return fmt.Errorf("machine: %d CUs per device (want 1..%d)", c.NumCUs, noc.Nodes)
 	case !known(c.Protocol):

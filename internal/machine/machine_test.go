@@ -34,7 +34,7 @@ func TestValidateMatchesNew(t *testing.T) {
 	// Protocol 2 was the retired MESI extension; it must stay unknown.
 	var shapes []Config
 	for _, base := range []Config{GD(), DD(), Specialized(), {Protocol: 2}, {Protocol: 9}} {
-		for _, devices := range []int{-1, 0, 1, 2} {
+		for _, devices := range []int{-1, 0, 1, 2, 2049} {
 			for _, cus := range []int{-3, 0, 1, 16, 17, 100} {
 				c := base
 				c.Devices, c.NumCUs = devices, cus

@@ -146,3 +146,92 @@ func BenchmarkBuiltinPutGetDelete(b *testing.B) {
 		}
 	}
 }
+
+// TestUpsertExistingKeyDoesNotGrow pins the fix for an Upsert defect:
+// the load-factor check used to run before the existence probe, so
+// upserting a key that was ALREADY PRESENT in a table sitting exactly
+// at the load threshold grew (rehashed) the table anyway. Growth
+// invalidates every value pointer previously handed out by Upsert/Ptr,
+// so the protocol controllers — which hold such pointers across
+// "update this word's state" sequences — would have read freed rows.
+// The contract (documented on Upsert) is: updating an existing key
+// never grows the table.
+func TestUpsertExistingKeyDoesNotGrow(t *testing.T) {
+	var m Map[int]
+	// Fill to the exact load threshold: the NEXT true insertion must
+	// grow, but an update of an existing key must not.
+	m.Put(0, 0)
+	for (m.n+1)*maxLoadDen <= len(m.keys)*maxLoadNum {
+		m.Put(uint64(m.n), m.n)
+	}
+	capBefore := len(m.keys)
+	ptrBefore, ok := m.Ptr(0)
+	if !ok {
+		t.Fatal("key 0 missing")
+	}
+	for i := 0; i < 4; i++ {
+		p := m.Upsert(0)
+		if p != ptrBefore {
+			t.Fatalf("Upsert(existing) moved the value: got %p want %p (table grew from %d to %d buckets)",
+				p, ptrBefore, capBefore, len(m.keys))
+		}
+	}
+	if len(m.keys) != capBefore {
+		t.Fatalf("Upsert(existing) grew the table: %d -> %d buckets", capBefore, len(m.keys))
+	}
+	// Sanity: a genuinely new key at the threshold does grow.
+	m.Upsert(1 << 40)
+	if len(m.keys) == capBefore {
+		t.Fatalf("insertion at load threshold did not grow the table")
+	}
+}
+
+// FuzzMapVsBuiltin drives Map[uint32] and a builtin map with an op
+// stream decoded from fuzz input. `go test` runs the seed corpus; `go
+// test -fuzz=FuzzMapVsBuiltin` explores further.
+func FuzzMapVsBuiltin(f *testing.F) {
+	f.Add([]byte{0x00, 0x11, 0x42, 0x01, 0x11, 0x02, 0x11})
+	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x01, 0x00})
+	f.Add([]byte{0x03, 0x07, 0x03, 0x07, 0x02, 0x07, 0x03, 0x07})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Map[uint32]
+		ref := map[uint64]uint32{}
+		for i := 0; i+1 < len(data); i += 2 {
+			op, kb := data[i]&3, data[i+1]
+			// Two key shapes: small dense and line-aligned sparse.
+			k := uint64(kb)
+			if kb&1 == 1 {
+				k = uint64(kb) << 6
+			}
+			switch op {
+			case 0: // put
+				m.Put(k, uint32(kb)+1)
+				ref[k] = uint32(kb) + 1
+			case 1: // delete
+				got := m.Delete(k)
+				_, want := ref[k]
+				if got != want {
+					t.Fatalf("Delete(%#x) = %v, want %v", k, got, want)
+				}
+				delete(ref, k)
+			case 2: // upsert increment
+				*m.Upsert(k)++
+				ref[k]++
+			case 3: // get
+				got, ok := m.Get(k)
+				want, wantOk := ref[k]
+				if ok != wantOk || got != want {
+					t.Fatalf("Get(%#x) = %d,%v want %d,%v", k, got, ok, want, wantOk)
+				}
+			}
+		}
+		if m.Len() != len(ref) {
+			t.Fatalf("Len = %d, want %d", m.Len(), len(ref))
+		}
+		for k, v := range ref {
+			if got, ok := m.Get(k); !ok || got != v {
+				t.Fatalf("final Get(%#x) = %d,%v want %d,true", k, got, ok, v)
+			}
+		}
+	})
+}
