@@ -83,6 +83,16 @@ func (d Desc) HomeDevice(l mem.Line) int {
 	return int((uint64(l) / noc.Nodes) % uint64(d.Devices))
 }
 
+// BankLine returns a line's index among the lines its home bank homes:
+// consecutive lines of one bank have consecutive indices.
+func (d Desc) BankLine(l mem.Line) uint64 {
+	i := uint64(l) / noc.Nodes
+	if d.Devices > 1 {
+		i /= uint64(d.Devices)
+	}
+	return i
+}
+
 // HomeNode returns the global node whose L2 bank homes (is the
 // registry slice for) the given line.
 func (d Desc) HomeNode(l mem.Line) noc.NodeID {

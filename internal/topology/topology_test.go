@@ -85,6 +85,9 @@ func TestHomeInterleaving(t *testing.T) {
 		if got, want := d.LocalNode(home), int(uint64(l)%noc.Nodes); got != want {
 			t.Fatalf("line %d homes at local bank %d, want %d", l, got, want)
 		}
+		if got, want := d.BankLine(l), uint64(l)/(2*noc.Nodes); got != want {
+			t.Fatalf("BankLine(%d) = %d, want %d", l, got, want)
+		}
 	}
 	if perDevice[0] != perDevice[1] {
 		t.Errorf("uneven home split: %v", perDevice)
