@@ -115,8 +115,12 @@ type Cache struct {
 	setMask uint64
 	ways    int
 	keep    Keep
-	// frames[set*ways+way]
-	frames []Entry
+	// frames[set*ways+way] is nil until Victim first hands that frame
+	// out; a nil frame is untagged. Frames are carved from slab, a
+	// chunk of slabFrames entries, so a cache costs the frames its
+	// cell touches, not its size.
+	frames []*Entry
+	slab   []Entry
 	// One bit per frame in each bitmap, both set whenever a frame
 	// pointer is handed out (Lookup, Peek, Victim, ForEach). Frames
 	// change only through handed-out pointers, and no caller keeps one
@@ -125,6 +129,7 @@ type Cache struct {
 	// occ, walked by ForEach, is cleared only by Invalidate when it
 	// finds the frame untagged: every tagged frame has its bit set
 	// (frames are only tagged via Reset on a just-handed-out pointer).
+	// A set bit in either bitmap names an allocated frame.
 	//
 	// since, walked and cleared by Invalidate, marks the frames handed
 	// out since the last Invalidate. Every other frame holds only words
@@ -144,8 +149,22 @@ func New(sizeBytes, ways int, keep Keep) *Cache {
 		panic(fmt.Sprintf("cache: %d sets (size %d, ways %d) is not a power of two", sets, sizeBytes, ways))
 	}
 	words := (sets*ways + 63) / 64
-	return &Cache{setMask: uint64(sets - 1), ways: ways, keep: keep, frames: make([]Entry, sets*ways),
+	return &Cache{setMask: uint64(sets - 1), ways: ways, keep: keep, frames: make([]*Entry, sets*ways),
 		occ: make([]uint64, words), since: make([]uint64, words)}
+}
+
+// slabFrames is how many frames one slab allocation carves.
+const slabFrames = 16
+
+// alloc installs a fresh untagged frame at idx.
+func (c *Cache) alloc(idx int) *Entry {
+	if len(c.slab) == 0 {
+		c.slab = make([]Entry, slabFrames)
+	}
+	e := &c.slab[0]
+	c.slab = c.slab[1:]
+	c.frames[idx] = e
+	return e
 }
 
 // Sets returns the number of sets.
@@ -154,7 +173,7 @@ func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) set(l mem.Line) (base int, set []Entry) {
+func (c *Cache) set(l mem.Line) (base int, set []*Entry) {
 	s := int(uint64(l) & c.setMask)
 	return s * c.ways, c.frames[s*c.ways : (s+1)*c.ways]
 }
@@ -168,12 +187,12 @@ func (c *Cache) mark(idx int) {
 // Lookup returns the frame holding l and bumps its recency, or nil.
 func (c *Cache) Lookup(l mem.Line) *Entry {
 	base, set := c.set(l)
-	for i := range set {
-		if set[i].Tag && set[i].Line == l {
+	for i, e := range set {
+		if e != nil && e.Tag && e.Line == l {
 			c.tick++
-			set[i].lru = c.tick
+			e.lru = c.tick
 			c.mark(base + i)
-			return &set[i]
+			return e
 		}
 	}
 	return nil
@@ -182,10 +201,10 @@ func (c *Cache) Lookup(l mem.Line) *Entry {
 // Peek returns the frame holding l without touching recency, or nil.
 func (c *Cache) Peek(l mem.Line) *Entry {
 	base, set := c.set(l)
-	for i := range set {
-		if set[i].Tag && set[i].Line == l {
+	for i, e := range set {
+		if e != nil && e.Tag && e.Line == l {
 			c.mark(base + i)
-			return &set[i]
+			return e
 		}
 	}
 	return nil
@@ -195,23 +214,24 @@ func (c *Cache) Peek(l mem.Line) *Entry {
 // else an untagged frame, else the least recently used unpinned frame.
 // It returns nil if every candidate is pinned (the caller must retry
 // later). The returned frame is NOT reset; the caller must inspect its
-// state (e.g. write back Registered words) before calling Reset.
+// state (e.g. write back Registered words) before calling Reset. A
+// frame never handed out before counts as untagged in way order, and
+// is allocated here.
 func (c *Cache) Victim(l mem.Line) *Entry {
 	base, set := c.set(l)
-	var free, lru *Entry
+	var lru *Entry
 	freeIdx, lruIdx := -1, -1
-	for i := range set {
-		e := &set[i]
-		if e.Tag && e.Line == l {
+	for i, e := range set {
+		if e != nil && e.Tag && e.Line == l {
 			c.mark(base + i)
 			return e
 		}
-		if e.Pinned {
+		if e != nil && e.Pinned {
 			continue
 		}
-		if !e.Tag {
-			if free == nil {
-				free, freeIdx = e, base+i
+		if e == nil || !e.Tag {
+			if freeIdx < 0 {
+				freeIdx = base + i
 			}
 			continue
 		}
@@ -219,9 +239,12 @@ func (c *Cache) Victim(l mem.Line) *Entry {
 			lru, lruIdx = e, base+i
 		}
 	}
-	if free != nil {
+	if freeIdx >= 0 {
 		c.mark(freeIdx)
-		return free
+		if e := c.frames[freeIdx]; e != nil {
+			return e
+		}
+		return c.alloc(freeIdx)
 	}
 	if lru != nil {
 		c.mark(lruIdx)
@@ -242,9 +265,9 @@ func (c *Cache) ForEach(fn func(e *Entry)) {
 	for wi := range c.occ {
 		for rem := c.occ[wi]; rem != 0; rem &= rem - 1 {
 			i := wi<<6 + bits.TrailingZeros64(rem)
-			if c.frames[i].Tag {
+			if e := c.frames[i]; e.Tag {
 				c.mark(i)
-				fn(&c.frames[i])
+				fn(e)
 			}
 		}
 	}
@@ -269,8 +292,7 @@ func (c *Cache) Invalidate() int {
 		c.since[wi] = 0
 		for rem := sw; rem != 0; rem &= rem - 1 {
 			i := wi<<6 + bits.TrailingZeros64(rem)
-			e := &c.frames[i]
-			if e.Tag {
+			if e := c.frames[i]; e.Tag {
 				for w := 0; w < mem.WordsPerLine; w++ {
 					if e.State[w] != Invalid && !c.keep.spares(e, w) {
 						e.State[w] = Invalid
@@ -298,11 +320,11 @@ func (c *Cache) Unsettle() { copy(c.since, c.occ) }
 // CountWords returns the number of words currently in state s.
 func (c *Cache) CountWords(s WordState) int {
 	n := 0
-	for i := range c.frames {
-		if !c.frames[i].Tag {
+	for _, e := range c.frames {
+		if e == nil || !e.Tag {
 			continue
 		}
-		for _, st := range c.frames[i].State {
+		for _, st := range e.State {
 			if st == s {
 				n++
 			}

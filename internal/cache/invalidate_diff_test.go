@@ -14,9 +14,8 @@ import (
 // live word unless pinned.
 func refInvalidate(c *Cache, keep func(e *Entry, w int) bool) int {
 	n := 0
-	for i := range c.frames {
-		e := &c.frames[i]
-		if !e.Tag {
+	for _, e := range c.frames {
+		if e == nil || !e.Tag {
 			continue
 		}
 		live := false
@@ -40,9 +39,9 @@ func refInvalidate(c *Cache, keep func(e *Entry, w int) bool) int {
 
 // refForEach visits every tagged frame by scanning all of them.
 func refForEach(c *Cache, fn func(e *Entry)) {
-	for i := range c.frames {
-		if c.frames[i].Tag {
-			fn(&c.frames[i])
+	for _, e := range c.frames {
+		if e != nil && e.Tag {
+			fn(e)
 		}
 	}
 }
@@ -51,8 +50,8 @@ func frameIndex(c *Cache, e *Entry) int {
 	if e == nil {
 		return -1
 	}
-	for i := range c.frames {
-		if &c.frames[i] == e {
+	for i, f := range c.frames {
+		if f == e {
 			return i
 		}
 	}
@@ -177,7 +176,13 @@ func TestInvalidateDifferential(t *testing.T) {
 						got.Unsettle()
 					}
 					for i := range got.frames {
-						a, b := &got.frames[i], &ref.frames[i]
+						a, b := got.frames[i], ref.frames[i]
+						if (a == nil) != (b == nil) {
+							t.Fatalf("seed %d step %d (%s): frame %d allocated %v, reference %v", seed, step, op, i, a != nil, b != nil)
+						}
+						if a == nil {
+							continue
+						}
 						if a.Tag != b.Tag || a.Pinned != b.Pinned || a.State != b.State || (a.Tag && a.Line != b.Line) {
 							t.Fatalf("seed %d step %d (%s): frame %d = {tag %v pinned %v line %d %v}, reference {tag %v pinned %v line %d %v}",
 								seed, step, op, i, a.Tag, a.Pinned, a.Line, a.State, b.Tag, b.Pinned, b.Line, b.State)

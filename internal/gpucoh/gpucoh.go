@@ -110,8 +110,13 @@ type Controller struct {
 	lineTxn wordmap.Map[uint64]
 	atomics wordmap.Map[remoteAtomic]
 	// localAtomicQ is each word's synchronization pipeline; the head
-	// of a non-empty queue is the atomic being processed.
+	// of the queue is the atomic being processed. A word has an entry
+	// only while an atomic on it is queued or in progress: the last pop
+	// deletes it and parks the emptied backing array on atomicQSpare,
+	// which the next word to start a queue takes, so a hot lock word
+	// does not reallocate on every acquire.
 	localAtomicQ wordmap.Map[[]pendingLocalAtomic]
+	atomicQSpare [][]pendingLocalAtomic
 
 	// pool and the free lists below keep steady-state operation
 	// allocation-free: messages and event payloads cycle through
@@ -403,6 +408,10 @@ func (c *Controller) Atomic(op coherence.AtomicOp, w mem.Word, operand, operand2
 	// HRF-indirect), so they must serialize — a global atomic overlapping
 	// a local RMW's read-to-write window would lose an update.
 	q := c.localAtomicQ.Upsert(uint64(w))
+	if n := len(c.atomicQSpare); *q == nil && n > 0 {
+		*q = c.atomicQSpare[n-1]
+		c.atomicQSpare = c.atomicQSpare[:n-1]
+	}
 	*q = append(*q, pendingLocalAtomic{op, operand, operand2, scope, cb})
 	if len(*q) == 1 {
 		c.startLocalAtomic(w, (*q)[0])
@@ -410,7 +419,7 @@ func (c *Controller) Atomic(op coherence.AtomicOp, w mem.Word, operand, operand2
 }
 
 // nextLocalAtomic retires w's head atomic, whose processing is done, and
-// starts the next queued one.
+// starts the next queued one; the last pop deletes w's entry.
 func (c *Controller) nextLocalAtomic(w mem.Word) {
 	qp, _ := c.localAtomicQ.Ptr(uint64(w))
 	q := *qp
@@ -419,10 +428,13 @@ func (c *Controller) nextLocalAtomic(w mem.Word) {
 	// word never reallocates.
 	copy(q, q[1:])
 	q[len(q)-1] = pendingLocalAtomic{} // release the callback for GC
-	*qp = q[:len(q)-1]
-	if len(q) > 1 {
-		c.startLocalAtomic(w, q[0])
+	if len(q) == 1 {
+		c.localAtomicQ.Delete(uint64(w))
+		c.atomicQSpare = append(c.atomicQSpare, q[:0])
+		return
 	}
+	*qp = q[:len(q)-1]
+	c.startLocalAtomic(w, q[0])
 }
 
 // startLocalAtomic processes p, the head of w's queue, so same-word
@@ -540,9 +552,9 @@ func (c *Controller) EnableInvariantChecks() { c.invariants = true }
 // CheckInvariants validates the sanitizer's quiesced-state suite for
 // this controller: the store buffer's structure (sb-fifo), the
 // outstanding-writethrough count in step with the per-word pending
-// table (wt-balance), and — once drained — no stranded local-atomic
-// serialization state (a queued atomic with no one processing it is a
-// lost wakeup).
+// table (wt-balance), and — once drained — no per-word atomic queue
+// entry at all (a queued atomic with no one processing it is a lost
+// wakeup).
 func (c *Controller) CheckInvariants() error {
 	if err := c.sb.CheckInvariants(); err != nil {
 		return fmt.Errorf("node %d: %w", c.node, err)
@@ -551,20 +563,10 @@ func (c *Controller) CheckInvariants() error {
 		return fmt.Errorf("gpucoh: wt-balance: node %d has %d writethroughs outstanding but %d words pending",
 			c.node, c.outstandingWT, c.sb.WTWords())
 	}
-	if c.Drained() {
-		// Emptied per-word queues keep their map entry (capacity reuse),
-		// so count pending operations, not words.
-		queued, busy := 0, 0
-		c.localAtomicQ.ForEach(func(_ uint64, q []pendingLocalAtomic) {
-			if len(q) > 0 {
-				queued += len(q) - 1
-				busy++
-			}
-		})
-		if queued > 0 || busy > 0 {
-			return fmt.Errorf("gpucoh: node %d drained with %d queued and %d in-progress local atomics",
-				c.node, queued, busy)
-		}
+	// A word keeps its queue entry only while an atomic on it is queued
+	// or in progress.
+	if n := c.localAtomicQ.Len(); n > 0 && c.Drained() {
+		return fmt.Errorf("gpucoh: node %d drained with local atomics queued or in progress on %d words", c.node, n)
 	}
 	return nil
 }

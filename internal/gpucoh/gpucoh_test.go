@@ -409,3 +409,61 @@ func TestReentrantReleaseWaiter(t *testing.T) {
 		t.Fatal("controller not drained after the releases")
 	}
 }
+
+// TestAtomicQueuesLiveOnlyWhileBusy: per-word atomic queues exist only
+// while an atomic on the word is queued or in progress. Many distinct
+// words, global and local, leave no entry behind once the controller
+// drains, and a steady stream of atomics on one hot word allocates
+// nothing.
+func TestAtomicQueuesLiveOnlyWhileBusy(t *testing.T) {
+	r := testrig.New()
+	c := newCtlH(r, 0)
+	c.EnableInvariantChecks()
+	done := 0
+	count := func(uint32) { done++ }
+	const words = 200
+	r.Eng.Schedule(0, func() {
+		for i := 0; i < words; i++ {
+			w := mem.Addr(0x10000 + 4*i).WordOf()
+			scope := coherence.ScopeGlobal
+			if i%2 == 0 {
+				scope = coherence.ScopeLocal
+			}
+			// Two atomics per word, so every queue also holds a waiter.
+			c.Atomic(coherence.AtomicAdd, w, 1, 0, scope, count)
+			c.Atomic(coherence.AtomicAdd, w, 1, 0, scope, count)
+		}
+	})
+	r.Run(t)
+	if done != 2*words {
+		t.Fatalf("%d atomics completed, want %d", done, 2*words)
+	}
+	if n := c.localAtomicQ.Len(); n != 0 {
+		t.Fatalf("%d words keep a queue entry after every atomic completed, want 0", n)
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	hot := mem.Addr(0x20000).WordOf()
+	run := func() {
+		c.Atomic(coherence.AtomicAdd, hot, 1, 0, coherence.ScopeLocal, count)
+		r.Run(t)
+	}
+	run() // the first atomic fetches the line
+	if a := testing.AllocsPerRun(100, run); a != 0 {
+		t.Fatalf("a steady-state atomic on a hot word allocated %v times, want 0", a)
+	}
+	if n := c.localAtomicQ.Len(); n != 0 {
+		t.Fatalf("the hot word keeps its queue entry after its atomics completed")
+	}
+	if v, ok := c.PeekWord(hot); !ok || v != 102 {
+		t.Fatalf("hot word = %d (ok=%v), want 102", v, ok)
+	}
+
+	// A drained controller may hold no queue entry, empty or not.
+	c.localAtomicQ.Upsert(uint64(hot))
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a drained controller holding an emptied queue entry")
+	}
+}
