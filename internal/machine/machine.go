@@ -5,10 +5,10 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 
 	"denovogpu/internal/coherence"
 	"denovogpu/internal/consistency"
@@ -860,16 +860,17 @@ func (m *Machine) switchPhase(target PhaseProto) error {
 // are recalled in address order so the walk is deterministic
 // regardless of registry iteration order.
 func (m *Machine) retireRegistrations(out []coherence.L1) error {
+	type regWord struct {
+		w     mem.Word
+		owner noc.NodeID
+	}
+	var regs []regWord // reused across banks
 	for _, bank := range m.banks {
-		type regWord struct {
-			w     mem.Word
-			owner noc.NodeID
-		}
-		var regs []regWord
+		regs = regs[:0]
 		bank.ForEachRegistered(func(w mem.Word, owner noc.NodeID) {
 			regs = append(regs, regWord{w, owner})
 		})
-		sort.Slice(regs, func(i, j int) bool { return regs[i].w < regs[j].w })
+		slices.SortFunc(regs, func(a, b regWord) int { return cmp.Compare(a.w, b.w) })
 		for _, r := range regs {
 			idx, ok := m.l1IndexOK(r.owner)
 			if !ok || idx >= len(out) {

@@ -97,8 +97,9 @@ import (
 // final release, or an append can create a delivery, with disjoint
 // footprints), a candidate can fail to be enabled at frame i; the
 // fallback schedules every enabled transition there, which is the
-// always-sound Flanagan-Godefroid degenerate case and is rare in
-// practice.
+// always-sound Flanagan-Godefroid degenerate case. It is not rare: it
+// fires on about a quarter of races (238,031 of 969,110 on
+// ISA2+transitive/DH, 90,457 of 314,302 on IRIW+scoped/GH).
 //
 // Sleep sets are carried exactly as in the reference explorer: a child
 // inherits the parent's sleep entries plus its already-explored

@@ -55,25 +55,23 @@ func (w *Worker) idlePoll() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// maxConsecutiveErrors is how many failed exchanges in a row, counted
-// across all of a worker's slots, make Run give up on the coordinator.
+// maxConsecutiveErrors is how many failed exchanges in a row, since the
+// last success on any slot, each of a worker's slots must count before
+// Run gives up on the coordinator.
 const maxConsecutiveErrors = 30
 
 // maxBackoffPolls caps a slot's sleep after a failed exchange at this
-// many IdlePolls per slot.
+// many IdlePolls.
 const maxBackoffPolls = 32
 
-// backoff is a slot's sleep after the worker's fails-th consecutive
-// failed exchange: IdlePoll, doubling with each failure up to
-// maxBackoffPolls IdlePolls per slot. At the default 200ms poll one
-// slot's 30 failures span about 160 s, past the coordinator's default
-// 60 s lease TTL, so a coordinator restart of that length kills no
-// worker. The slots share one failure count, which n slots raise about
-// n times as fast, so the cap grows with the slot count: up to 16
-// slots the 30 failures still span more than 80 s. (With 30 or more
-// slots failing together, the count is reached at once.)
-func backoff(poll time.Duration, fails, slots int) time.Duration {
-	limit := poll * time.Duration(maxBackoffPolls*slots)
+// backoff is a slot's sleep after its fails-th consecutive failed
+// exchange: IdlePoll, doubling with each failure up to maxBackoffPolls
+// IdlePolls. At the default 200ms poll a slot's 30 failures span about
+// 160 s, past the coordinator's default 60 s lease TTL, so a
+// coordinator restart of that length kills no worker, however many
+// slots it runs.
+func backoff(poll time.Duration, fails int) time.Duration {
+	limit := poll * maxBackoffPolls
 	d := poll
 	for i := 1; i < fails && d < limit; i++ {
 		d *= 2
@@ -86,29 +84,32 @@ func backoff(poll time.Duration, fails, slots int) time.Duration {
 const completeTimeout = 10 * time.Second
 
 // Run pulls and executes cells on runtime.GOMAXPROCS(0) slots until ctx
-// is cancelled (its only non-error exit) or maxConsecutiveErrors
-// exchanges with the coordinator have failed in a row, each followed
-// by a growing sleep (see backoff). A cancelled Run returns once every
-// slot has finished its in-flight cell and posted the result.
+// is cancelled (its only non-error exit) or every slot has failed
+// maxConsecutiveErrors exchanges with the coordinator in a row, each
+// followed by a growing sleep (see backoff). A cancelled Run returns
+// once every slot has finished its in-flight cell and posted the
+// result.
 func (w *Worker) Run(ctx context.Context) error {
 	return w.run(ctx, runtime.GOMAXPROCS(0))
 }
 
 // run is Run on a given number of slots. Each slot loops RunOne, the
-// lease → run → complete step with its own heartbeat. The slots share
-// one count of consecutive failed exchanges: a success on any slot
-// resets it, and the failure that reaches maxConsecutiveErrors stops
-// every slot. run returns after all of its slots have.
+// lease → run → complete step with its own heartbeat, and counts its
+// own consecutive failed exchanges, which set its backoff. A success
+// on any slot resets every slot's count; once every slot has counted
+// maxConsecutiveErrors, the failure that completes the set stops them
+// all. run returns after all of its slots have.
 func (w *Worker) run(ctx context.Context, slots int) error {
 	ctx, stop := context.WithCancel(ctx)
 	defer stop()
 	var (
-		mu              sync.Mutex
-		consecutiveErrs int
-		giveUp          error
+		mu     sync.Mutex
+		fails  = make([]int, slots)
+		spent  int // slots whose count has reached maxConsecutiveErrors
+		giveUp error
 	)
 	var wg sync.WaitGroup
-	for range slots {
+	for slot := range slots {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -122,14 +123,18 @@ func (w *Worker) run(ctx context.Context, slots int) error {
 				pause := w.idlePoll()
 				mu.Lock()
 				if err == nil {
-					consecutiveErrs = 0
+					clear(fails)
+					spent = 0
 				} else {
-					consecutiveErrs++
-					if consecutiveErrs >= maxConsecutiveErrors && giveUp == nil {
+					fails[slot]++
+					if fails[slot] == maxConsecutiveErrors {
+						spent++
+					}
+					if spent == slots && giveUp == nil {
 						giveUp = fmt.Errorf("sweepd worker %s: coordinator unreachable: %w", w.Name, err)
 						stop()
 					}
-					pause = backoff(pause, consecutiveErrs, slots)
+					pause = backoff(pause, fails[slot])
 				}
 				mu.Unlock()
 				if (err != nil || !worked) && !sleep(ctx, pause) {

@@ -169,10 +169,10 @@ func TestWorkerReportsCompleteErrors(t *testing.T) {
 	}
 }
 
-// TestWorkerSlotsGiveUpTogether: the slots share one count of
-// consecutive errors, so a coordinator that fails every request stops
-// all four slots after the 30th failure, give or take the requests
-// other slots had in flight.
+// TestWorkerSlotsGiveUpTogether: each slot counts its own consecutive
+// errors, so a coordinator that fails every request stops all four
+// slots once each has failed 30 times, give or take the retries of
+// slots that got there first.
 func TestWorkerSlotsGiveUpTogether(t *testing.T) {
 	var requests atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -185,8 +185,9 @@ func TestWorkerSlotsGiveUpTogether(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "coordinator unreachable") {
 		t.Fatalf("Run = %v, want the give-up error", err)
 	}
-	if n := requests.Load(); n < maxConsecutiveErrors || n > maxConsecutiveErrors+3 {
-		t.Errorf("%d requests before giving up, want %d to %d", n, maxConsecutiveErrors, maxConsecutiveErrors+3)
+	lo, hi := 4*maxConsecutiveErrors, 4*(maxConsecutiveErrors+8)
+	if n := requests.Load(); n < int64(lo) || n > int64(hi) {
+		t.Errorf("%d requests before giving up, want %d to %d", n, lo, hi)
 	}
 }
 
@@ -244,9 +245,9 @@ func TestWorkerCancelWaitsForSlots(t *testing.T) {
 }
 
 // TestWorkerBacksOffAfterErrors: each failed exchange is followed by a
-// sleep of IdlePoll doubling up to 32 IdlePolls per slot, and at the
-// default poll the 30 failures that stop a one-slot worker span more
-// than the coordinator's default lease TTL.
+// sleep of IdlePoll doubling up to 32 IdlePolls, and at the default
+// poll the 30 failures per slot that stop a worker span more than the
+// coordinator's default lease TTL, whatever the slot count.
 func TestWorkerBacksOffAfterErrors(t *testing.T) {
 	var (
 		mu       sync.Mutex
@@ -270,7 +271,7 @@ func TestWorkerBacksOffAfterErrors(t *testing.T) {
 	}
 	var want time.Duration
 	for i := 1; i < len(arrivals); i++ {
-		d := backoff(time.Millisecond, i, 1)
+		d := backoff(time.Millisecond, i)
 		if exp := time.Millisecond << min(i-1, 5); d != exp {
 			t.Errorf("backoff after failure %d = %v, want %v", i, d, exp)
 		}
@@ -284,12 +285,15 @@ func TestWorkerBacksOffAfterErrors(t *testing.T) {
 	}
 
 	// Replay the schedule of n slots that fail every exchange at once,
-	// at the default poll: each slot retries when its sleep ends.
+	// at the default poll: each slot retries when its sleep ends, and
+	// the worker gives up when the last slot reaches its 30th failure.
 	ttl := New(Options{}).leaseTTL
-	for _, n := range []int{1, 2, 4, 8, 16} {
+	want = max(ttl, 80*time.Second)
+	for _, n := range []int{1, 2, 4, 8, 16, 32, 64} {
 		wake := make([]time.Duration, n)
+		fails := make([]int, n)
 		var now time.Duration
-		for fails := 1; ; fails++ {
+		for spent := 0; spent < n; {
 			next := 0
 			for s := range wake {
 				if wake[s] < wake[next] {
@@ -297,13 +301,36 @@ func TestWorkerBacksOffAfterErrors(t *testing.T) {
 				}
 			}
 			now = wake[next]
-			if fails == maxConsecutiveErrors {
-				break
+			fails[next]++
+			if fails[next] == maxConsecutiveErrors {
+				spent++
 			}
-			wake[next] = now + backoff(200*time.Millisecond, fails, n)
+			wake[next] = now + backoff(200*time.Millisecond, fails[next])
 		}
-		if now <= ttl {
-			t.Errorf("%d slots give up after %v at the default poll, want more than the %v lease TTL", n, now, ttl)
+		if now <= want {
+			t.Errorf("%d slots give up after %v at the default poll, want more than %v", n, now, want)
 		}
+	}
+}
+
+// TestWorkerManySlotsBackOff: a worker with more slots than
+// maxConsecutiveErrors, facing a coordinator address that refuses
+// every connection, keeps retrying at least as long as one slot's
+// backoff schedule before it gives up.
+func TestWorkerManySlotsBackOff(t *testing.T) {
+	srv := httptest.NewServer(http.NotFoundHandler())
+	srv.Close()
+	var want time.Duration
+	for i := 1; i < maxConsecutiveErrors; i++ {
+		want += backoff(time.Millisecond, i)
+	}
+	w := &Worker{Server: srv.URL, Name: "w", IdlePoll: time.Millisecond}
+	t0 := time.Now()
+	err := w.run(context.Background(), 32)
+	if got := time.Since(t0); got < want {
+		t.Errorf("32 slots gave up after %v, want at least %v", got, want)
+	}
+	if err == nil || !strings.Contains(err.Error(), "coordinator unreachable") {
+		t.Fatalf("Run = %v, want the give-up error", err)
 	}
 }
