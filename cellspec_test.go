@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"denovogpu"
@@ -33,10 +34,9 @@ func TestCellKeyGolden(t *testing.T) {
 		{"two-device", denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "UTSx2"},
 			"d8a0ed675080ee080678373302de581c5243ba10a39d5603b8de813f008ea8af"},
 		{"check-default", denovogpu.CellSpec{Config: dd, Program: "MP"},
-			"2de7d3961c4a80e7387886dd7f4231854ee769bb885301682e10ae8cab3fb979"},
-		{"check-shard", denovogpu.CellSpec{Config: dd, Program: "MP",
-			Shard: &denovogpu.CheckShard{Index: 1, Prefix: []uint32{7}, Sleep: []uint32{3}}},
-			"0486e720a340ac3b0f4bd0f81e3528119d4e216776c9ed296a5b094ab65b2871"},
+			"e5fd3832486596e8ac8864f6769b14f3510d490dcfcf59bad7efb96c23de9377"},
+		{"check-budget", denovogpu.CellSpec{Config: dd, Program: "SB+sync", Budget: 5000},
+			"45aab86953488ae9fd5d230491cd72921cb53063ee045f92eae60e40374aa895"},
 	} {
 		got, err := denovogpu.CellKey("v1", c.spec)
 		if err != nil {
@@ -76,7 +76,6 @@ func TestCellKeyCanonicalization(t *testing.T) {
 		"program": {Config: dd, Program: "LB"},
 		"config":  {Config: denovogpu.ConfigSpec{Name: "DH"}, Program: "MP"},
 		"budget":  {Config: dd, Program: "MP", Budget: 1000},
-		"shard":   {Config: dd, Program: "MP", Shard: &denovogpu.CheckShard{Index: 1, Prefix: []uint32{7}}},
 	} {
 		if key(mut) == k1 {
 			t.Errorf("changing %s did not change the key", name)
@@ -106,7 +105,6 @@ func TestCellSpecKinds(t *testing.T) {
 		"simulation": {Config: dd, Workload: "LAVA"},
 		"seeded":     {Config: dd, Workload: "PR", Seed: 4},
 		"check":      {Config: dd, Program: "MP", Budget: 1000},
-		"shard":      {Config: dd, Program: "MP", Shard: &denovogpu.CheckShard{Index: 2}},
 	} {
 		if err := good.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -117,7 +115,6 @@ func TestCellSpecKinds(t *testing.T) {
 		"neither":           {Config: dd},
 		"seed on check":     {Config: dd, Program: "MP", Seed: 1},
 		"budget on sim":     {Config: dd, Workload: "LAVA", Budget: 10},
-		"shard on sim":      {Config: dd, Workload: "LAVA", Shard: &denovogpu.CheckShard{}},
 		"seeded fixed":      {Config: dd, Workload: "LAVA", Seed: 3},
 		"no config":         {Workload: "LAVA"},
 		"no config (check)": {Program: "MP"},
@@ -126,6 +123,21 @@ func TestCellSpecKinds(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// The retired shard field is an unknown field to the strict decoder
+	// sweepd submits through, so a shard cell can never run as a whole
+	// cell.
+	for name, cell := range shardCells {
+		if _, err := denovogpu.DecodeMatrixSpec(strings.NewReader(`{"cells":[` + cell + `]}`)); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// shardCells are wire cells that carry the retired shard field.
+var shardCells = map[string]string{
+	"shard":        `{"config":{"name":"DD"},"program":"MP","shard":{"index":1,"prefix":[7],"sleep":[3]}}`,
+	"empty shard":  `{"config":{"name":"DD"},"program":"MP","shard":{"index":0,"prefix":[]}}`,
+	"shard on sim": `{"config":{"name":"DD"},"workload":"LAVA","shard":{}}`,
 }
 
 // TestCellSpecRejectsUnbuildableShapes: a configuration machine.New
@@ -161,7 +173,6 @@ func TestCellSpecLabel(t *testing.T) {
 		{denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "GD"}, Workload: "LAVA"}, "LAVA", "GD"},
 		{denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "UTSx2"}, "UTSx2", "DDx2"},
 		{denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD+RO"}, Program: "MP"}, "check:MP", "DD+RO"},
-		{denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DH"}, Program: "MP", Shard: &denovogpu.CheckShard{Index: 3}}, "check:MP#3", "DH"},
 		{denovogpu.CellSpec{Program: "MP"}, "check:MP", ""},
 	} {
 		w, cfg := c.spec.Label()
@@ -171,9 +182,20 @@ func TestCellSpecLabel(t *testing.T) {
 	}
 }
 
+// decodeCell decodes one wire cell the way sweepd decodes a submitted
+// one: strictly, so an unknown field is an error.
+func decodeCell(data []byte) (denovogpu.CellSpec, error) {
+	var s denovogpu.CellSpec
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&s)
+	return s, err
+}
+
 // FuzzCellSpec is the wire contract for cells: decoding arbitrary JSON
-// never panics, and a cell that validates re-encodes to a fixed point
-// with an unchanged cache key.
+// never panics, and a cell that decodes and validates re-encodes to a
+// fixed point with an unchanged cache key. Cells that carry the retired
+// shard field are seeds that must not decode.
 func FuzzCellSpec(f *testing.F) {
 	dd := denovogpu.ConfigSpec{Name: "DD"}
 	seeds := append(denovogpu.PinnedCells(),
@@ -181,10 +203,8 @@ func FuzzCellSpec(f *testing.F) {
 		denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "UTSx2"},
 		denovogpu.CellSpec{Config: dd, Program: "MP"},
 		denovogpu.CellSpec{Config: dd, Program: "SB+sync", Budget: 5000},
-		denovogpu.CellSpec{Config: dd, Program: "MP", Shard: &denovogpu.CheckShard{Index: 1, Prefix: []uint32{7}, Sleep: []uint32{3}}},
 		denovogpu.CellSpec{Config: dd, Workload: "LAVA", Program: "MP"},
 		denovogpu.CellSpec{Config: dd, Program: "MP", Seed: 2},
-		denovogpu.CellSpec{Config: dd, Workload: "LAVA", Shard: &denovogpu.CheckShard{}},
 	)
 	raw := denovogpu.DDRO()
 	raw.NumCUs = 4
@@ -196,20 +216,25 @@ func FuzzCellSpec(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte(`{"config":{"name":"DD"},"program":"MP","shard":{"index":0,"prefix":[]}}`))
+	for _, name := range []string{"shard", "empty shard", "shard on sim"} {
+		if _, err := decodeCell([]byte(shardCells[name])); err == nil {
+			f.Fatalf("%s: decoded %s", name, shardCells[name])
+		}
+		f.Add([]byte(shardCells[name]))
+	}
 	f.Add([]byte(`{"config":{"name":"GD"},"workload":"LAVA","check":{"program":"MP"}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var s denovogpu.CellSpec
-		if json.Unmarshal(data, &s) != nil || s.Validate() != nil {
+		s, err := decodeCell(data)
+		if err != nil || s.Validate() != nil {
 			return
 		}
 		enc, err := json.Marshal(s)
 		if err != nil {
 			t.Fatalf("valid cell does not encode: %v", err)
 		}
-		var back denovogpu.CellSpec
-		if err := json.Unmarshal(enc, &back); err != nil {
+		back, err := decodeCell(enc)
+		if err != nil {
 			t.Fatalf("encoded cell does not decode: %v\n%s", err, enc)
 		}
 		again, err := json.Marshal(back)

@@ -42,64 +42,8 @@ func TestRunCheckCellRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckVerdictShardIdentity: the merged verdict of a sharded run
-// is byte-identical to the serial verdict, for every clean program it
-// tries and at two shard counts.
-func TestCheckVerdictShardIdentity(t *testing.T) {
-	for _, prog := range []string{"MP", "SB+sync", "LB"} {
-		spec := CellSpec{Config: ConfigSpec{Name: "DD"}, Program: prog}
-		serialBytes, _, err := spec.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := UnmarshalCheckReport(serialBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := MergeCheckVerdict([]CheckReport{serial})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantBytes, err := MarshalCheckVerdict(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, shards := range []int{2, 8} {
-			cells, base, err := SplitCheckCell(spec, shards)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reports := []CheckReport{base}
-			for _, c := range cells {
-				data, _, err := c.Run()
-				if err != nil {
-					t.Fatalf("%s shard %d: %v", prog, c.Shard.Index, err)
-				}
-				r, err := UnmarshalCheckReport(data)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reports = append(reports, r)
-			}
-			got, err := MergeCheckVerdict(reports)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotBytes, err := MarshalCheckVerdict(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(gotBytes, wantBytes) {
-				t.Errorf("%s: %d-shard verdict diverges from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
-					prog, shards, wantBytes, gotBytes)
-			}
-		}
-	}
-}
-
 // TestCheckCellViolation: an injected fault surfaces as a violation in
-// both the serial report and the sharded merge, with the same verdict
-// invariant.
+// the cell's report, with its outcome and trace.
 func TestCheckCellViolation(t *testing.T) {
 	cfg, err := ConfigByName("DD")
 	if err != nil {
@@ -112,51 +56,15 @@ func TestCheckCellViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := UnmarshalCheckReport(data)
+	r, err := UnmarshalCheckReport(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Violation == nil || serial.Violation.Invariant != "oracle-conformance" {
-		t.Fatalf("fault not caught serially: %+v", serial.Violation)
+	if r.Violation == nil || r.Violation.Invariant != "oracle-conformance" {
+		t.Fatalf("fault not caught: %+v", r.Violation)
 	}
-	if serial.Violation.Outcome == "" || len(serial.Violation.Trace) == 0 {
-		t.Errorf("violation missing outcome or trace: %+v", serial.Violation)
-	}
-
-	cells, base, err := SplitCheckCell(spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := []CheckReport{base}
-	for _, c := range cells {
-		d, _, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := UnmarshalCheckReport(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports = append(reports, r)
-	}
-	v, err := MergeCheckVerdict(reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Violation == nil || v.Violation.Invariant != serial.Violation.Invariant {
-		t.Errorf("sharded verdict violation %+v, serial %+v", v.Violation, serial.Violation)
-	}
-}
-
-func TestMergeCheckVerdictMismatch(t *testing.T) {
-	if _, err := MergeCheckVerdict(nil); err == nil {
-		t.Error("merging zero reports accepted")
-	}
-	a := CheckReport{Schema: "denovogpu-checkreport/v2", Program: "MP", Config: "DD", Budget: 100}
-	b := a
-	b.Config = "DH"
-	if _, err := MergeCheckVerdict([]CheckReport{a, b}); err == nil {
-		t.Error("merging reports from different cells accepted")
+	if r.Violation.Outcome == "" || len(r.Violation.Trace) == 0 {
+		t.Errorf("violation missing outcome or trace: %+v", r.Violation)
 	}
 }
 
@@ -166,12 +74,6 @@ func TestUnmarshalCheckReportSchema(t *testing.T) {
 	}
 	if _, err := UnmarshalCheckReport([]byte("not json")); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-func TestCheckVerdictFileName(t *testing.T) {
-	if got := CheckVerdictFileName("MP+preload", "DD+RO"); got != "check_MP-preload_DD-RO.json" {
-		t.Errorf("file name %q", got)
 	}
 }
 
@@ -202,8 +104,5 @@ func TestCheckCellSpecRejectsSimulation(t *testing.T) {
 	s := CellSpec{Config: ConfigSpec{Name: "DD"}, Program: "MP"}
 	if _, err := s.Cell(); err == nil {
 		t.Error("Cell() resolved a check cell")
-	}
-	if _, _, err := SplitCheckCell(CellSpec{Config: ConfigSpec{Name: "DD"}, Workload: "LAVA"}, 2); err == nil {
-		t.Error("SplitCheckCell split a simulation cell")
 	}
 }

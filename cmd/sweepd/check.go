@@ -14,29 +14,27 @@ import (
 	"denovogpu/internal/sweepd"
 )
 
-// runCheckCmd is the `sweepd check` subcommand: model-checking through
-// the sweep service. Each (program, configuration) cell is split
-// client-side into prefix work units (mcheck.Split via
-// api.SplitCheckCell), the units are submitted as one job — cached,
-// leased and executed exactly like simulation cells — and the per-unit
-// reports merge into one verdict per cell. The verdict excludes the
-// shard-count-dependent States total, so `sweepd check -local` (an
-// in-process run, one whole cell at a time) and a sharded run across
-// any number of workers write byte-identical verdict files for clean
-// programs; that byte equality is the sharded checker's end-to-end
-// correctness test, the same way `diff -r` against the goldens is the
-// simulator sweep's.
+// runCheckCmd is the `sweepd check` subcommand: model checking through
+// the sweep service. Each (program, configuration) is one check cell,
+// explored whole by mcheck.Check on one budget. The cells are submitted
+// as one job — cached, leased and executed exactly like simulation
+// cells, one cell per worker slot — and each cell's canonical
+// CheckReport is written and summarized. A report, States included,
+// depends on neither the machine nor the core count that ran it, so
+// `sweepd check -local` (in-process, one cell at a time) and a served
+// run write byte-identical report files; that byte equality is the
+// service's end-to-end test for model checking, the way `diff -r`
+// against the goldens is the simulator sweep's.
 func runCheckCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sweepd check", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		server   = fs.String("server", "http://localhost:8080", "coordinator base URL")
-		local    = fs.Bool("local", false, "run in-process, one whole cell at a time (no coordinator); the reference for sharded runs")
+		local    = fs.Bool("local", false, "run in-process, one cell at a time (no coordinator); the reference for served runs")
 		programs = fs.String("programs", "", "comma-separated catalog litmus programs (default: the whole catalog)")
 		configs  = fs.String("configs", "", "comma-separated configuration names (default: the full model-checking set incl. the DH lazy ablation)")
-		budget   = fs.Int("budget", 0, "exploration node budget — per shard in a sharded run (0 = the mcheck default)")
-		shards   = fs.Int("shards", 4, "prefix work units per cell in server mode (branching permitting)")
-		outDir   = fs.String("out", "", "write each cell's canonical verdict JSON into this directory")
+		budget   = fs.Int("budget", 0, "exploration node budget per cell, local or served alike (0 = the mcheck default)")
+		outDir   = fs.String("out", "", "write each cell's canonical report JSON into this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return cli.ExitUsage
@@ -76,26 +74,17 @@ func runCheckCmd(args []string, stdout, stderr io.Writer) int {
 	if *local {
 		return runCheckLocal(cells, *outDir, stdout, stderr)
 	}
-	return runCheckSharded(cells, *server, *shards, *outDir, stdout, stderr)
+	return runCheckServed(cells, *server, *outDir, stdout, stderr)
 }
 
-// runCheckLocal is the serial reference: every cell explored whole,
-// in-process.
+// runCheckLocal is the in-process reference: every cell run in turn.
 func runCheckLocal(cells []denovogpu.CellSpec, outDir string, stdout, stderr io.Writer) int {
 	for i, s := range cells {
 		data, _, err := s.Run()
 		if err != nil {
 			return emitCellFailure(stderr, s, i, err.Error())
 		}
-		report, err := denovogpu.UnmarshalCheckReport(data)
-		if err != nil {
-			return emitCellFailure(stderr, s, i, err.Error())
-		}
-		code, err := finishCheckCell([]denovogpu.CheckReport{report}, outDir, stdout)
-		if err != nil {
-			return emitCellFailure(stderr, s, i, err.Error())
-		}
-		if code != 0 {
+		if code := finishCheckCell(s, i, data, outDir, stdout, stderr); code != 0 {
 			return code
 		}
 	}
@@ -103,106 +92,63 @@ func runCheckLocal(cells []denovogpu.CellSpec, outDir string, stdout, stderr io.
 	return 0
 }
 
-// runCheckSharded splits every cell, submits all units as one job, and
-// merges each cell's unit reports into its verdict.
-func runCheckSharded(cells []denovogpu.CellSpec, server string, shards int, outDir string, stdout, stderr io.Writer) int {
-	type plannedCell struct {
-		spec  denovogpu.CellSpec
-		base  denovogpu.CheckReport // split phase's own partial result
-		first int                   // index of its first unit in the job, -1 when none
-		units int
-	}
-	var planned []plannedCell
-	var jobCells []denovogpu.CellSpec
-	for i, s := range cells {
-		unitSpecs, base, err := denovogpu.SplitCheckCell(s, shards)
-		if err != nil {
-			return emitCellFailure(stderr, s, i, err.Error())
-		}
-		pc := plannedCell{spec: s, base: base, first: -1, units: len(unitSpecs)}
-		if len(unitSpecs) > 0 {
-			pc.first = len(jobCells)
-			jobCells = append(jobCells, unitSpecs...)
-		}
-		planned = append(planned, pc)
-	}
-
+// runCheckServed submits every cell as one job and reports each cell
+// from the report the coordinator holds for it.
+func runCheckServed(cells []denovogpu.CellSpec, server, outDir string, stdout, stderr io.Writer) int {
 	ctx, cancel := signalCtx()
 	defer cancel()
 	client := &sweepd.Client{Base: server}
-	var status sweepd.JobStatus
-	if len(jobCells) > 0 {
-		sr, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: jobCells})
-		if err != nil {
-			fmt.Fprintf(stderr, "sweepd: submit: %v\n", err)
-			return cli.ExitFailure
-		}
-		fmt.Fprintf(stdout, "sweepd: submitted job %s (%d cells, %d units)\n", sr.Status.ID, len(cells), len(jobCells))
-		status, err = client.Wait(ctx, sr.Status.ID, 100*time.Millisecond)
-		if err != nil {
-			fmt.Fprintf(stderr, "sweepd: %v\n", err)
-			return cli.ExitFailure
-		}
-		if status.State != "done" {
-			var failed denovogpu.CellSpec
-			if status.ErrorCell >= 0 && status.ErrorCell < len(jobCells) {
-				failed = jobCells[status.ErrorCell]
-			}
-			return emitCellFailure(stderr, failed, status.ErrorCell, status.Error)
-		}
-		fmt.Fprintf(stdout, "sweepd: job %s done: %d units (%d cache hits) in %.0f ms\n",
-			status.ID, status.Done, status.CacheHits, status.WallMS)
+	sr, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: cells})
+	if err != nil {
+		fmt.Fprintf(stderr, "sweepd: submit: %v\n", err)
+		return cli.ExitFailure
 	}
+	fmt.Fprintf(stdout, "sweepd: submitted job %s (%d cells)\n", sr.Status.ID, len(cells))
+	status, err := client.Wait(ctx, sr.Status.ID, 100*time.Millisecond)
+	if err != nil {
+		fmt.Fprintf(stderr, "sweepd: %v\n", err)
+		return cli.ExitFailure
+	}
+	if status.State != "done" {
+		var failed denovogpu.CellSpec
+		if status.ErrorCell >= 0 && status.ErrorCell < len(cells) {
+			failed = cells[status.ErrorCell]
+		}
+		return emitCellFailure(stderr, failed, status.ErrorCell, status.Error)
+	}
+	fmt.Fprintf(stdout, "sweepd: job %s done: %d cells (%d cache hits) in %.0f ms\n",
+		status.ID, status.Done, status.CacheHits, status.WallMS)
 
-	for i, pc := range planned {
-		reports := []denovogpu.CheckReport{pc.base}
-		for u := 0; u < pc.units; u++ {
-			data, err := client.CellReport(ctx, status.ID, pc.first+u)
-			if err != nil {
-				return emitCellFailure(stderr, pc.spec, i, err.Error())
-			}
-			r, err := denovogpu.UnmarshalCheckReport(data)
-			if err != nil {
-				return emitCellFailure(stderr, pc.spec, i, err.Error())
-			}
-			reports = append(reports, r)
-		}
-		code, err := finishCheckCell(reports, outDir, stdout)
+	for i, s := range cells {
+		data, err := client.CellReport(ctx, status.ID, i)
 		if err != nil {
-			return emitCellFailure(stderr, pc.spec, i, err.Error())
+			return emitCellFailure(stderr, s, i, err.Error())
 		}
-		if code != 0 {
+		if code := finishCheckCell(s, i, data, outDir, stdout, stderr); code != 0 {
 			return code
 		}
 	}
-	fmt.Fprintf(stdout, "sweepd: checked %d cells across %d units\n", len(planned), len(jobCells))
+	fmt.Fprintf(stdout, "sweepd: checked %d cells\n", len(cells))
 	return 0
 }
 
-// finishCheckCell merges one cell's reports, writes/prints its verdict,
-// and returns a non-zero exit code for a violation.
-func finishCheckCell(reports []denovogpu.CheckReport, outDir string, stdout io.Writer) (int, error) {
-	v, err := denovogpu.MergeCheckVerdict(reports)
-	if err != nil {
-		return 0, err
-	}
-	data, err := denovogpu.MarshalCheckVerdict(v)
-	if err != nil {
-		return 0, err
-	}
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return 0, err
-		}
-		name := denovogpu.CheckVerdictFileName(v.Program, v.Config)
-		if err := os.WriteFile(filepath.Join(outDir, name), data, 0o644); err != nil {
-			return 0, err
+// finishCheckCell writes cell i's report bytes under reportFileName,
+// prints its summary line, and returns a non-zero exit code for a
+// violation or a failure.
+func finishCheckCell(s denovogpu.CellSpec, i int, data []byte, outDir string, stdout, stderr io.Writer) int {
+	r, err := denovogpu.UnmarshalCheckReport(data)
+	if err == nil && outDir != "" {
+		if err = os.MkdirAll(outDir, 0o755); err == nil {
+			err = os.WriteFile(filepath.Join(outDir, reportFileName(s)), data, 0o644)
 		}
 	}
-	if v.Violation != nil {
-		fmt.Fprintf(stdout, "  %-16s %-8s VIOLATION: %s: %s\n", v.Program, v.Config, v.Violation.Invariant, v.Violation.Detail)
-		return cli.ExitCellFailure, nil
+	if err != nil {
+		return emitCellFailure(stderr, s, i, err.Error())
 	}
-	fmt.Fprintf(stdout, "  %-16s %-8s clean (%d outcomes)\n", v.Program, v.Config, len(v.Outcomes))
-	return 0, nil
+	if r.Violation != nil {
+		fmt.Fprintf(stdout, "  %-16s %-8s VIOLATION: %s: %s\n", r.Program, r.Config, r.Violation.Invariant, r.Violation.Detail)
+		return cli.ExitCellFailure
+	}
+	fmt.Fprintf(stdout, "  %-16s %-8s clean (%d outcomes, %d states)\n", r.Program, r.Config, len(r.Outcomes), r.States)
+	return 0
 }

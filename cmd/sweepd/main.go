@@ -10,8 +10,8 @@
 //	sweepd work   -server http://coordinator:8080          # worker: a cell per core (GOMAXPROCS)
 //	sweepd submit -server ... -golden -out reports/        # submit + wait + fetch
 //	sweepd submit -server ... -spec sweep.json -summary    # custom matrix
-//	sweepd check  -server ... -shards 4 -out verdicts/     # sharded model checking
-//	sweepd check  -local -out verdicts/                    # serial reference check
+//	sweepd check  -server ... -out checks/                 # model checking, a cell per slot
+//	sweepd check  -local -out checks/                      # in-process reference check
 //	sweepd status -server ... [-job j1]                    # job + cache stats
 //	sweepd health -server ...                              # liveness probe
 //
@@ -320,15 +320,14 @@ func writeReports(ctx context.Context, client *sweepd.Client, status sweepd.JobS
 }
 
 // labelFileChars maps a Label's workload to file-name-friendly text:
-// "check:MP+preload#3" becomes "check_MP-preload_shard3".
-var labelFileChars = strings.NewReplacer(":", "_", "+", "-", "#", "_shard")
+// "check:MP+preload" becomes "check_MP-preload".
+var labelFileChars = strings.NewReplacer(":", "_", "+", "-")
 
-// reportFileName is the one file-name rule for a cell's report: its
-// Label through ReportFileName, plus "_seedN" for a seeded cell. A
-// simulation cell gets its golden-harness name ("LAVA_GD.json"), a
-// check cell CheckVerdictFileName's ("check_MP_DD.json") and a shard
-// cell that name with its index ("check_MP_shard3_DD.json"), so no two
-// cells of a job collide.
+// reportFileName is the one file-name rule for a cell's report, used by
+// both `submit -out` and `check -out`: its Label through ReportFileName,
+// plus "_seedN" for a seeded cell. A simulation cell gets its
+// golden-harness name ("LAVA_GD.json") and a check cell
+// "check_MP_DD.json", so no two cells of a job collide.
 func reportFileName(s denovogpu.CellSpec) string {
 	workload, config := s.Label()
 	name := labelFileChars.Replace(workload)

@@ -130,7 +130,7 @@ func (m *model) cuSlots(ci uint8) uint64 {
 }
 
 // dynFootprint is the dynamic read/write territory of transition t at
-// state s, used by the DPOR explorer and the shard split phase. It
+// state s, used by the DPOR explorer and the split phase. It
 // must be computed at the state where t is enabled; it stays valid
 // while only transitions independent of t execute (anything that would
 // change t's behavior shares a bit with t by construction).
@@ -227,17 +227,6 @@ func sleepHas(sleep []sleepEnt, t trans) bool {
 		}
 	}
 	return false
-}
-
-// Unit is one shard of an exploration: replay Prefix from the root
-// (transition values, outermost first), then run source-DPOR below the
-// cut with Sleep as the cut frame's inherited sleep set. The zero Unit
-// is the whole exploration. Units come from Split; their fields are
-// wire-friendly (uint32 transition values) so a shard can be shipped
-// to a remote worker and replayed there deterministically.
-type Unit struct {
-	Prefix []uint32 `json:"prefix,omitempty"`
-	Sleep  []uint32 `json:"sleep,omitempty"`
 }
 
 // event is one executed transition of the current execution and its
@@ -418,7 +407,7 @@ func (x *explorer) explore(m *model, oracle map[string]litmus.Outcome, u *splitN
 				idx := slices.Index(fr.enab, u.prefix[d])
 				if idx < 0 {
 					return states, nil, fmt.Errorf(
-						"mcheck: shard prefix transition %#x not enabled at depth %d of %q under %s (stale shard?)",
+						"mcheck: split prefix transition %#x not enabled at depth %d of %q under %s",
 						uint32(u.prefix[d]), d, m.p.Name, m.mcfg.Name())
 				}
 				fr.back[idx] = true

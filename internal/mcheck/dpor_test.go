@@ -257,157 +257,6 @@ func TestDeepExecutionWidensClocks(t *testing.T) {
 	}
 }
 
-// checkSplit is sweepd's path run in process: Split into at least
-// target units, every unit through CheckShard on its own budget, and
-// MergeShardResults.
-func checkSplit(cfg machine.Config, p *litmus.Program, opts Options, target int) (*Result, error) {
-	plan, err := Split(cfg, p, opts, target)
-	if err != nil {
-		return nil, err
-	}
-	var results []*Result
-	for _, u := range plan.Units {
-		r, err := CheckShard(cfg, p, opts, u)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	return MergeShardResults(plan, results), nil
-}
-
-// TestShardDeterminism is the shard-split guarantee on sweepd's path: a
-// split exploration (any unit count) reports the same verdict and the
-// same terminal-outcome set as Check, reruns of the same split give
-// the same States total, and a split into one unit is exactly the
-// unsplit exploration. At Check's own unit count the path gives
-// Check's States exactly: Check is this walk, run on every core.
-func TestShardDeterminism(t *testing.T) {
-	shapes := map[string]bool{"MP": true, "SB+sync": true, "CoRR": true, "LB": true, "WRC": true}
-	for _, cfg := range Configs() {
-		for _, e := range litmus.Catalog() {
-			if !shapes[e.Program.Name] {
-				continue
-			}
-			name := cfg.Name() + " / " + e.Program.Name
-			whole, err := CheckShard(cfg, e.Program, Options{}, Unit{})
-			if err != nil {
-				t.Fatalf("%s unsplit: %v", name, err)
-			}
-			s1, err := checkSplit(cfg, e.Program, Options{}, 1)
-			if err != nil {
-				t.Fatalf("%s units=1: %v", name, err)
-			}
-			if s1.States != whole.States || !sameKeys(outcomeKeys(s1.Outcomes), outcomeKeys(whole.Outcomes)) {
-				t.Fatalf("%s: units=1 (%d states) differs from unsplit (%d states)", name, s1.States, whole.States)
-			}
-			s8a, err := checkSplit(cfg, e.Program, Options{}, 8)
-			if err != nil {
-				t.Fatalf("%s units=8: %v", name, err)
-			}
-			s8b, err := checkSplit(cfg, e.Program, Options{}, 8)
-			if err != nil {
-				t.Fatalf("%s units=8 rerun: %v", name, err)
-			}
-			if s8a.States != s8b.States {
-				t.Fatalf("%s: rerun changed the merged state total (%d vs %d)", name, s8a.States, s8b.States)
-			}
-			if (s8a.Violation == nil) != (whole.Violation == nil) {
-				t.Fatalf("%s: split verdict %v, unsplit %v", name, s8a.Violation, whole.Violation)
-			}
-			if !sameKeys(outcomeKeys(s8a.Outcomes), outcomeKeys(whole.Outcomes)) {
-				t.Fatalf("%s: split outcomes %v, unsplit %v", name, outcomeKeys(s8a.Outcomes), outcomeKeys(whole.Outcomes))
-			}
-			res, err := Check(cfg, e.Program, Options{})
-			if err != nil {
-				t.Fatalf("%s Check: %v", name, err)
-			}
-			split, err := checkSplit(cfg, e.Program, Options{}, checkUnits)
-			if err != nil {
-				t.Fatalf("%s units=%d: %v", name, checkUnits, err)
-			}
-			if res.States != split.States || !sameKeys(outcomeKeys(res.Outcomes), outcomeKeys(split.Outcomes)) {
-				t.Fatalf("%s: Check (%d states) differs from the split path at %d units (%d states)",
-					name, res.States, checkUnits, split.States)
-			}
-		}
-	}
-}
-
-// TestShardSplitShapes pins the split-phase contract: units cover the
-// frontier, prefixes replay (CheckShard accepts every unit), and the
-// merged result equals running the units by hand.
-func TestShardSplitShapes(t *testing.T) {
-	var mp *litmus.Program
-	for _, e := range litmus.Catalog() {
-		if e.Program.Name == "MP" {
-			mp = e.Program
-		}
-	}
-	cfg := machine.DD()
-	plan, err := Split(cfg, mp, Options{}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Units) < 8 {
-		t.Fatalf("split produced %d units, want >= 8", len(plan.Units))
-	}
-	var results []*Result
-	for i, u := range plan.Units {
-		if len(u.Prefix) == 0 {
-			t.Fatalf("unit %d has an empty prefix", i)
-		}
-		r, err := CheckShard(cfg, mp, Options{}, u)
-		if err != nil {
-			t.Fatalf("unit %d: %v", i, err)
-		}
-		results = append(results, r)
-	}
-	merged := MergeShardResults(plan, results)
-	want := plan.States
-	for _, r := range results {
-		want += r.States
-	}
-	if merged.States != want {
-		t.Fatalf("merged states %d, want the sum %d", merged.States, want)
-	}
-	serial, err := Check(cfg, mp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameKeys(outcomeKeys(merged.Outcomes), outcomeKeys(serial.Outcomes)) {
-		t.Fatalf("merged outcomes %v, serial %v", outcomeKeys(merged.Outcomes), outcomeKeys(serial.Outcomes))
-	}
-}
-
-// TestShardFaultFindsViolation: a sharded run must still catch the
-// injected fault, reported from the lowest-indexed unit.
-func TestShardFaultFindsViolation(t *testing.T) {
-	var mp *litmus.Program
-	for _, e := range litmus.Catalog() {
-		if e.Program.Name == "MP+preload" {
-			mp = e.Program
-		}
-	}
-	cfg := machine.DD()
-	cfg.FaultDisableAcquireInval = true
-	res, err := checkSplit(cfg, mp, Options{}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Violation == nil || res.Violation.Invariant != "oracle-conformance" {
-		t.Fatalf("sharded run missed the injected fault: %v", res.Violation)
-	}
-	// Determinism: rerunning reports the identical counterexample.
-	res2, err := checkSplit(cfg, mp, Options{}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Violation == nil || res2.Violation.Detail != res.Violation.Detail {
-		t.Fatalf("sharded violation not deterministic:\n  %v\n  %v", res.Violation, res2.Violation)
-	}
-}
-
 // TestBudgetErrorProgress: the typed budget error carries the states
 // explored and elapsed wall time at exhaustion, for both explorers.
 func TestBudgetErrorProgress(t *testing.T) {

@@ -9,8 +9,9 @@
 // over a footprint-based independence relation (dpor.go) keeps the
 // enumeration tractable at litmus-program sizes in O(depth) memory,
 // and splits into prefix units (shard.go) that Check runs on every
-// core and sweepd distributes. It is the only explorer; the tests diff
-// it against a visited-table reference.
+// core under one budget. Check is the only explorer and the only way
+// to run one check in parallel; the tests diff it against a
+// visited-table reference.
 //
 // The model abstracts the cycle-level simulator but keeps the
 // properties the protocols rely on: per-(source, destination, word)
@@ -45,10 +46,9 @@ const DefaultBudget = 20_000_000
 // Options tunes a Check call.
 type Options struct {
 	// Budget caps explored nodes; <= 0 uses DefaultBudget. Exceeding it
-	// returns a *BudgetError. Check charges one budget for the whole
-	// exploration, split phase included, whatever its worker count;
-	// CheckShard charges it to its one unit, so a cell sweepd splits has
-	// a budget per unit.
+	// returns a *BudgetError. It is one budget for the whole check,
+	// split phase included, whatever the worker count and wherever the
+	// check runs (litmus check, sweepd check -local or a sweepd worker).
 	Budget int
 	// OracleStateLimit is passed through to litmus.Oracle (<= 0 uses
 	// its default). A *litmus.StateLimitError from the oracle is
@@ -158,11 +158,12 @@ func (o Options) budget() int {
 // The Result — States, Outcomes and the Violation's trace — and a
 // BudgetError's States are the same at every worker count.
 func Check(cfg machine.Config, p *litmus.Program, opts Options) (*Result, error) {
-	return check(cfg, p, opts, runtime.GOMAXPROCS(0))
+	return check(cfg, p, opts, checkUnits, runtime.GOMAXPROCS(0))
 }
 
-// check is Check on the given number of workers.
-func check(cfg machine.Config, p *litmus.Program, opts Options, workers int) (*Result, error) {
+// check is Check with its split phase cut at units rather than
+// checkUnits, on the given number of workers.
+func check(cfg machine.Config, p *litmus.Program, opts Options, units, workers int) (*Result, error) {
 	m, oracle, err := prepare(cfg, p, opts)
 	if err != nil {
 		return nil, err
@@ -170,7 +171,7 @@ func check(cfg machine.Config, p *litmus.Program, opts Options, workers int) (*R
 	x := getExplorer()
 	defer stacks.Put(x)
 	start := time.Now()
-	sp, err := x.split(m, oracle, opts.budget(), checkUnits)
+	sp, err := x.split(m, oracle, opts.budget(), units)
 	if err != nil {
 		return nil, m.budgetError(opts.budget(), start)
 	}

@@ -209,7 +209,7 @@ func TestCheckDeterministicAcrossWorkers(t *testing.T) {
 	// verdict renders everything a Check returns that must not depend
 	// on the worker count.
 	verdict := func(c cell, workers int) string {
-		res, err := check(c.cfg, c.p, Options{Budget: c.budget}, workers)
+		res, err := check(c.cfg, c.p, Options{Budget: c.budget}, checkUnits, workers)
 		var be *BudgetError
 		switch {
 		case errors.As(err, &be):

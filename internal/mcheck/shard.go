@@ -9,16 +9,14 @@ import (
 	"denovogpu/internal/machine"
 )
 
-// Prefix-based splitting. The top of the exploration tree is expanded
+// Check's split phase. The top of the exploration tree is expanded
 // breadth-first with *full branching* — every enabled transition at
 // every node, filtered only by sleep sets — until the frontier is at
-// least the requested unit count. Each frontier leaf becomes an
-// independent unit: the transition prefix that reaches it plus the
-// sleep set it inherited. Units then run stateless source-DPOR below
-// the cut (explorer.explore), and their results merge
-// deterministically. Check runs its units on every core; sweepd ships
-// them to remote workers as Units (Split, CheckShard,
-// MergeShardResults).
+// least checkUnits wide. Each frontier leaf becomes an independent
+// unit: the transition prefix that reaches it plus the sleep set it
+// inherited. Units then run stateless source-DPOR below the cut
+// (explorer.explore) on every core, and their results merge
+// deterministically.
 //
 // Soundness of the cut: a race between an event inside the prefix and
 // one below the cut would normally schedule a reversal at a prefix
@@ -34,15 +32,14 @@ import (
 // units in order: States sum (the split phase's own expansions count
 // once, prefix replays count zero), Outcomes union, and the lowest
 // violation wins — a split-phase violation, which precedes every unit,
-// outright. Check stops its walk at that violation and charges one
-// budget along the walk (see ledger); on sweepd's path every unit has
-// a budget of its own. Verdict and outcome set are identical at any
-// unit count; the
-// States total differs between unit counts (different reductions prune
-// differently) but is identical across reruns and worker counts.
+// outright. The walk stops at that violation and charges one budget
+// along the way (see ledger). Verdict and outcome set would be the same
+// at any unit count; the States total is not (different cuts prune
+// differently), which is why the unit count is a constant: States is
+// identical across reruns and worker counts.
 
 // maxSplitDepth bounds the breadth-first split phase; beyond this the
-// frontier is returned as-is (programs this deep still shard, just
+// frontier is returned as-is (programs this deep still split, just
 // into however many units exist at the cap).
 const maxSplitDepth = 24
 
@@ -55,21 +52,6 @@ const checkUnits = 64
 
 // grantChunk is how many nodes a unit explores between ledger grants.
 const grantChunk = 4096
-
-// SplitPlan is the outcome of the split phase: the work units, plus
-// everything the top-region expansion itself already determined.
-type SplitPlan struct {
-	// Units are the frontier work units in deterministic order. Empty
-	// when the whole exploration completed inside the split phase (tiny
-	// programs) or when Violation is set.
-	Units []Unit
-	// States counts nodes the split phase expanded itself.
-	States int
-	// Outcomes are terminal outcomes reached inside the top region.
-	Outcomes map[string]litmus.Outcome
-	// Violation is a violation found inside the top region, if any.
-	Violation *Violation
-}
 
 // splitNode is a frontier node of the split phase, and the unit it
 // becomes: the transitions that reach it and the sleep set it
@@ -191,86 +173,6 @@ func (x *explorer) split(m *model, oracle map[string]litmus.Outcome, budget, tar
 	}
 	sp.units = frontier
 	return sp, nil
-}
-
-// Split partitions the exploration of p under cfg into at least target
-// independent units (branching permitting). The split phase's own
-// expansions count against opts.Budget.
-func Split(cfg machine.Config, p *litmus.Program, opts Options, target int) (*SplitPlan, error) {
-	m, oracle, err := prepare(cfg, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	x := getExplorer()
-	defer stacks.Put(x)
-	start := time.Now()
-	sp, err := x.split(m, oracle, opts.budget(), target)
-	if err != nil {
-		return nil, m.budgetError(opts.budget(), start)
-	}
-	plan := &SplitPlan{States: sp.states, Outcomes: outcomesUpTo([]*explorer{x}, -1), Violation: sp.viol}
-	for _, nd := range sp.units {
-		var u Unit
-		for _, t := range nd.prefix {
-			u.Prefix = append(u.Prefix, uint32(t))
-		}
-		for _, e := range nd.sleep {
-			u.Sleep = append(u.Sleep, uint32(e.t))
-		}
-		plan.Units = append(plan.Units, u)
-	}
-	return plan, nil
-}
-
-// CheckShard explores one Unit of program p under cfg, serially: the
-// prefix is replayed from the root (deterministically, uncounted),
-// then source-DPOR runs below the cut. The zero Unit is a whole
-// exploration without a split phase. The budget applies to this unit
-// alone.
-func CheckShard(cfg machine.Config, p *litmus.Program, opts Options, u Unit) (*Result, error) {
-	m, oracle, err := prepare(cfg, p, opts)
-	if err != nil {
-		return nil, err
-	}
-	nd := splitNode{prefix: make([]trans, len(u.Prefix)), sleep: make([]sleepEnt, len(u.Sleep))}
-	for i, t := range u.Prefix {
-		nd.prefix[i] = trans(t)
-	}
-	for i, t := range u.Sleep {
-		nd.sleep[i].t = trans(t) // the footprint is taken at the cut
-	}
-	x := getExplorer()
-	defer stacks.Put(x)
-	return m.runUnits(oracle, opts.budget(), splitPhase{units: []splitNode{nd}}, x, 1, time.Now())
-}
-
-// MergeShardResults combines a split plan with its per-unit results in
-// unit order: summed States, unioned Outcomes, and the violation of
-// the lowest-indexed unit (the split phase's own, which precedes every
-// unit, wins outright). Nil entries — units an error stopped before
-// running — contribute nothing.
-func MergeShardResults(plan *SplitPlan, unitResults []*Result) *Result {
-	merged := &Result{
-		States:    plan.States,
-		Outcomes:  make(map[string]litmus.Outcome, len(plan.Outcomes)),
-		Violation: plan.Violation,
-	}
-	for k, o := range plan.Outcomes {
-		merged.Outcomes[k] = o
-	}
-	for _, r := range unitResults {
-		if r == nil {
-			continue
-		}
-		merged.States += r.States
-		for k, o := range r.Outcomes {
-			merged.Outcomes[k] = o
-		}
-		if merged.Violation == nil && r.Violation != nil {
-			merged.Violation = r.Violation
-		}
-	}
-	return merged
 }
 
 // runUnits explores the units of sp on up to workers explorers — x,

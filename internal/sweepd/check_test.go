@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,10 +15,10 @@ import (
 	"denovogpu/internal/resultcache"
 )
 
-// TestCheckCellsDistributed is the sharded-checker differential wall
-// in miniature: a check cell split into prefix units, executed by two
-// concurrent pull workers through the coordinator, must merge to the
-// byte-identical verdict of a serial in-process run — and a warm
+// TestCheckCellsDistributed is the served checker's differential wall
+// in miniature: whole check cells executed by two concurrent pull
+// workers through the coordinator must report the byte-identical
+// report, States included, of a serial in-process run — and a warm
 // re-submit must complete entirely from the result cache.
 func TestCheckCellsDistributed(t *testing.T) {
 	cache, err := resultcache.Open(t.TempDir(), 0)
@@ -38,34 +41,12 @@ func TestCheckCellsDistributed(t *testing.T) {
 	defer wg.Wait()
 	defer cancel()
 
-	// Serial reference verdict.
-	spec := denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "SB+sync"}
-	serialBytes, _, err := spec.Run()
-	if err != nil {
-		t.Fatal(err)
+	dd := denovogpu.ConfigSpec{Name: "DD"}
+	cells := []denovogpu.CellSpec{
+		{Config: dd, Program: "MP"},
+		{Config: dd, Program: "SB+sync"},
+		{Config: denovogpu.ConfigSpec{Name: "DH"}, Program: "LB"},
 	}
-	serial, err := denovogpu.UnmarshalCheckReport(serialBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantVerdict, err := denovogpu.MergeCheckVerdict([]denovogpu.CheckReport{serial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := denovogpu.MarshalCheckVerdict(wantVerdict)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Distributed: split client-side, submit the units as one job.
-	units, base, err := denovogpu.SplitCheckCell(spec, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(units) < 4 {
-		t.Fatalf("split produced only %d units", len(units))
-	}
-	cells := units
 	sr, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
@@ -77,35 +58,21 @@ func TestCheckCellsDistributed(t *testing.T) {
 	if status.State != "done" || status.Done != len(cells) || status.CacheHits != 0 {
 		t.Fatalf("cold check job finished %+v", status)
 	}
-
-	reports := []denovogpu.CheckReport{base}
-	for i := range cells {
-		data, err := client.CellReport(ctx, status.ID, i)
+	for i, spec := range cells {
+		want, _, err := spec.Run()
 		if err != nil {
-			t.Fatalf("unit %d report: %v", i, err)
+			t.Fatal(err)
 		}
-		r, err := denovogpu.UnmarshalCheckReport(data)
+		got, err := client.CellReport(ctx, status.ID, i)
 		if err != nil {
-			t.Fatalf("unit %d: %v", i, err)
+			t.Fatalf("cell %d report: %v", i, err)
 		}
-		if r.Shard == nil || r.Shard.Index != i {
-			t.Fatalf("unit %d report carries shard %+v", i, r.Shard)
+		if !bytes.Equal(got, want) {
+			t.Errorf("cell %d: distributed report diverges from serial:\n--- serial ---\n%s\n--- distributed ---\n%s", i, want, got)
 		}
-		reports = append(reports, r)
-	}
-	gotVerdict, err := denovogpu.MergeCheckVerdict(reports)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := denovogpu.MarshalCheckVerdict(gotVerdict)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("distributed verdict diverges from serial:\n--- serial ---\n%s\n--- distributed ---\n%s", want, got)
 	}
 
-	// Warm re-submit: identical unit specs, fresh job, zero exploration.
+	// Warm re-submit: identical cells, fresh job, zero exploration.
 	sr2, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: cells})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +88,7 @@ func TestCheckCellsDistributed(t *testing.T) {
 // TestSubmitCheckValidation: malformed check cells are rejected whole
 // at submit, before any worker sees them.
 func TestSubmitCheckValidation(t *testing.T) {
-	_, _, client := newTestServer(t, Options{})
+	_, srv, client := newTestServer(t, Options{})
 	ctx := context.Background()
 
 	dd := denovogpu.ConfigSpec{Name: "DD"}
@@ -130,10 +97,25 @@ func TestSubmitCheckValidation(t *testing.T) {
 		"unknown config":        {Config: denovogpu.ConfigSpec{Name: "NOPE"}, Program: "MP"},
 		"simulation fields too": {Config: dd, Workload: "LAVA", Program: "MP"},
 		"seeded check cell":     {Config: dd, Program: "MP", Seed: 1},
-		"sharded simulation":    {Config: dd, Workload: "LAVA", Shard: &denovogpu.CheckShard{}},
 	} {
 		if _, err := client.Submit(ctx, denovogpu.MatrixSpec{Cells: []denovogpu.CellSpec{cell}}); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+	// A cell that still carries the retired shard field answers 400: it
+	// must never run silently as a whole cell.
+	for name, cell := range map[string]string{
+		"sharded check":      `{"config":{"name":"DD"},"program":"MP","shard":{"index":1,"prefix":[7],"sleep":[3]}}`,
+		"sharded simulation": `{"config":{"name":"DD"},"workload":"LAVA","shard":{}}`,
+	} {
+		resp, err := http.Post(srv.URL+"/api/v1/jobs", "application/json", strings.NewReader(`{"cells":[`+cell+`]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Errorf("%s: status %d (%s), want 400 for an unknown field", name, resp.StatusCode, msg)
 		}
 	}
 }

@@ -42,17 +42,14 @@ func injectRunCell(t *testing.T, fn func(s denovogpu.CellSpec, real func(denovog
 }
 
 // mixedJob holds every kind of cell a worker runs: single-device
-// simulation cells, a 2-device cell and the prefix units of a split
-// check cell.
+// simulation cells, a 2-device cell and whole check cells.
 func mixedJob(t *testing.T, keepGoing bool) denovogpu.MatrixSpec {
 	t.Helper()
 	spec := smallSpec("LAVA", "ST", "NN")
 	spec.Cells = append(spec.Cells, denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "UTSx2"})
-	units, _, err := denovogpu.SplitCheckCell(denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD"}, Program: "MP"}, 4)
-	if err != nil || len(units) < 2 {
-		t.Fatalf("split: %d units, %v", len(units), err)
+	for _, prog := range []string{"MP", "SB+sync", "LB"} {
+		spec.Cells = append(spec.Cells, denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD"}, Program: prog})
 	}
-	spec.Cells = append(spec.Cells, units...)
 	spec.KeepGoing = keepGoing
 	return spec
 }

@@ -75,20 +75,20 @@ func (s ConfigSpec) Resolve() (Config, error) {
 //     program, and the exploration parameters. Budget <= 0 selects
 //     mcheck.DefaultBudget and is canonicalized before keying, so
 //     specs that spell the default differently share a cache key. A
-//     nil Shard means the whole exploration.
+//     check cell is always the whole exploration: mcheck.Check splits
+//     it over the cores of the one worker slot that runs it.
 //
 // Validate rejects a cell that sets both or neither of Workload and
-// Program, a Seed on a check cell, and Budget or Shard on a
-// simulation cell, so one cell can never mean two different runs.
+// Program, a Seed on a check cell, and a Budget on a simulation cell,
+// so one cell can never mean two different runs.
 // Both kinds flow through the same sweepd queue, lease and cache
 // machinery, keyed by CellKey and executed by Run.
 type CellSpec struct {
-	Config   ConfigSpec  `json:"config,omitempty"`
-	Workload string      `json:"workload,omitempty"`
-	Seed     uint64      `json:"seed,omitempty"`
-	Program  string      `json:"program,omitempty"`
-	Budget   int         `json:"budget,omitempty"`
-	Shard    *CheckShard `json:"shard,omitempty"`
+	Config   ConfigSpec `json:"config,omitempty"`
+	Workload string     `json:"workload,omitempty"`
+	Seed     uint64     `json:"seed,omitempty"`
+	Program  string     `json:"program,omitempty"`
+	Budget   int        `json:"budget,omitempty"`
 }
 
 // resolvedCell is a validated CellSpec's runnable pieces: the
@@ -114,8 +114,8 @@ func (s CellSpec) resolve() (resolvedCell, error) {
 		return resolvedCell{}, err
 	}
 	if s.Program == "" {
-		if s.Budget != 0 || s.Shard != nil {
-			return resolvedCell{}, fmt.Errorf("denovogpu: simulation cell %q sets a check-only field (budget or shard)", s.Workload)
+		if s.Budget != 0 {
+			return resolvedCell{}, fmt.Errorf("denovogpu: simulation cell %q sets a check-only field (budget)", s.Workload)
 		}
 		if s.Seed == 0 {
 			var w Workload
@@ -150,20 +150,16 @@ func (s CellSpec) Validate() error {
 }
 
 // Label names the cell in progress events and failure lines: its
-// workload, or "check:MP" ("check:MP#3" for shard 3) for a check cell,
-// and its configuration's name ("" when the config does not resolve).
+// workload, or "check:MP" for a check cell, and its configuration's
+// name ("" when the config does not resolve).
 func (s CellSpec) Label() (workload, config string) {
 	if cfg, err := s.Config.Resolve(); err == nil {
 		config = cfg.Name()
 	}
-	switch {
-	case s.Program == "":
-		return s.Workload, config
-	case s.Shard != nil:
-		return fmt.Sprintf("check:%s#%d", s.Program, s.Shard.Index), config
-	default:
+	if s.Program != "" {
 		return "check:" + s.Program, config
 	}
+	return s.Workload, config
 }
 
 // Run executes the cell and returns its canonical report with the
@@ -178,7 +174,7 @@ func (s CellSpec) Run() (report []byte, events uint64, err error) {
 		return nil, 0, err
 	}
 	if r.prog != nil {
-		return r.check(s.Shard)
+		return r.check()
 	}
 	w, err := workloadForSpec(s.Workload, s.Seed)
 	if err != nil {
@@ -403,19 +399,18 @@ func CodeVersion() string {
 // CellKey returns the canonical content address of one cell: the hex
 // SHA-256 of length-prefixed parts. A simulation cell hashes
 // ("denovogpu-cell/v2", code version, canonicalized configuration,
-// workload name, seed); a check cell hashes ("denovogpu-check/v2", code
-// version, canonicalized configuration, program, budget, shard), with
-// budget canonicalized and the shard as its canonical JSON ("" when
-// nil). The configuration is canonicalized by applying Defaults() and
-// serializing the resulting struct — so specs that spell the same
-// machine differently (JSON field order, explicit default values vs
-// omitted fields) share a key, and any field that
-// changes simulated behavior changes it. Everything in Config is part
+// workload name, seed); a check cell hashes ("denovogpu-check/v3", code
+// version, canonicalized configuration, program, budget), with budget
+// canonicalized. The configuration is canonicalized by applying
+// Defaults() and serializing the resulting struct — so specs that spell
+// the same machine differently (JSON field order, explicit default
+// values vs omitted fields) share a key, and any field that changes
+// simulated behavior changes it. Everything in Config is part
 // of the key, including fields proven behavior-neutral (Invariants,
 // GenericL1): a spurious miss only costs a re-run, a spurious hit would
 // be wrong. The domain strings are versioned (the cell domain "/v2"
-// since the Devices field landed, the check domain "/v2" since the
-// explorer part left it) so warm caches written by older binaries can
+// since the Devices field landed, the check domain "/v3" since the
+// shard part left it) so warm caches written by older binaries can
 // never satisfy a lookup from a build with a different schema. CellKey
 // validates the cell, so an unkeyable cell is an invalid one.
 func CellKey(codeVersion string, s CellSpec) (string, error) {
@@ -430,16 +425,8 @@ func CellKey(codeVersion string, s CellSpec) (string, error) {
 	if r.prog == nil {
 		return hashParts("denovogpu-cell/v2", codeVersion, string(cfgJSON), s.Workload, fmt.Sprintf("%d", s.Seed)), nil
 	}
-	shard := ""
-	if s.Shard != nil {
-		b, err := json.Marshal(s.Shard)
-		if err != nil {
-			return "", err
-		}
-		shard = string(b)
-	}
-	return hashParts("denovogpu-check/v2", codeVersion, string(cfgJSON), r.prog.Name,
-		fmt.Sprintf("%d", r.opts.Budget), shard), nil
+	return hashParts("denovogpu-check/v3", codeVersion, string(cfgJSON), r.prog.Name,
+		fmt.Sprintf("%d", r.opts.Budget)), nil
 }
 
 // hashParts is the hex SHA-256 of each part written as "len:part", so
