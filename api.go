@@ -125,7 +125,8 @@ type Kernel = workload.Kernel
 type Ctx = workload.Ctx
 
 // Host is the CPU-side view used by workload drivers: kernel launches
-// plus coherent functional memory access between kernels.
+// (plain or phase-labelled) plus coherent functional memory access
+// between kernels (per word or as a contiguous run).
 type Host = workload.Host
 
 // Workload is a benchmark: a host driver plus a result verifier.

@@ -14,8 +14,9 @@ import (
 // TestCellKeyGolden pins CellKey's bytes for both cell kinds. Every
 // warm result cache is addressed by these keys, so a change here
 // orphans every cached result: change the hashing only together with
-// its domain string. The raw-config row also moves when Config gains a
-// field; that is CellKey failing closed, by design.
+// its domain string. Every row also moves when Config gains or loses a
+// field, since each key hashes the canonical configuration; that is
+// CellKey failing closed, by design.
 func TestCellKeyGolden(t *testing.T) {
 	raw := denovogpu.DDRO()
 	raw.NumCUs = 4
@@ -26,17 +27,17 @@ func TestCellKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"by-name", denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "GD"}, Workload: "LAVA"},
-			"52d3d1df40604ad671f6613d773c90ca3e4e6c76190836e818c6af58fc96d9dd"},
+			"d2b5b8a04cda024345b0fae61dad9fe88eec5a48ad2135a32d5884f6783c0330"},
 		{"raw-config", denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Raw: &raw}, Workload: "SPM_L"},
-			"0403b902456634090d59cb9c729603a7605fca01370ac09af3feb11f7ed9426e"},
+			"5138b69e333b72d0c7c894ebd7291f3d0d5a01bb1f775b8fc60d3f239d7a9d18"},
 		{"seeded-bfs", denovogpu.CellSpec{Config: dd, Workload: "BFS", Seed: 9},
-			"73d3e8e2659424a72246bff1b9e2f52fc257b75b91c2ccda312f07173c47259e"},
+			"2715877a441f96234b68335678e98199cd00b5a3ac7ea1fde4054695ef2da8fb"},
 		{"two-device", denovogpu.CellSpec{Config: denovogpu.ConfigSpec{Name: "DD", Devices: 2}, Workload: "UTSx2"},
-			"d8a0ed675080ee080678373302de581c5243ba10a39d5603b8de813f008ea8af"},
+			"1710d615e6bb661ab5a3264c8ef0552b974f883a33fed05720986bda06fb6b17"},
 		{"check-default", denovogpu.CellSpec{Config: dd, Program: "MP"},
-			"e5fd3832486596e8ac8864f6769b14f3510d490dcfcf59bad7efb96c23de9377"},
+			"7b62fa934aad45c484969e126840aea0aeb9c3f05f4a3a6b29219b0587ddc49f"},
 		{"check-budget", denovogpu.CellSpec{Config: dd, Program: "SB+sync", Budget: 5000},
-			"45aab86953488ae9fd5d230491cd72921cb53063ee045f92eae60e40374aa895"},
+			"55a1319ba7ad3915938cdd2a73599cb3a1c159d15103a8ba673d7ac2cca6929a"},
 	} {
 		got, err := denovogpu.CellKey("v1", c.spec)
 		if err != nil {

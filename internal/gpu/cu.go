@@ -25,9 +25,7 @@ import (
 
 	"denovogpu/internal/coherence"
 	"denovogpu/internal/consistency"
-	"denovogpu/internal/denovo"
 	"denovogpu/internal/energy"
-	"denovogpu/internal/gpucoh"
 	"denovogpu/internal/mem"
 	"denovogpu/internal/noc"
 	"denovogpu/internal/obs"
@@ -247,19 +245,6 @@ type CU struct {
 	st    *stats.Stats
 	meter *energy.Meter
 
-	// Monomorphic L1 dispatch: when the attached controller is one of
-	// the two concrete protocol types the paper's five configurations
-	// use, the corresponding pointer is set and the access loop calls
-	// it directly — the call devirtualizes and can inline, where the
-	// interface call through l1 cannot. Exactly one of l1dn/l1gp is
-	// non-nil on the fast path; both nil falls back to the generic
-	// interface path (test doubles, or Config.GenericL1). The two
-	// paths are behaviorally identical; the differential suite in
-	// internal/machine diffs them cell by cell.
-	l1dn      *denovo.Controller
-	l1gp      *gpucoh.Controller
-	genericL1 bool
-
 	maxResident int
 	resident    int
 	queue       []*tbState
@@ -302,82 +287,7 @@ func (cu *CU) L1() coherence.L1 { return cu.l1 }
 // SetL1 swaps the CU onto a different L1 controller. Only legal while
 // the CU is quiescent (no resident blocks, no in-flight accesses) —
 // the machine calls it at a phase-transition drain between kernels.
-// It re-resolves the monomorphic dispatch for the new controller.
-func (cu *CU) SetL1(l1 coherence.L1) {
-	cu.l1 = l1
-	cu.l1dn, cu.l1gp = nil, nil
-	if cu.genericL1 {
-		return
-	}
-	switch c := l1.(type) {
-	case *denovo.Controller:
-		cu.l1dn = c
-	case *gpucoh.Controller:
-		cu.l1gp = c
-	}
-}
-
-// UseGenericL1 pins the CU to the generic interface dispatch — the
-// reference implementation the monomorphic fast path is diffed
-// against (machine Config.GenericL1).
-func (cu *CU) UseGenericL1() {
-	cu.genericL1 = true
-	cu.l1dn, cu.l1gp = nil, nil
-}
-
-// The l1* helpers are the CU-side ends of the coherence.L1 methods on
-// the access hot path. Each is a two-way type dispatch to a direct
-// (devirtualized, inlinable) call, with the interface as fallback.
-
-func (cu *CU) l1ReadLine(l mem.Line, need mem.WordMask, cb func(vals [mem.WordsPerLine]uint32)) {
-	if cu.l1dn != nil {
-		cu.l1dn.ReadLine(l, need, cb)
-	} else if cu.l1gp != nil {
-		cu.l1gp.ReadLine(l, need, cb)
-	} else {
-		cu.l1.ReadLine(l, need, cb)
-	}
-}
-
-func (cu *CU) l1WriteLine(l mem.Line, mask mem.WordMask, data [mem.WordsPerLine]uint32, cb func()) {
-	if cu.l1dn != nil {
-		cu.l1dn.WriteLine(l, mask, data, cb)
-	} else if cu.l1gp != nil {
-		cu.l1gp.WriteLine(l, mask, data, cb)
-	} else {
-		cu.l1.WriteLine(l, mask, data, cb)
-	}
-}
-
-func (cu *CU) l1Atomic(op coherence.AtomicOp, w mem.Word, operand, operand2 uint32, scope coherence.Scope, cb func(old uint32)) {
-	if cu.l1dn != nil {
-		cu.l1dn.Atomic(op, w, operand, operand2, scope, cb)
-	} else if cu.l1gp != nil {
-		cu.l1gp.Atomic(op, w, operand, operand2, scope, cb)
-	} else {
-		cu.l1.Atomic(op, w, operand, operand2, scope, cb)
-	}
-}
-
-func (cu *CU) l1Acquire(scope coherence.Scope) {
-	if cu.l1dn != nil {
-		cu.l1dn.Acquire(scope)
-	} else if cu.l1gp != nil {
-		cu.l1gp.Acquire(scope)
-	} else {
-		cu.l1.Acquire(scope)
-	}
-}
-
-func (cu *CU) l1Release(scope coherence.Scope, cb func()) {
-	if cu.l1dn != nil {
-		cu.l1dn.Release(scope, cb)
-	} else if cu.l1gp != nil {
-		cu.l1gp.Release(scope, cb)
-	} else {
-		cu.l1.Release(scope, cb)
-	}
-}
+func (cu *CU) SetL1(l1 coherence.L1) { cu.l1 = l1 }
 
 // SetModel swaps the CU's consistency model alongside SetL1, under the
 // same quiescence requirement.
@@ -695,13 +605,13 @@ func (t *accessTask) release() {
 func (t *accessTask) Run() {
 	la := &t.op.accesses[t.idx]
 	if la.need != 0 {
-		t.cu.l1ReadLine(la.line, la.need, t.readCb)
+		t.cu.l1.ReadLine(la.line, la.need, t.readCb)
 		return
 	}
 	cu, op := t.cu, t.op
 	line, wmask, data := la.line, la.wmask, la.data
 	t.release()
-	cu.l1WriteLine(line, wmask, data, op.finishFn)
+	cu.l1.WriteLine(line, wmask, data, op.finishFn)
 }
 
 func (t *accessTask) onRead(vals [mem.WordsPerLine]uint32) {
@@ -713,7 +623,7 @@ func (t *accessTask) onRead(vals [mem.WordsPerLine]uint32) {
 	if wmask != 0 {
 		// A lane-mixed access (loads and stores to one line in one
 		// instruction) issues the store after the load.
-		cu.l1WriteLine(line, wmask, data, op.finishFn)
+		cu.l1.WriteLine(line, wmask, data, op.finishFn)
 		return
 	}
 	op.finishFn()
@@ -819,13 +729,13 @@ type atomicOp struct {
 
 func (op *atomicOp) perform() {
 	at := &op.rq.at
-	op.cu.l1Atomic(at.Op, at.Addr.WordOf(), at.Operand, at.Operand2, op.scope, op.doneFn)
+	op.cu.l1.Atomic(at.Op, at.Addr.WordOf(), at.Operand, at.Operand2, op.scope, op.doneFn)
 }
 
 func (op *atomicOp) done(old uint32) {
 	cu, tb, rq := op.cu, op.tb, op.rq
 	if rq.order.Acquires() {
-		cu.l1Acquire(op.scope)
+		cu.l1.Acquire(op.scope)
 	}
 	if cu.rec != nil {
 		cu.rec.EmitSpan(obs.StallSync, int32(cu.Node), uint64(rq.at.Addr.WordOf()), op.start)
@@ -876,7 +786,7 @@ func (cu *CU) atomic(tb *tbState, rq *request) {
 	}
 	op.cu, op.tb, op.rq, op.scope, op.start = cu, tb, rq, scope, uint64(cu.eng.Now())
 	if rq.order.Releases() {
-		cu.l1Release(scope, op.performFn)
+		cu.l1.Release(scope, op.performFn)
 	} else {
 		op.perform()
 	}

@@ -40,20 +40,10 @@ func goldenPath(workload, config string) string {
 }
 
 // goldenPair is the package-local (workload, config) shorthand the
-// determinism, sanitizer-identity and fast-path suites share.
+// determinism, observability and multi-device suites share.
 type goldenPair struct {
 	workload string
 	config   string
-}
-
-// goldenPairs mirrors the exported pinned-cell list as pairs.
-func goldenPairs() []goldenPair {
-	specs := denovogpu.PinnedCells()
-	out := make([]goldenPair, len(specs))
-	for i, s := range specs {
-		out[i] = goldenPair{s.Workload, s.Config.Name}
-	}
-	return out
 }
 
 // mustCanonical serializes a report with the canonical encoder; byte

@@ -94,13 +94,6 @@ type Config struct {
 	// drain (store-buffer quiesce, registry walk, flash invalidation).
 	PhaseDrainCycles int
 
-	// GenericL1 forces the CUs onto the generic coherence.L1 interface
-	// dispatch — the reference implementation — instead of the default
-	// monomorphic fast path that calls the concrete DeNovo/GPU
-	// controllers directly. The two paths are behaviorally identical;
-	// the differential suite diffs their reports cell by cell.
-	GenericL1 bool
-
 	NumCUs         int
 	MaxResidentTBs int
 	L1Bytes        int
@@ -417,9 +410,6 @@ func New(cfg Config) *Machine {
 	for i := 0; i < m.totalCUs(); i++ {
 		cu := gpu.New(m.cuNode(i), m.eng, m.l1s[i], cfg.Model, m.devSt[i/cfg.NumCUs], m.meter, cfg.MaxResidentTBs)
 		cu.Index = i
-		if cfg.GenericL1 {
-			cu.UseGenericL1()
-		}
 		m.cus = append(m.cus, cu)
 	}
 	return m
@@ -744,9 +734,7 @@ func (m *Machine) Launch(k workload.Kernel, numTBs, threadsPerTB int) {
 	m.ranInPhase = true
 }
 
-var _ workload.PhasedHost = (*Machine)(nil)
-
-// LaunchPhase implements workload.PhasedHost: it runs the kernel under
+// LaunchPhase implements workload.Host: it runs the kernel under
 // the protocol/model Config.Phases selects for the phase label (the
 // base configuration for unlisted labels), performing a
 // phase-transition drain first when the selection differs from the
@@ -1005,7 +993,7 @@ func (m *Machine) Write(a mem.Addr, v uint32) {
 	m.WriteWords(a, vals[:])
 }
 
-// WriteWords implements workload.BulkWriter: a functional, coherent
+// WriteWords implements workload.Host: a functional, coherent
 // write of len(vals) contiguous words starting at base (word aligned).
 // Semantically identical to calling Write once per word, but the
 // stale-copy invalidation visits each L1 once per cache line instead

@@ -7,10 +7,9 @@
 // Wait(d); backoff }". Each shape below is written twice, once with
 // SpinAtomic and once with that explicit loop, and contended by every
 // CU. The two runs' canonical reports must be byte-identical under
-// every configuration and both L1 dispatch paths. Reports hold
-// only end-of-run totals, so the charge instants are checked as well,
-// by sampling the CU's compute, wait and core-energy counters every
-// cycle.
+// every configuration. Reports hold only end-of-run totals, so the
+// charge instants are checked as well, by sampling the CU's compute,
+// wait and core-energy counters every cycle.
 package machine_test
 
 import (
@@ -230,34 +229,12 @@ func spinShapes() []spinShape {
 	}
 }
 
-// spinConfigs are the five paper configurations and two of them again
-// on the generic L1 dispatch path.
-func spinConfigs(t *testing.T) []denovogpu.Config {
-	var out []denovogpu.Config
-	for _, name := range []string{"GD", "GH", "DD", "DD+RO", "DH", "GD", "DD"} {
-		cfg, err := denovogpu.ConfigByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, cfg)
-	}
-	out[5].GenericL1, out[6].GenericL1 = true, true
-	return out
-}
-
-func configLabel(cfg denovogpu.Config) string {
-	if cfg.GenericL1 {
-		return cfg.Name() + "-generic"
-	}
-	return cfg.Name()
-}
-
 // TestSpinOpMatchesKernelLoop requires identical reports from the spin
 // op and the explicit loop for every shape and configuration.
 func TestSpinOpMatchesKernelLoop(t *testing.T) {
 	for _, sh := range spinShapes() {
-		for _, cfg := range spinConfigs(t) {
-			t.Run(sh.name+"/"+configLabel(cfg), func(t *testing.T) {
+		for _, cfg := range denovogpu.AllConfigs() {
+			t.Run(sh.name+"/"+cfg.Name(), func(t *testing.T) {
 				run := func(spin bool) denovogpu.Report {
 					rep, err := denovogpu.RunKernel(cfg, sh.name, sh.kernel(spin), spinTBs, spinThreads, sh.setup, sh.verify)
 					if err != nil {

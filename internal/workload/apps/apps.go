@@ -130,9 +130,9 @@ func backprop() workload.Workload {
 		Input:    "32 KB",
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, in, inV)
-			workload.WriteSlice(h, w1, w1V)
-			workload.WriteSlice(h, w2, w2V)
+			h.WriteWords(in, inV)
+			h.WriteWords(w1, w1V)
+			h.WriteWords(w2, w2V)
 			h.SetReadOnly(in, in+mem.Addr(4*ni))
 			h.Launch(fwd1, nh/threads, threads)
 			h.Launch(fwd2, nh/threads, threads)
@@ -225,8 +225,8 @@ func pathfinder() workload.Workload {
 		Input:    fmt.Sprintf("%d x %dK matrix", rows, cols/1024),
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, wall, wallV)
-			workload.WriteSlice(h, buf1, wallV[:cols]) // row 0 seed
+			h.WriteWords(wall, wallV)
+			h.WriteWords(buf1, wallV[:cols]) // row 0 seed
 			h.SetReadOnly(wall, wall+mem.Addr(4*cols*rows))
 			for r := 1; r < rows; r++ {
 				h.Launch(rowKernel(r), cols/threads, threads)
@@ -294,7 +294,7 @@ func lud() workload.Workload {
 		Input:    fmt.Sprintf("%dx%d matrix", n, n),
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, mat, matV)
+			h.WriteWords(mat, matV)
 			for k := 0; k < n-1; k++ {
 				h.Launch(step(k), n-1-k, threads)
 			}
@@ -389,7 +389,7 @@ func nw() workload.Workload {
 		Input:    fmt.Sprintf("%dx%d matrix", n, n),
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, ref, refV)
+			h.WriteWords(ref, refV)
 			for i := 0; i <= n; i++ {
 				h.Write(score+mem.Addr(4*(i*(n+1))), uint32(1000-i))
 				h.Write(score+mem.Addr(4*i), uint32(1000-i))

@@ -49,8 +49,8 @@ func sgemm() workload.Workload {
 		Input:    "medium (scaled)",
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, A, av)
-			workload.WriteSlice(h, B, bv)
+			h.WriteWords(A, av)
+			h.WriteWords(B, bv)
 			h.SetReadOnly(A, A+mem.Addr(4*n*n))
 			h.SetReadOnly(B, B+mem.Addr(4*n*n))
 			h.Launch(kernel, n, threads)
@@ -140,7 +140,7 @@ func stencil() workload.Workload {
 		Input:    fmt.Sprintf("%dx%dx%d, %d iters", nx, ny, nz, iters),
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, buf[0], init0)
+			h.WriteWords(buf[0], init0)
 			for it := 0; it < iters; it++ {
 				h.Launch(step(it), ny*nz, threads)
 			}
@@ -243,8 +243,8 @@ func hotspot() workload.Workload {
 		Input:    fmt.Sprintf("%dx%d matrix", n, n),
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, power, powerV)
-			workload.WriteSlice(h, buf[0], tempV)
+			h.WriteWords(power, powerV)
+			h.WriteWords(buf[0], tempV)
 			h.SetReadOnly(power, power+mem.Addr(4*size))
 			for it := 0; it < iters; it++ {
 				h.Launch(step(it), n, threads)
@@ -327,8 +327,8 @@ func nn() workload.Workload {
 		Input:    fmt.Sprintf("%dK records", records/1024),
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, lat, latV)
-			workload.WriteSlice(h, lng, lngV)
+			h.WriteWords(lat, latV)
+			h.WriteWords(lng, lngV)
 			h.SetReadOnly(lat, lat+mem.Addr(4*records))
 			h.SetReadOnly(lng, lng+mem.Addr(4*records))
 			h.Launch(kernel, tbs, threads)

@@ -80,7 +80,7 @@ func srad() workload.Workload {
 		Input:    fmt.Sprintf("%dx%d matrix", n, n),
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, img, imgV)
+			h.WriteWords(img, imgV)
 			for it := 0; it < iters; it++ {
 				h.Launch(k1, n, threads)
 				h.Launch(k2, n, threads)
@@ -195,7 +195,7 @@ func lava() workload.Workload {
 		Input:    "2x2x2 boxes",
 		Category: workload.NoSync,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, pos, posV)
+			h.WriteWords(pos, posV)
 			h.SetReadOnly(pos, pos+mem.Addr(4*boxes*particles*4))
 			h.Launch(kernel, boxes, threads)
 		},

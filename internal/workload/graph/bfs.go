@@ -88,14 +88,14 @@ func BFS(p Params) workload.Workload {
 		Input:    inputDesc(p),
 		Category: workload.Graph,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, outOff, u32s(g.OutOff))
-			workload.WriteSlice(h, outDst, u32s(g.OutDst))
-			workload.WriteSlice(h, inOff, u32s(g.InOff))
-			workload.WriteSlice(h, inSrc, u32s(g.InSrc))
+			h.WriteWords(outOff, u32s(g.OutOff))
+			h.WriteWords(outDst, u32s(g.OutDst))
+			h.WriteWords(inOff, u32s(g.InOff))
+			h.WriteWords(inSrc, u32s(g.InSrc))
 			h.SetReadOnly(outOff, level)
 			lv := fill(p.N, bfsInf)
 			lv[bfsSrc] = 0
-			workload.WriteSlice(h, level, lv)
+			h.WriteWords(level, lv)
 			tbs := workerGrid(h)
 			frontier := 1
 			usePull := false
@@ -113,9 +113,9 @@ func BFS(p Params) workload.Workload {
 					usePull = true
 				}
 				if usePull {
-					workload.LaunchPhase(h, workload.PhasePull, pull(d), tbs, threadsPerTB)
+					h.LaunchPhase(workload.PhasePull, pull(d), tbs, threadsPerTB)
 				} else {
-					workload.LaunchPhase(h, workload.PhasePush, push(d), tbs, threadsPerTB)
+					h.LaunchPhase(workload.PhasePush, push(d), tbs, threadsPerTB)
 				}
 				frontier = sumSlots(h, counts, tbs)
 			}

@@ -2,7 +2,7 @@
 // family (beyond the paper; Salvador et al., arXiv 2002.10245): push
 // and pull BFS, PageRank, and SSSP over a seeded synthetic power-law
 // graph, written against the per-kernel-phase specialization API
-// (workload.LaunchPhase + machine.Config.Phases).
+// (Host.LaunchPhase + machine.Config.Phases).
 //
 // Push kernels scatter updates through relaxed atomics — the access
 // pattern that wants writethrough coherence with L2-side atomics. Pull

@@ -126,23 +126,23 @@ func PageRank(p Params) workload.Workload {
 		Input:    inputDesc(p),
 		Category: workload.Graph,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, outOff, u32s(g.OutOff))
-			workload.WriteSlice(h, outDst, u32s(g.OutDst))
-			workload.WriteSlice(h, inOff, u32s(g.InOff))
-			workload.WriteSlice(h, inSrc, u32s(g.InSrc))
+			h.WriteWords(outOff, u32s(g.OutOff))
+			h.WriteWords(outDst, u32s(g.OutDst))
+			h.WriteWords(inOff, u32s(g.InOff))
+			h.WriteWords(inSrc, u32s(g.InSrc))
 			h.SetReadOnly(outOff, contrib)
 			cv := make([]uint32, p.N)
 			for u := 0; u < p.N; u++ {
 				cv[u] = prOne / uint32(g.OutOff[u+1]-g.OutOff[u])
 			}
-			workload.WriteSlice(h, contrib, cv)
-			workload.WriteSlice(h, rank, fill(p.N, prOne))
-			workload.WriteSlice(h, acc, fill(p.N, 0))
+			h.WriteWords(contrib, cv)
+			h.WriteWords(rank, fill(p.N, prOne))
+			h.WriteWords(acc, fill(p.N, 0))
 			tbs := workerGrid(h)
 			for it := 0; it < prIters; it++ {
-				workload.LaunchPhase(h, workload.PhasePush, scatter, tbs, threadsPerTB)
-				workload.LaunchPhase(h, workload.PhasePull, gather, tbs, threadsPerTB)
-				workload.LaunchPhase(h, workload.PhasePull, apply, tbs, threadsPerTB)
+				h.LaunchPhase(workload.PhasePush, scatter, tbs, threadsPerTB)
+				h.LaunchPhase(workload.PhasePull, gather, tbs, threadsPerTB)
+				h.LaunchPhase(workload.PhasePull, apply, tbs, threadsPerTB)
 			}
 		},
 		Verify: func(h workload.Host) error {

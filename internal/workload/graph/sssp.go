@@ -69,21 +69,21 @@ func SSSP(p Params) workload.Workload {
 		Input:    inputDesc(p),
 		Category: workload.Graph,
 		Host: func(h workload.Host) {
-			workload.WriteSlice(h, outOff, u32s(g.OutOff))
-			workload.WriteSlice(h, outDst, u32s(g.OutDst))
-			workload.WriteSlice(h, outW, g.OutW)
+			h.WriteWords(outOff, u32s(g.OutOff))
+			h.WriteWords(outDst, u32s(g.OutDst))
+			h.WriteWords(outW, g.OutW)
 			h.SetReadOnly(outOff, dist)
 			dv := fill(p.N, ssspInf)
 			dv[bfsSrc] = 0
-			workload.WriteSlice(h, dist, dv)
+			h.WriteWords(dist, dv)
 			av := fill(p.N, 0)
 			av[bfsSrc] = 1
-			workload.WriteSlice(h, active, av)
-			workload.WriteSlice(h, next, fill(p.N, 0))
+			h.WriteWords(active, av)
+			h.WriteWords(next, fill(p.N, 0))
 			tbs := workerGrid(h)
 			for round := 0; round <= p.N; round++ {
-				workload.LaunchPhase(h, workload.PhasePush, relax, tbs, threadsPerTB)
-				workload.LaunchPhase(h, workload.PhasePull, swap, tbs, threadsPerTB)
+				h.LaunchPhase(workload.PhasePush, relax, tbs, threadsPerTB)
+				h.LaunchPhase(workload.PhasePull, swap, tbs, threadsPerTB)
 				if sumSlots(h, counts, tbs) == 0 {
 					break
 				}

@@ -15,10 +15,19 @@ type Host interface {
 	// threads, returning after the kernel (and its boundary release)
 	// completes in simulated time.
 	Launch(k Kernel, numTBs, threadsPerTB int)
+	// LaunchPhase is Launch with a kernel-phase label (PhasePush,
+	// PhasePull) so the machine can specialize the coherence protocol
+	// per phase (machine.Config.Phases). An unlisted or empty phase
+	// runs under the base protocol.
+	LaunchPhase(phase string, k Kernel, numTBs, threadsPerTB int)
 	// Read performs an untimed coherent read (between kernels).
 	Read(a mem.Addr) uint32
 	// Write performs an untimed coherent write (between kernels).
 	Write(a mem.Addr, v uint32)
+	// WriteWords writes vals to the contiguous words starting at base:
+	// the same effect as one Write per word, as one call (host-side
+	// input seeding).
+	WriteWords(base mem.Addr, vals []uint32)
 	// SetReadOnly declares [lo, hi) read-only for DeNovo's DD+RO
 	// selective invalidation. The declaration is hardware-agnostic
 	// program information: configurations without the optimization
@@ -39,28 +48,6 @@ const (
 	PhasePush = "push"
 	PhasePull = "pull"
 )
-
-// PhasedHost is an optional Host extension: a launch that names the
-// kernel's phase so the machine can specialize the coherence protocol
-// per phase (machine.Config.Phases). Hosts without the extension run
-// the kernel under the fixed base protocol.
-type PhasedHost interface {
-	Host
-	// LaunchPhase is Launch with a phase label. An unknown or empty
-	// phase runs under the base protocol.
-	LaunchPhase(phase string, k Kernel, numTBs, threadsPerTB int)
-}
-
-// LaunchPhase launches k under the named phase when the host supports
-// specialization, and falls back to a plain Launch otherwise. Workloads
-// call this so they run unchanged on both kinds of host.
-func LaunchPhase(h Host, phase string, k Kernel, numTBs, threadsPerTB int) {
-	if ph, ok := h.(PhasedHost); ok {
-		ph.LaunchPhase(phase, k, numTBs, threadsPerTB)
-		return
-	}
-	h.Launch(k, numTBs, threadsPerTB)
-}
 
 // Category groups benchmarks the way the paper's evaluation does.
 type Category int
@@ -150,24 +137,6 @@ func (a *Arena) Words(n int) mem.Addr {
 
 // Line reserves a single line (for locks, counters, flags).
 func (a *Arena) Line() mem.Addr { return a.Words(mem.WordsPerLine) }
-
-// BulkWriter is an optional Host fast path: a coherent write of many
-// contiguous words in one call (machine.Machine implements it, with
-// per-line rather than per-word stale-copy invalidation).
-type BulkWriter interface {
-	WriteWords(base mem.Addr, vals []uint32)
-}
-
-// WriteSlice seeds memory at base with vals (host-side, untimed).
-func WriteSlice(h Host, base mem.Addr, vals []uint32) {
-	if bw, ok := h.(BulkWriter); ok {
-		bw.WriteWords(base, vals)
-		return
-	}
-	for i, v := range vals {
-		h.Write(base+mem.Addr(4*i), v)
-	}
-}
 
 // ReadSlice reads n words at base (host-side, untimed).
 func ReadSlice(h Host, base mem.Addr, n int) []uint32 {

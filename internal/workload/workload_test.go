@@ -315,16 +315,22 @@ type fakeHost struct {
 	mem map[mem.Addr]uint32
 }
 
-func (f *fakeHost) Launch(Kernel, int, int)    {}
-func (f *fakeHost) Read(a mem.Addr) uint32     { return f.mem[a] }
-func (f *fakeHost) Write(a mem.Addr, v uint32) { f.mem[a] = v }
-func (f *fakeHost) SetReadOnly(_, _ mem.Addr)  {}
-func (f *fakeHost) ClearReadOnly()             {}
-func (f *fakeHost) NumCUs() int                { return 15 }
+func (f *fakeHost) Launch(Kernel, int, int)              {}
+func (f *fakeHost) LaunchPhase(string, Kernel, int, int) {}
+func (f *fakeHost) Read(a mem.Addr) uint32               { return f.mem[a] }
+func (f *fakeHost) Write(a mem.Addr, v uint32)           { f.mem[a] = v }
+func (f *fakeHost) SetReadOnly(_, _ mem.Addr)            {}
+func (f *fakeHost) ClearReadOnly()                       {}
+func (f *fakeHost) NumCUs() int                          { return 15 }
+func (f *fakeHost) WriteWords(base mem.Addr, vals []uint32) {
+	for i, v := range vals {
+		f.Write(base+mem.Addr(4*i), v)
+	}
+}
 
 func TestSliceHelpers(t *testing.T) {
 	h := &fakeHost{mem: map[mem.Addr]uint32{}}
-	WriteSlice(h, 0x100, []uint32{1, 2, 3})
+	h.WriteWords(0x100, []uint32{1, 2, 3})
 	got := ReadSlice(h, 0x100, 3)
 	for i, v := range []uint32{1, 2, 3} {
 		if got[i] != v {

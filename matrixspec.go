@@ -405,10 +405,10 @@ func CodeVersion() string {
 // Defaults() and serializing the resulting struct — so specs that spell
 // the same machine differently (JSON field order, explicit default
 // values vs omitted fields) share a key, and any field that changes
-// simulated behavior changes it. Everything in Config is part
-// of the key, including fields proven behavior-neutral (Invariants,
-// GenericL1): a spurious miss only costs a re-run, a spurious hit would
-// be wrong. The domain strings are versioned (the cell domain "/v2"
+// simulated behavior changes it. Everything in Config is part of the
+// key, including a field proven behavior-neutral (Invariants): a
+// spurious miss only costs a re-run, a spurious hit would be wrong.
+// The domain strings are versioned (the cell domain "/v2"
 // since the Devices field landed, the check domain "/v3" since the
 // shard part left it) so warm caches written by older binaries can
 // never satisfy a lookup from a build with a different schema. CellKey

@@ -126,6 +126,7 @@ func TestDecodeMatrixSpec(t *testing.T) {
 		{"not an array", `{"cells":{}}`, -1},
 		{"unknown cell field", `{"cells":[{"bogus":1}]}`, -1},
 		{"unknown config field", `{"cells":[{"config":{"config":{"SyncBackoff":true}}}]}`, -1},
+		{"retired GenericL1", `{"cells":[{"config":{"config":{"Protocol":1,"GenericL1":true}},"workload":"LAVA"}]}`, -1},
 		{"configs past bound", `{"configs":[` + strings.TrimSuffix(strings.Repeat(`{},`, denovogpu.MaxMatrixCells+1), ",") + `],"cells":[{}]}`, -1},
 		{"seeds past bound", `{"seeds":[` + strings.TrimSuffix(strings.Repeat(`0,`, denovogpu.MaxMatrixCells+1), ",") + `],"cells":[{}]}`, -1},
 	} {
