@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,139 +40,162 @@ func TestStoreBufferCheckInvariantsProperty(t *testing.T) {
 // TestStoreBufferCheckInvariantsDetectsCorruption hand-breaks each
 // structural invariant and checks the detector names it.
 func TestStoreBufferCheckInvariantsDetectsCorruption(t *testing.T) {
-	w0 := mem.Addr(0x00).WordOf()
-	w1 := mem.Addr(0x40).WordOf()
+	w0 := mem.Addr(0x00).WordOf() // line 0, word 0
+	w2 := mem.Addr(0x08).WordOf() // line 0, word 2
+	w1 := mem.Addr(0x40).WordOf() // line 1, word 0
 
+	// fresh buffers w0 and w2 on line 0 and w1 on line 1, and has two
+	// writethroughs of line 1's words 0 and 3 in flight.
 	fresh := func() *StoreBuffer {
 		b := NewStoreBuffer(4)
 		b.Insert(w0, 1)
 		b.Insert(w1, 2)
+		b.Insert(w2, 3)
+		var data [mem.WordsPerLine]uint32
+		b.WTSent(w1.LineOf(), mem.Bit(0)|mem.Bit(3), &data)
+		b.WTSent(w1.LineOf(), mem.Bit(3), &data)
+		if err := b.CheckInvariants(); err != nil {
+			t.Fatalf("fresh buffer: %v", err)
+		}
 		return b
 	}
-
-	slot := func(b *StoreBuffer, w mem.Word) int32 {
-		e, ok := b.index.Get(uint64(w))
-		if !ok || e.slot == 0 {
-			t.Fatalf("word %v not indexed", w)
+	line := func(b *StoreBuffer, w mem.Word) *sbLine {
+		e, ok := b.index.Ptr(uint64(w.LineOf()))
+		if !ok {
+			t.Fatalf("%v not indexed", w.LineOf())
 		}
-		return e.slot - 1
+		return e
+	}
+	slot := func(b *StoreBuffer, w mem.Word) int32 {
+		for s := line(b, w).first; s != nilSlot; s = b.pool[s].sib {
+			if b.pool[s].word == w {
+				return s
+			}
+		}
+		t.Fatalf("%v not chained", w)
+		return nilSlot
 	}
 
-	b := fresh()
-	b.index.Put(uint64(w0), sbWord{slot: slot(b, w1) + 1})
-	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "index points to") {
-		t.Fatalf("cross-linked index: got %v", err)
-	}
-
-	b = fresh()
-	b.index.Delete(uint64(w1))
-	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "does not know") {
-		t.Fatalf("missing index entry: got %v", err)
-	}
-
-	b = fresh()
-	b.pool[slot(b, w1)].prev = nilSlot
-	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "has prev") {
-		t.Fatalf("broken back-pointer: got %v", err)
-	}
-
-	b = fresh()
-	b.tail = b.head
-	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "tail") {
-		t.Fatalf("stale tail: got %v", err)
-	}
-
-	b = fresh()
-	b.free = append(b.free, slot(b, w0))
-	if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "pool leak") {
-		t.Fatalf("slot both live and free: got %v", err)
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(b *StoreBuffer)
+	}{
+		{"cross-linked chain", "broken chain", func(b *StoreBuffer) {
+			line(b, w0).first = slot(b, w1)
+		}},
+		{"chain cycle", "broken chain", func(b *StoreBuffer) {
+			b.pool[slot(b, w0)].sib = slot(b, w2)
+		}},
+		{"chain out of the pool", "broken chain", func(b *StoreBuffer) {
+			b.pool[slot(b, w0)].sib = int32(len(b.pool))
+		}},
+		{"chain/mask mismatch", "chains words", func(b *StoreBuffer) {
+			line(b, w0).buf |= mem.Bit(5)
+		}},
+		{"missing index entry", "does not know", func(b *StoreBuffer) {
+			b.index.Delete(uint64(w0.LineOf()))
+		}},
+		{"empty index entry", "none in flight", func(b *StoreBuffer) {
+			b.index.Put(7, sbLine{})
+		}},
+		{"in-flight count/mask mismatch", "writethroughs of word", func(b *StoreBuffer) {
+			b.wts[line(b, w1).wts].n[5] = 1
+		}},
+		{"in-flight words miscounted", "words in flight", func(b *StoreBuffer) {
+			b.wtWords++
+		}},
+		{"shared in-flight record", "held twice", func(b *StoreBuffer) {
+			e := line(b, w0)
+			e.wt, e.wts = mem.Bit(0)|mem.Bit(3), line(b, w1).wts
+		}},
+		{"in-flight record leak", "record leak", func(b *StoreBuffer) {
+			b.wts = append(b.wts, sbInFlight{})
+		}},
+		{"in-flight record held and free", "out of range or held", func(b *StoreBuffer) {
+			b.wtFree = append(b.wtFree, line(b, w1).wts)
+		}},
+		{"broken back-pointer", "has prev", func(b *StoreBuffer) {
+			b.pool[slot(b, w1)].prev = nilSlot
+		}},
+		{"stale tail", "tail", func(b *StoreBuffer) {
+			b.tail = b.head
+		}},
+		{"slot both live and free", "pool leak", func(b *StoreBuffer) {
+			b.free = append(b.free, slot(b, w0))
+		}},
+	} {
+		b := fresh()
+		tc.corrupt(b)
+		if err := b.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 // TestStoreBufferWritethroughTracking drives a small buffer through
-// random inserts, removes, drains, overflows and writethroughs sent and
-// acked, against a reference of buffered values and in-flight counts:
-// Newest is the buffered value, else the latest in-flight one; in-flight
-// words take no slot; and the structure stays valid after every step.
+// random inserts, removes, drains, overflows and multi-word
+// writethroughs sent and acked over all 16 words of each line, against
+// the reference model's buffered values and per-word in-flight values:
+// Newest is the buffered value, else the latest in-flight one; an ack
+// reports exactly the words with nothing in flight; in-flight words take
+// no slot; and the structure stays valid after every step. Drained and
+// evicted groups go out as writethroughs, as GPU coherence sends them.
 func TestStoreBufferWritethroughTracking(t *testing.T) {
 	rng := rand.New(rand.NewSource(20261019))
 	b := NewStoreBuffer(4)
-	buffered := map[mem.Word]uint32{}
-	type flight struct{ vals []uint32 } // values of the writethroughs in flight, oldest first
-	inflight := map[mem.Word]*flight{}
+	ref := &refStoreBuffer{cap: 4}
 	send := func(l mem.Line, mask mem.WordMask, data *[mem.WordsPerLine]uint32) {
 		b.WTSent(l, mask, data)
-		for i := 0; i < mem.WordsPerLine; i++ {
-			if mask.Has(i) {
-				f := inflight[l.Word(i)]
-				if f == nil {
-					f = &flight{}
-					inflight[l.Word(i)] = f
-				}
-				f.vals = append(f.vals, data[i])
-			}
+		ref.WTSent(l, mask, data)
+	}
+	// A random mask of at most a few words, so words stay in flight
+	// across several sends and acks.
+	someWords := func() mem.WordMask {
+		var m mem.WordMask
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			m |= mem.Bit(rng.Intn(mem.WordsPerLine))
 		}
+		return m
 	}
 	lines := []mem.Line{0, 1, 2}
 	for step := 0; step < 5000; step++ {
 		l := lines[rng.Intn(len(lines))]
-		i := rng.Intn(4)
-		w := l.Word(i)
+		w := l.Word(rng.Intn(mem.WordsPerLine))
 		switch rng.Intn(8) {
 		case 0:
-			if v, ok := b.Remove(w); ok != (buffered[w] != 0) || v != buffered[w] {
-				t.Fatalf("step %d: Remove(%v) = %d, %v; want %d", step, w, v, ok, buffered[w])
+			gv, gok := b.Remove(w)
+			if wv, wok := ref.Remove(w); gv != wv || gok != wok {
+				t.Fatalf("step %d: Remove(%v) = %d, %v; want %d, %v", step, w, gv, gok, wv, wok)
 			}
-			delete(buffered, w)
 		case 1:
-			for _, g := range AppendGroupByLine(nil, b.AppendDrain(nil)) {
+			groups := b.AppendDrainLines(nil)
+			if want := GroupByLine(ref.DrainAll()); !reflect.DeepEqual(groups, want) {
+				t.Fatalf("step %d: AppendDrainLines = %+v, want %+v", step, groups, want)
+			}
+			for _, g := range groups {
 				send(g.Line, g.Mask, &g.Data)
 			}
-			clear(buffered)
 		case 2, 3:
 			var data [mem.WordsPerLine]uint32
-			data[i] = uint32(step) + 1
-			send(l, mem.Bit(i), &data)
-		case 4:
-			f := inflight[w]
-			unmatched := b.WTAcked(l, mem.Bit(i))
-			if (unmatched != 0) != (f == nil) {
-				t.Fatalf("step %d: WTAcked(%v) unmatched %v with %v in flight", step, w, unmatched, f)
+			for i := range data {
+				data[i] = uint32(step)<<4 | uint32(i)
 			}
-			if f != nil {
-				if f.vals = f.vals[1:]; len(f.vals) == 0 {
-					delete(inflight, w)
-				}
+			send(l, someWords(), &data)
+		case 4:
+			mask := someWords()
+			if got, want := b.WTAcked(l, mask), ref.WTAcked(l, mask); got != want {
+				t.Fatalf("step %d: WTAcked(%v, %016b) unmatched %016b, want %016b", step, l, mask, got, want)
 			}
 		default:
 			v := uint32(step) + 1
-			if _, ev := b.Insert(w, v); ev != nil {
-				for j := 0; j < mem.WordsPerLine; j++ {
-					if ev.Mask.Has(j) {
-						delete(buffered, ev.Line.Word(j))
-					}
-				}
+			_, ev := b.Insert(w, v)
+			if _, want := ref.Insert(w, v); !reflect.DeepEqual(ev, want) {
+				t.Fatalf("step %d: Insert(%v) evicted %+v, want %+v", step, w, ev, want)
+			}
+			if ev != nil {
 				send(ev.Line, ev.Mask, &ev.Data)
 			}
-			buffered[w] = v
 		}
-		if err := b.CheckInvariants(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-		if b.Len() != len(buffered) || b.WTWords() != len(inflight) {
-			t.Fatalf("step %d: Len %d WTWords %d, want %d and %d", step, b.Len(), b.WTWords(), len(buffered), len(inflight))
-		}
-		for _, l := range lines {
-			for j := 0; j < 4; j++ {
-				w := l.Word(j)
-				want, ok := buffered[w]
-				if f := inflight[w]; !ok && f != nil {
-					want, ok = f.vals[len(f.vals)-1], true
-				}
-				if got, gotOK := b.Newest(w); got != want || gotOK != ok {
-					t.Fatalf("step %d: Newest(%v) = %d, %v; want %d, %v", step, w, got, gotOK, want, ok)
-				}
-			}
-		}
+		checkAgainstRef(t, b, ref, lines, someWords())
 	}
 }

@@ -14,23 +14,33 @@ type SBEntry struct {
 	Val  uint32
 }
 
-// nilSlot terminates the intrusive slot list.
+// nilSlot terminates the intrusive slot lists.
 const nilSlot = int32(-1)
 
-// sbWord is the index entry of one word: its buffered write, if any,
-// and its writethroughs in flight. An entry exists only while one of
-// the two does.
-type sbWord struct {
-	slot  int32  // pool slot of the buffered write, plus one; 0 for none
-	wt    int32  // writethroughs of the word sent and not yet acked
-	wtVal uint32 // the value the latest of them carries
+// sbLine is the index entry of one line: which of its words are
+// buffered and which have writethroughs in flight. An entry exists only
+// while one of the two masks is non-zero.
+type sbLine struct {
+	buf, wt mem.WordMask
+	first   int32 // head of the buffered words' slot chain (sbSlot.sib); meaningful while buf != 0
+	wts     int32 // the line's in-flight record in StoreBuffer.wts; meaningful while wt != 0
 }
 
-// sbSlot is one pooled buffer slot, linked in insertion order.
+// sbInFlight is a line's in-flight record: per word, the writethroughs
+// sent and not yet acked, and the value the latest of them carries. The
+// counts stay per word, so a word's Newest reflects its own latest
+// writethrough while another writethrough of the same line is in flight.
+type sbInFlight struct {
+	n   [mem.WordsPerLine]int32
+	val [mem.WordsPerLine]uint32
+}
+
+// sbSlot is one pooled buffer slot, linked in insertion order (prev,
+// next) and into its line's chain (sib).
 type sbSlot struct {
-	word       mem.Word
-	val        uint32
-	prev, next int32
+	word            mem.Word
+	val             uint32
+	prev, next, sib int32
 }
 
 // StoreBuffer is the 256-entry coalescing store buffer that sits next
@@ -43,22 +53,28 @@ type sbSlot struct {
 // Slots live in a fixed pool threaded by an intrusive doubly-linked
 // list in insertion order, with a free list for recycling, so every
 // operation — including Remove, which protocols call once per
-// completed registration — is O(1) (plus the line walk on overflow)
-// and iteration is O(live entries). An earlier slice-based FIFO left
-// dead entries behind on Remove, making iteration O(total insert
-// history); on registration-heavy workloads that was the simulator's
-// single largest cost.
+// completed registration — is O(1) plus a walk of at most one line's
+// slots, and iteration is O(live entries).
 //
-// The word index also tracks each word's writethroughs in flight to
-// the L2 (WTSent, WTAcked) for GPU coherence, whose reads must see an
-// in-flight value rather than a stale fill: one probe (Newest) answers
-// both. In-flight words take no slot and are not counted by Len.
+// The index is keyed by line: each entry holds the masks of the line's
+// buffered words and of its words with writethroughs in flight to the
+// L2 (WTSent, WTAcked), the head of the chain of its buffered slots,
+// and, while writethroughs are in flight, a pooled per-word record of
+// their counts and latest values. GPU coherence's reads must see an
+// in-flight value rather than a stale fill, and one probe per line
+// (NewestLine) answers both; a line whose masks miss the words asked
+// for skips the buffer. DeNovo never writes through, so its lines take
+// no in-flight record. In-flight words take no slot and are not
+// counted by Len. The index replaced a word-keyed
+// wordmap.Map[sbWord], which an L1 read probed once per word.
 type StoreBuffer struct {
 	cap        int
-	index      wordmap.Map[sbWord] // word -> its slot and writethroughs
+	index      wordmap.Map[sbLine] // line -> its buffered and in-flight words
 	pool       []sbSlot
 	free       []int32 // recycled pool slots
 	head, tail int32   // live entries, insertion order
+	wts        []sbInFlight
+	wtFree     []int32 // recycled in-flight records
 	wtWords    int     // words with writethroughs in flight
 
 	// evicted is the last overflow's line group (see Insert).
@@ -98,87 +114,138 @@ func (b *StoreBuffer) Full() bool { return b.Len() >= b.cap }
 
 // Lookup returns the buffered value for w, for store-to-load forwarding.
 func (b *StoreBuffer) Lookup(w mem.Word) (uint32, bool) {
-	e, _ := b.index.Get(uint64(w))
-	if e.slot == 0 {
-		return 0, false
-	}
-	return b.pool[e.slot-1].val, true
+	var vals [mem.WordsPerLine]uint32
+	got := b.LookupLine(w.LineOf(), mem.Bit(w.Index()), &vals)
+	return vals[w.Index()], got != 0
 }
 
 // Newest returns the newest value of w this L1 wrote that the L2 may
 // not hold yet: the buffered write, else the value of the latest
 // writethrough in flight.
 func (b *StoreBuffer) Newest(w mem.Word) (uint32, bool) {
-	e, ok := b.index.Get(uint64(w))
-	switch {
-	case e.slot != 0:
-		return b.pool[e.slot-1].val, true
-	case ok:
-		return e.wtVal, true
+	var vals [mem.WordsPerLine]uint32
+	got := b.NewestLine(w.LineOf(), mem.Bit(w.Index()), &vals)
+	return vals[w.Index()], got != 0
+}
+
+// LookupLine is Lookup for the words of l in need, with one index
+// probe: it writes the buffered value of each word it finds into vals
+// and returns their mask. The other entries of vals are left alone.
+func (b *StoreBuffer) LookupLine(l mem.Line, need mem.WordMask, vals *[mem.WordsPerLine]uint32) mem.WordMask {
+	e, _ := b.index.Get(uint64(l))
+	return b.lookupLine(e, need, vals)
+}
+
+// NewestLine is Newest for the words of l in need, with one index
+// probe: it writes the newest value of each word it finds into vals
+// and returns their mask. The other entries of vals are left alone.
+func (b *StoreBuffer) NewestLine(l mem.Line, need mem.WordMask, vals *[mem.WordsPerLine]uint32) mem.WordMask {
+	e, _ := b.index.Get(uint64(l))
+	got := b.lookupLine(e, need, vals)
+	if wt := need & e.wt &^ got; wt != 0 {
+		r := &b.wts[e.wts]
+		for i := 0; i < mem.WordsPerLine; i++ {
+			if wt.Has(i) {
+				vals[i] = r.val[i]
+			}
+		}
+		got |= wt
 	}
-	return 0, false
+	return got
+}
+
+// lookupLine writes the buffered values of the words in need & e.buf
+// into vals, walking e's slot chain, and returns that mask.
+func (b *StoreBuffer) lookupLine(e sbLine, need mem.WordMask, vals *[mem.WordsPerLine]uint32) mem.WordMask {
+	got := need & e.buf
+	if got == 0 {
+		return 0
+	}
+	for s := e.first; s != nilSlot; s = b.pool[s].sib {
+		if i := b.pool[s].word.Index(); got.Has(i) {
+			vals[i] = b.pool[s].val
+		}
+	}
+	return got
 }
 
 // WTSent records a writethrough of the words of l in mask, carrying
 // data, as in flight.
 func (b *StoreBuffer) WTSent(l mem.Line, mask mem.WordMask, data *[mem.WordsPerLine]uint32) {
+	if mask == 0 {
+		return
+	}
+	e := b.index.Upsert(uint64(l))
+	if e.wt == 0 {
+		e.wts = alloc(&b.wts, &b.wtFree)
+	}
+	e.wt |= mask
+	r := &b.wts[e.wts]
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !mask.Has(i) {
 			continue
 		}
-		e := b.index.Upsert(uint64(l.Word(i)))
-		if e.wt == 0 {
+		if r.n[i] == 0 {
 			b.wtWords++
 		}
-		e.wt++
-		e.wtVal = data[i]
+		r.n[i]++
+		r.val[i] = data[i]
 	}
 }
 
 // WTAcked retires one in-flight writethrough of each word of l in
 // mask, returning the words that had none.
 func (b *StoreBuffer) WTAcked(l mem.Line, mask mem.WordMask) (unmatched mem.WordMask) {
+	e, ok := b.index.Ptr(uint64(l))
+	if !ok {
+		return mask
+	}
+	acked := mask & e.wt
+	if acked == 0 {
+		return mask
+	}
+	r := &b.wts[e.wts]
 	for i := 0; i < mem.WordsPerLine; i++ {
-		if !mask.Has(i) {
+		if !acked.Has(i) {
 			continue
 		}
-		w := uint64(l.Word(i))
-		e, ok := b.index.Ptr(w)
-		if !ok || e.wt == 0 {
-			unmatched |= mem.Bit(i)
-			continue
-		}
-		if e.wt--; e.wt == 0 {
+		if r.n[i]--; r.n[i] == 0 {
 			b.wtWords--
-			if e.slot == 0 {
-				b.index.Delete(w)
-			}
+			e.wt &^= mem.Bit(i)
 		}
 	}
-	return unmatched
+	if e.wt == 0 {
+		b.wtFree = append(b.wtFree, e.wts)
+		if e.buf == 0 {
+			b.index.Delete(uint64(l))
+		}
+	}
+	return mask &^ acked
 }
 
 // WTWords returns the number of words with writethroughs in flight.
 func (b *StoreBuffer) WTWords() int { return b.wtWords }
 
-// unindex drops w's buffered write from its index entry e, deleting
-// the entry unless writethroughs of w are in flight.
-func (b *StoreBuffer) unindex(w mem.Word, e *sbWord) {
+// unbuffer drops every buffered word of line l from its index entry e,
+// deleting the entry unless writethroughs of l are in flight.
+func (b *StoreBuffer) unbuffer(l mem.Line, e *sbLine) {
 	if e.wt == 0 {
-		b.index.Delete(uint64(w))
+		b.index.Delete(uint64(l))
 	} else {
-		e.slot = 0
+		e.buf = 0
 	}
 }
 
-func (b *StoreBuffer) alloc() int32 {
-	if n := len(b.free); n > 0 {
-		i := b.free[n-1]
-		b.free = b.free[:n-1]
+// alloc returns an index into *pool: the last recycled one on *free,
+// else that of a new zero element appended to *pool.
+func alloc[T any](pool *[]T, free *[]int32) int32 {
+	if n := len(*free); n > 0 {
+		i := (*free)[n-1]
+		*free = (*free)[:n-1]
 		return i
 	}
-	b.pool = append(b.pool, sbSlot{})
-	return int32(len(b.pool) - 1)
+	*pool = append(*pool, *new(T))
+	return int32(len(*pool) - 1)
 }
 
 func (b *StoreBuffer) linkTail(i int32) {
@@ -217,8 +284,14 @@ func (b *StoreBuffer) unlink(i int32) {
 // owned by the buffer and valid until the next Insert, so an overflow
 // allocates nothing.
 func (b *StoreBuffer) Insert(w mem.Word, v uint32) (coalesced bool, evicted *LineGroup) {
-	if e, _ := b.index.Get(uint64(w)); e.slot != 0 {
-		b.pool[e.slot-1].val = v
+	l, bit := w.LineOf(), mem.Bit(w.Index())
+	e := b.index.Upsert(uint64(l))
+	if e.buf&bit != 0 {
+		s := e.first
+		for b.pool[s].word != w {
+			s = b.pool[s].sib
+		}
+		b.pool[s].val = v
 		if b.rec != nil {
 			b.rec.Emit(obs.SBCoalesce, b.track, uint64(w))
 		}
@@ -226,11 +299,16 @@ func (b *StoreBuffer) Insert(w mem.Word, v uint32) (coalesced bool, evicted *Lin
 	}
 	if b.Full() {
 		evicted = b.popOldestLine()
+		e = b.index.Upsert(uint64(l)) // the eviction may have moved or deleted l's entry
 	}
-	i := b.alloc()
-	b.pool[i] = sbSlot{word: w, val: v}
+	i := alloc(&b.pool, &b.free)
+	b.pool[i] = sbSlot{word: w, val: v, sib: nilSlot}
+	if e.buf != 0 {
+		b.pool[i].sib = e.first
+	}
+	e.first = i
+	e.buf |= bit
 	b.linkTail(i)
-	b.index.Upsert(uint64(w)).slot = i + 1
 	if b.rec != nil {
 		b.rec.Emit(obs.SBInsert, b.track, uint64(w))
 	}
@@ -244,22 +322,17 @@ func (b *StoreBuffer) popOldestLine() *LineGroup {
 	if b.head == nilSlot {
 		panic("cache: popOldestLine on empty store buffer")
 	}
+	l := b.pool[b.head].word.LineOf()
+	e, _ := b.index.Ptr(uint64(l))
 	g := &b.evicted
-	*g = LineGroup{Line: b.pool[b.head].word.LineOf()}
-	words := uint64(0)
-	for i := 0; i < mem.WordsPerLine; i++ {
-		word := g.Line.Word(i)
-		if e, ok := b.index.Ptr(uint64(word)); ok && e.slot != 0 {
-			si := e.slot - 1
-			g.Mask |= mem.Bit(i)
-			g.Data[i] = b.pool[si].val
-			b.unindex(word, e)
-			b.unlink(si)
-			words++
-		}
+	*g = LineGroup{Line: l, Mask: e.buf}
+	for s := e.first; s != nilSlot; s = b.pool[s].sib {
+		g.Data[b.pool[s].word.Index()] = b.pool[s].val
+		b.unlink(s)
 	}
+	b.unbuffer(l, e)
 	if b.rec != nil {
-		b.rec.Emit(obs.SBEvict, b.track, words)
+		b.rec.Emit(obs.SBEvict, b.track, uint64(g.Mask.Count()))
 	}
 	return g
 }
@@ -267,14 +340,25 @@ func (b *StoreBuffer) popOldestLine() *LineGroup {
 // Remove deletes the slot for w (e.g. when its registration completes)
 // and returns its value.
 func (b *StoreBuffer) Remove(w mem.Word) (uint32, bool) {
-	e, ok := b.index.Ptr(uint64(w))
-	if !ok || e.slot == 0 {
+	l, bit := w.LineOf(), mem.Bit(w.Index())
+	e, ok := b.index.Ptr(uint64(l))
+	if !ok || e.buf&bit == 0 {
 		return 0, false
 	}
-	i := e.slot - 1
-	v := b.pool[i].val
-	b.unindex(w, e)
-	b.unlink(i)
+	prev, s := nilSlot, e.first
+	for b.pool[s].word != w {
+		prev, s = s, b.pool[s].sib
+	}
+	if prev == nilSlot {
+		e.first = b.pool[s].sib
+	} else {
+		b.pool[prev].sib = b.pool[s].sib
+	}
+	if e.buf &^= bit; e.buf == 0 && e.wt == 0 {
+		b.index.Delete(uint64(l))
+	}
+	v := b.pool[s].val
+	b.unlink(s)
 	if b.rec != nil {
 		b.rec.Emit(obs.SBDrain, b.track, 1)
 	}
@@ -310,21 +394,34 @@ func (b *StoreBuffer) Entries() []SBEntry {
 // order to dst (the allocation-free variant of DrainAll).
 func (b *StoreBuffer) AppendDrain(dst []SBEntry) []SBEntry {
 	dst = b.AppendEntries(dst)
-	if b.rec != nil && b.Len() > 0 {
-		b.rec.Emit(obs.SBDrain, b.track, uint64(b.Len()))
-	}
-	if b.wtWords == 0 {
-		b.index.Reset() // every entry is a buffered word
-	} else {
-		for i := b.head; i != nilSlot; i = b.pool[i].next {
-			w := b.pool[i].word
-			e, _ := b.index.Ptr(uint64(w))
-			b.unindex(w, e)
+	b.emitDrain()
+	for i := b.head; i != nilSlot; i = b.pool[i].next {
+		l := b.pool[i].word.LineOf()
+		if e, ok := b.index.Ptr(uint64(l)); ok && e.buf != 0 {
+			b.unbuffer(l, e)
 		}
 	}
-	b.pool = b.pool[:0]
-	b.free = b.free[:0]
-	b.head, b.tail = nilSlot, nilSlot
+	b.emptyPool()
+	return dst
+}
+
+// AppendDrainLines empties the buffer, appending one group per line to
+// dst in the order of each line's oldest slot: the drain a release
+// writes through, equal to grouping AppendDrain's entries by line. A
+// release passes a recycled scratch slice, so it allocates nothing.
+func (b *StoreBuffer) AppendDrainLines(dst []LineGroup) []LineGroup {
+	b.emitDrain()
+	for i := b.head; i != nilSlot; i = b.pool[i].next {
+		l := b.pool[i].word.LineOf()
+		e, ok := b.index.Ptr(uint64(l))
+		if !ok || e.buf == 0 {
+			continue // the line's group is already out
+		}
+		dst = append(dst, LineGroup{Line: l, Mask: e.buf})
+		b.lookupLine(*e, e.buf, &dst[len(dst)-1].Data)
+		b.unbuffer(l, e)
+	}
+	b.emptyPool()
 	return dst
 }
 
@@ -333,33 +430,62 @@ func (b *StoreBuffer) DrainAll() []SBEntry {
 	return b.AppendDrain(make([]SBEntry, 0, b.Len()))
 }
 
+func (b *StoreBuffer) emitDrain() {
+	if b.rec != nil && b.Len() > 0 {
+		b.rec.Emit(obs.SBDrain, b.track, uint64(b.Len()))
+	}
+}
+
+// emptyPool frees every slot; the index must already hold none.
+func (b *StoreBuffer) emptyPool() {
+	b.pool = b.pool[:0]
+	b.free = b.free[:0]
+	b.head, b.tail = nilSlot, nilSlot
+}
+
 // CheckInvariants validates the buffer's internal structure (the
-// model checker's sb-fifo invariant, structurally): the intrusive
-// list and the word index must describe the same live slots — every
-// linked slot indexed back to itself, back-pointers symmetric, no
-// word appearing twice — and every pool slot must be either live or
-// on the free list. The index must hold no entry that has neither a
-// slot nor a writethrough in flight, and the in-flight word count must
-// match it. Protocol sanitizers (machine.Config.Invariants) call it at
-// quiesce points; it walks the whole buffer and is not for hot paths.
+// model checker's sb-fifo invariant, structurally). Each line entry
+// must buffer or have in flight at least one word; its slot chain must
+// hold exactly the words of its buffered mask, each once, all of that
+// line; and its in-flight record, held only while its in-flight mask is
+// non-zero and by no other line, must count writethroughs for exactly
+// the words of that mask. The in-flight word count must match the
+// masks, and every record must be held or free, not both. The
+// intrusive list must hold exactly the chained slots, back-pointers
+// symmetric, and every pool slot must be either live or free.
+// Protocol sanitizers (machine.Config.Invariants) call it at quiesce
+// points; it walks the whole buffer and is not for hot paths.
 func (b *StoreBuffer) CheckInvariants() error {
-	indexed, wtWords, empty := 0, 0, 0
-	b.index.ForEach(func(_ uint64, e sbWord) {
-		if e.slot != 0 {
-			indexed++
-		}
-		if e.wt > 0 {
-			wtWords++
-		}
-		if e.slot == 0 && e.wt <= 0 {
-			empty++
+	chained := make([]bool, len(b.pool))
+	held := make([]bool, len(b.wts))
+	indexed, wtWords := 0, 0
+	var err error
+	b.index.ForEach(func(k uint64, e sbLine) {
+		if err == nil {
+			err = b.checkLine(mem.Line(k), e, chained, held)
+			indexed += e.buf.Count()
+			wtWords += e.wt.Count()
 		}
 	})
-	if empty > 0 {
-		return fmt.Errorf("cache: store buffer index holds %d entries with no slot and no writethrough in flight", empty)
+	if err != nil {
+		return err
 	}
 	if wtWords != b.wtWords {
 		return fmt.Errorf("cache: store buffer index has %d words in flight but counts %d", wtWords, b.wtWords)
+	}
+	nheld := 0
+	for _, h := range held {
+		if h {
+			nheld++
+		}
+	}
+	for _, r := range b.wtFree {
+		if r < 0 || int(r) >= len(held) || held[r] {
+			return fmt.Errorf("cache: store buffer frees in-flight record %d, which is out of range or held", r)
+		}
+	}
+	if nheld+len(b.wtFree) != len(b.wts) {
+		return fmt.Errorf("cache: store buffer in-flight record leak: %d held + %d free != %d pooled", nheld, len(b.wtFree), len(b.wts))
 	}
 	live := 0
 	prev := nilSlot
@@ -368,16 +494,12 @@ func (b *StoreBuffer) CheckInvariants() error {
 		if s.prev != prev {
 			return fmt.Errorf("cache: store buffer slot %d has prev %d, want %d", i, s.prev, prev)
 		}
-		e, _ := b.index.Get(uint64(s.word))
-		if e.slot == 0 {
+		if !chained[i] {
 			return fmt.Errorf("cache: store buffer slot %d holds %v, which the index does not know", i, s.word)
-		}
-		if j := e.slot - 1; j != i {
-			return fmt.Errorf("cache: store buffer holds %v at slot %d but the index points to slot %d (duplicate word or stale index)", s.word, i, j)
 		}
 		live++
 		if live > indexed {
-			return fmt.Errorf("cache: store buffer list is longer than its %d-slot index (cycle or leaked slot)", indexed)
+			return fmt.Errorf("cache: store buffer list is longer than its %d indexed slots (cycle or leaked slot)", indexed)
 		}
 		prev = i
 	}
@@ -393,46 +515,48 @@ func (b *StoreBuffer) CheckInvariants() error {
 	return nil
 }
 
+// checkLine validates line l's index entry e, marking the slots its
+// chain visits in chained and its in-flight record in held.
+func (b *StoreBuffer) checkLine(l mem.Line, e sbLine, chained, held []bool) error {
+	if e.buf == 0 && e.wt == 0 {
+		return fmt.Errorf("cache: store buffer index holds %v with no word buffered and none in flight", l)
+	}
+	var words mem.WordMask
+	for s := e.first; e.buf != 0 && s != nilSlot; s = b.pool[s].sib {
+		if s < 0 || int(s) >= len(b.pool) {
+			return fmt.Errorf("cache: store buffer %v has a broken chain: slot %d is out of range", l, s)
+		}
+		chained[s] = true
+		w := b.pool[s].word
+		if w.LineOf() != l || words.Has(w.Index()) { // a cycle repeats a word
+			return fmt.Errorf("cache: store buffer %v has a broken chain: slot %d holds %v", l, s, w)
+		}
+		words |= mem.Bit(w.Index())
+	}
+	if words != e.buf {
+		return fmt.Errorf("cache: store buffer %v chains words %016b but its buffered mask is %016b", l, words, e.buf)
+	}
+	if e.wt == 0 {
+		return nil
+	}
+	if e.wts < 0 || int(e.wts) >= len(b.wts) || held[e.wts] {
+		return fmt.Errorf("cache: store buffer %v holds in-flight record %d, which is out of range or held twice", l, e.wts)
+	}
+	held[e.wts] = true
+	for i, n := range b.wts[e.wts].n {
+		if n < 0 || (n > 0) != e.wt.Has(i) {
+			return fmt.Errorf("cache: store buffer %v counts %d writethroughs of word %d in flight, but its in-flight mask is %016b", l, n, i, e.wt)
+		}
+	}
+	return nil
+}
+
 // LineGroup is a set of buffered words of one line, for coalesced
 // writethrough messages.
 type LineGroup struct {
 	Line mem.Line
 	Mask mem.WordMask
 	Data [mem.WordsPerLine]uint32
-}
-
-// AppendGroupByLine coalesces drained entries into per-line groups,
-// preserving the order of first occurrence, appending to dst. The line
-// lookup is a linear scan over the groups built so far: a drain covers
-// at most a few tens of lines, where the scan beats a freshly
-// allocated map.
-func AppendGroupByLine(dst []LineGroup, entries []SBEntry) []LineGroup {
-	base := len(dst)
-	for _, e := range entries {
-		l := e.Word.LineOf()
-		gi := -1
-		for i := base; i < len(dst); i++ {
-			if dst[i].Line == l {
-				gi = i
-				break
-			}
-		}
-		if gi < 0 {
-			gi = len(dst)
-			dst = append(dst, LineGroup{Line: l})
-		}
-		dst[gi].Mask |= mem.Bit(e.Word.Index())
-		dst[gi].Data[e.Word.Index()] = e.Val
-	}
-	return dst
-}
-
-// GroupByLine coalesces drained entries into per-line groups, preserving
-// the order of first occurrence. A release drains the whole buffer and
-// sends one writethrough per line — the coalescing benefit the buffer
-// exists for.
-func GroupByLine(entries []SBEntry) []LineGroup {
-	return AppendGroupByLine(nil, entries)
 }
 
 // VictimBuffer holds words whose ownership is in flight away from this

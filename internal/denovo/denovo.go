@@ -389,25 +389,21 @@ func (c *Controller) evict(e *cache.Entry) {
 func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsPerLine]uint32)) {
 	c.meter.L1Access(1)
 	var vals [mem.WordsPerLine]uint32
-	missing := mem.WordMask(0)
 	entry := c.cache.Lookup(l)
+	missing := need &^ c.sb.LookupLine(l, need, &vals)
 	for i := 0; i < mem.WordsPerLine; i++ {
-		if !need.Has(i) {
-			continue
-		}
-		if v, ok := c.sb.Lookup(l.Word(i)); ok {
-			vals[i] = v
+		if !missing.Has(i) {
 			continue
 		}
 		if v, ok := c.pendingOwn.Get(uint64(l.Word(i))); ok {
 			vals[i] = v
+			missing &^= mem.Bit(i)
 			continue
 		}
 		if entry != nil && entry.State[i] != cache.Invalid {
 			vals[i] = entry.Data[i]
-			continue
+			missing &^= mem.Bit(i)
 		}
-		missing |= mem.Bit(i)
 	}
 	if missing == 0 {
 		c.st.IncKey(kL1ReadHits, 1)

@@ -94,9 +94,10 @@ type Controller struct {
 
 	cache *cache.Cache
 	// sb buffers writes until they write through, and tracks the
-	// words with writethroughs in flight: a fill arriving while a
-	// writethrough is in flight must not resurrect the pre-write value,
-	// so reads and fill merges take sb.Newest over the fill.
+	// words with writethroughs in flight in the same line-keyed index:
+	// a fill arriving while a writethrough is in flight must not
+	// resurrect the pre-write value, so reads and fill merges take
+	// sb.NewestLine over the fill, one probe per line.
 	sb *cache.StoreBuffer
 
 	// Read transactions are keyed by request ID; lineTxn points at the
@@ -133,9 +134,8 @@ type Controller struct {
 	relSpare      []func() // relWaiters' other backing array, see Deliver
 	epoch         uint64
 
-	// Release-path scratch, reused across calls so draining the store
-	// buffer and regrouping it by line allocates nothing.
-	sbScratch    []cache.SBEntry
+	// groupScratch is the release path's scratch, reused across calls
+	// so draining the store buffer by line allocates nothing.
 	groupScratch []cache.LineGroup
 
 	// faultNoAcqInval makes global acquires no-ops (test-only fault
@@ -250,27 +250,26 @@ func (c *Controller) OutstandingRegistrations() int { return 0 }
 func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsPerLine]uint32)) {
 	c.meter.L1Access(1)
 	var vals [mem.WordsPerLine]uint32
-	missing := mem.WordMask(0)
+	missing := need
 	entry := c.cache.Lookup(l)
-	for i := 0; i < mem.WordsPerLine; i++ {
-		if !need.Has(i) {
-			continue
-		}
+	if c.partialBlocks && entry != nil {
 		// A dirty word in the L1 (GPU-H) is the newest copy — newer
 		// than any in-flight writethrough of a previously flushed value.
-		if c.partialBlocks && entry != nil && entry.State[i] == cache.Dirty {
-			vals[i] = entry.Data[i]
-			continue
+		for i := 0; i < mem.WordsPerLine; i++ {
+			if missing.Has(i) && entry.State[i] == cache.Dirty {
+				vals[i] = entry.Data[i]
+				missing &^= mem.Bit(i)
+			}
 		}
-		if v, ok := c.sb.Newest(l.Word(i)); ok {
-			vals[i] = v
-			continue
+	}
+	missing &^= c.sb.NewestLine(l, missing, &vals)
+	if entry != nil {
+		for i := 0; i < mem.WordsPerLine; i++ {
+			if missing.Has(i) && entry.State[i] != cache.Invalid {
+				vals[i] = entry.Data[i]
+				missing &^= mem.Bit(i)
+			}
 		}
-		if entry != nil && entry.State[i] != cache.Invalid {
-			vals[i] = entry.Data[i]
-			continue
-		}
-		missing |= mem.Bit(i)
 	}
 	if missing == 0 {
 		c.st.IncKey(kL1ReadHits, 1)
@@ -583,10 +582,9 @@ func (c *Controller) Release(scope coherence.Scope, cb func()) {
 	if c.rec != nil {
 		c.rec.Emit(obs.SyncRelease, int32(c.node), uint64(c.sb.Len()))
 	}
-	c.sbScratch = c.sb.AppendDrain(c.sbScratch[:0])
-	if entries := c.sbScratch; len(entries) > 0 {
-		c.meter.StoreBuffer(len(entries))
-		c.groupScratch = cache.AppendGroupByLine(c.groupScratch[:0], entries)
+	if n := c.sb.Len(); n > 0 {
+		c.meter.StoreBuffer(n)
+		c.groupScratch = c.sb.AppendDrainLines(c.groupScratch[:0])
 		c.st.IncKey(kSbReleaseDrains, 1)
 		for _, g := range c.groupScratch {
 			c.sendWT(g.Line, g.Mask, g.Data)
@@ -689,18 +687,16 @@ func (c *Controller) fill(msg *coherence.Msg) {
 				}
 				e.Reset(msg.Line)
 			}
+			fill := msg.Mask
+			if c.partialBlocks {
+				fill &^= e.MaskOf(cache.Dirty) // own unflushed writes are newer
+			}
+			// So are own buffered or in-flight writes.
+			vals := msg.Data
+			c.sb.NewestLine(msg.Line, fill, &vals)
 			for i := 0; i < mem.WordsPerLine; i++ {
-				if msg.Mask.Has(i) {
-					if c.partialBlocks && e.State[i] == cache.Dirty {
-						continue // own unflushed write is newer
-					}
-					// Own buffered or in-flight writes are newer than
-					// the fill.
-					if v, ok := c.sb.Newest(msg.Line.Word(i)); ok {
-						e.Data[i] = v
-					} else {
-						e.Data[i] = msg.Data[i]
-					}
+				if fill.Has(i) {
+					e.Data[i] = vals[i]
 					e.State[i] = cache.Valid
 				}
 			}

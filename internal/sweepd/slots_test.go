@@ -152,9 +152,11 @@ func TestWorkerSlotsMatchSerial(t *testing.T) {
 // while other slots hold cells. Those cells finish, the queued ones are
 // skipped, and the job error is the lowest-index failure even though a
 // higher-index cell failed first: ST (cell 1) fails only after NN's
-// (cell 2) failure has landed.
+// (cell 2) failure has landed. Every other cell is held until ST has
+// failed, so no slot frees up to lease a queued cell before NN's
+// failure has skipped them.
 func TestWorkerSlotsFailFast(t *testing.T) {
-	nnFailed := make(chan struct{})
+	nnFailed, stFailed := make(chan struct{}), make(chan struct{})
 	injectRunCell(t, func(s denovogpu.CellSpec, real func(denovogpu.CellSpec) ([]byte, uint64, error)) ([]byte, uint64, error) {
 		switch s.Workload {
 		case "NN":
@@ -167,7 +169,12 @@ func TestWorkerSlotsFailFast(t *testing.T) {
 				return nil, 0, errors.New("NN was never leased beside ST")
 			}
 		}
-		return real(s)
+		select {
+		case <-stFailed:
+			return real(s)
+		case <-time.After(time.Minute):
+			return nil, 0, errors.New("ST never failed")
+		}
 	})
 	spec := mixedJob(t, false)
 	coord, srv, client := newTestServer(t, Options{})
@@ -177,11 +184,14 @@ func TestWorkerSlotsFailFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var once sync.Once
+	closeNN, closeST := sync.OnceFunc(func() { close(nnFailed) }), sync.OnceFunc(func() { close(stFailed) })
 	go func() {
 		_ = client.StreamEvents(ctx, sr.Status.ID, func(ev Event) error {
-			if ev.Cell == 2 && ev.State == StateFailed {
-				once.Do(func() { close(nnFailed) })
+			switch {
+			case ev.Cell == 2 && ev.State == StateFailed:
+				closeNN()
+			case ev.Cell == 1 && ev.State == StateFailed:
+				closeST()
 			}
 			return nil
 		})

@@ -1,7 +1,7 @@
 // Package wordmap provides a compact open-addressed hash table keyed
 // by uint64 — mem.Word, mem.Line, block numbers or transaction ids. It
 // exists for the protocol hot paths (denovo, gpucoh, the store buffer's
-// word index, the L2 registry's block index), where the Go builtin
+// line index, the L2 registry's block index), where the Go builtin
 // map[mem.Word]T showed up as the dominant lookup and allocation cost:
 // an open-addressed table with linear probing keeps the key/value
 // arrays dense, reuses its backing storage across insert/delete
