@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"testing"
 
-	"denovogpu/internal/litmus"
 	"denovogpu/internal/machine"
 )
 
@@ -41,37 +40,56 @@ func TestDPORAllocationWall(t *testing.T) {
 }
 
 // BenchmarkExploreDPOR times the DPOR loop alone (model and oracle
-// built once, one explorer, no split) on MP+preload under DD,
-// reporting per-node cost:
+// built once, one explorer, no split) on perfbench's mcheck-catalog
+// cells, one sub-benchmark each, reporting per-node cost:
 //
 //	go test ./internal/mcheck -run '^$' -bench ExploreDPOR
+//	go test ./internal/mcheck -run '^$' -bench 'ExploreDPOR/MP\+preload/DD$'
 func BenchmarkExploreDPOR(b *testing.B) {
-	mp := catalogProgram(b, "MP+preload")
-	cfg := machine.DD()
-	m, err := newModel(cfg, mp)
-	if err != nil {
-		b.Fatal(err)
+	cells := []struct{ prog, cfg string }{
+		{"ISA2+transitive", "DH"},
+		{"IRIW+scoped", "GH"},
+		{"MP+preload", "DD"},
+		{"MP+preload", "DH+lazy"},
 	}
-	oracle, err := litmus.Oracle(mp, cfg.Model, 0)
-	if err != nil {
-		b.Fatal(err)
+	for _, c := range cells {
+		b.Run(c.prog+"/"+c.cfg, func(b *testing.B) {
+			p := catalogProgram(b, c.prog)
+			cfg := configNamed(b, c.cfg)
+			m, oracle, err := prepare(cfg, p, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			b.ResetTimer()
+			x := getExplorer()
+			nodes := 0
+			for i := 0; i < b.N; i++ {
+				clear(x.seen)
+				n, _, err := x.explore(m, oracle, &splitNode{}, 0, newLedger(DefaultBudget, 0, 1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += n
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
+			b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(nodes), "allocs/node")
+		})
 	}
-	b.ReportAllocs()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	b.ResetTimer()
-	x := getExplorer()
-	nodes := 0
-	for i := 0; i < b.N; i++ {
-		clear(x.seen)
-		n, _, err := x.explore(m, oracle, &splitNode{}, 0, newLedger(DefaultBudget, 0, 1))
-		if err != nil {
-			b.Fatal(err)
+}
+
+// configNamed returns the configuration of Configs() named name.
+func configNamed(t testing.TB, name string) machine.Config {
+	t.Helper()
+	for _, cfg := range Configs() {
+		if cfg.Name() == name {
+			return cfg
 		}
-		nodes += n
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&m1)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
-	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(nodes), "allocs/node")
+	t.Fatalf("no configuration named %s", name)
+	return machine.Config{}
 }

@@ -29,7 +29,9 @@ import (
 // a child state is the parent's copied into its depth's buffer and
 // advanced in place, and a frame pushed where an earlier one was popped
 // reuses that frame's slices. A depth's state is therefore valid only
-// while its frame is on the stack. Nothing is named per node either:
+// while its frame is on the stack. The copy takes only the program's
+// CUs and threads' loads; the rest of every buffer stays zero
+// (fitShape). Nothing is named per node either:
 // counterexample trace labels are built from the stack's transitions
 // only once a violation is found (model.labels).
 //
@@ -67,7 +69,10 @@ import (
 // resulting states differ only in dead bytes. Both exclusions — and
 // the relation as a whole — are checked empirically by the
 // TestDPORConformance differential wall against the unreduced and
-// sleep-set explorers.
+// sleep-set explorers. That a footprint names every variable and CU
+// whose state its transition changes, the messages it sends included,
+// is checked by TestFootprintCoversTransitionWrites; the explorer's
+// incremental invariant check rests on it (touched).
 //
 // Happens-before is the transitive closure of the footprint-dependency
 // order within one execution: event i happens-before event n iff i < n
@@ -127,6 +132,24 @@ func cctlBit(ci uint8) uint64    { return 1 << (fpCctl + uint(ci)) }
 // that read or sweep CU-wide word state.
 func (m *model) cuSlots(ci uint8) uint64 {
 	return ((1 << uint(m.nv)) - 1) << (uint(ci) * maxVars)
+}
+
+// touched names the variables and CUs whose state a transition with
+// footprint fp can change: the variable and CU of each slot bit and the
+// variable of each home bit. Transitions that read or sweep CU-wide
+// state (release drain, acquire sweep, final release) carry every slot
+// of their CU, so they name all of its variables. The explorer checks
+// only these after the transition (checkInvariantsOver);
+// TestFootprintCoversTransitionWrites checks that nothing outside them
+// changes, the messages a transition sends included.
+func (m *model) touched(fp uint64) (vm, cm uint8) {
+	for ci := 0; ci < m.nc; ci++ {
+		if row := uint8(fp>>(ci*maxVars)) & (1<<maxVars - 1); row != 0 {
+			vm |= row
+			cm |= 1 << ci
+		}
+	}
+	return vm | uint8(fp>>fpHome)&(1<<maxVars-1), cm
 }
 
 // dynFootprint is the dynamic read/write territory of transition t at
@@ -246,9 +269,9 @@ type dframe struct {
 
 	visited bool
 	enab    []trans
-	enabFp  []uint64
-	back    []bool // scheduled for exploration (the backtrack set)
-	done    []bool // explored
+	enabFp  []uint64 // the explored transitions' footprints, taken when explored
+	back    []bool   // scheduled for exploration (the backtrack set)
+	done    []bool   // explored
 	sleep   []sleepEnt
 }
 
@@ -271,7 +294,18 @@ type explorer struct {
 	byBit  []uint64
 
 	deps, notdep []uint64 // racesOnAppend/reverseRace scratch, nw words
-	initials     []trans
+
+	// nc and nt are the CU and thread counts of the model the depth
+	// buffers last held. Every buffer is zero past them: push copies a
+	// state's first nc CUs and nt threads' loads only, so a model of
+	// another shape must clear the tails first (fitShape).
+	nc, nt int
+
+	// afterApply, when set, sees every transition t the explorer takes,
+	// with its footprint ft, the parent state and the child state t
+	// produced. Tests use it to inspect or corrupt the child before the
+	// explorer visits it.
+	afterApply func(parent, child *state, t trans, ft uint64)
 
 	// seen maps every outcome this explorer reached in the current
 	// Check to the lowest unit that reached it (the split phase is
@@ -324,6 +358,7 @@ func (x *explorer) explore(m *model, oracle map[string]litmus.Outcome, u *splitN
 	states, limit := 0, 0
 	cut := len(u.prefix)
 
+	x.fitShape(m)
 	x.frames = slices.Grow(x.frames[:0], 1)[:1]
 	root := &x.frames[0]
 	if root.s == nil {
@@ -367,10 +402,22 @@ func (x *explorer) explore(m *model, oracle map[string]litmus.Outcome, u *splitN
 			if s.viol != "" {
 				return states, violation(s.viol, s.violDetail, nil), nil
 			}
-			if name, detail := m.checkInvariants(s); name != "" {
+			// The root and terminal states take the full invariant suite;
+			// any other state differs from its parent, which held every
+			// invariant, only where its transition's footprint says, so
+			// only those variables and CUs are checked again.
+			term := m.terminal(s)
+			var name, detail string
+			if d == 0 || term {
+				name, detail = m.checkInvariants(s)
+			} else {
+				vm, cm := m.touched(x.ev[d-1].fp)
+				name, detail = m.checkInvariantsOver(s, vm, cm)
+			}
+			if name != "" {
 				return states, violation(name, detail, nil), nil
 			}
-			if m.terminal(s) {
+			if term {
 				key, ok := m.outcomeKey(s)
 				if !ok {
 					return states, violation(s.viol, s.violDetail, nil), nil
@@ -394,10 +441,7 @@ func (x *explorer) explore(m *model, oracle map[string]litmus.Outcome, u *splitN
 					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
 					nil), nil
 			}
-			fr.enabFp = fr.enabFp[:0]
-			for _, t := range fr.enab {
-				fr.enabFp = append(fr.enabFp, m.dynFootprint(s, t))
-			}
+			fr.enabFp = slices.Grow(fr.enabFp[:0], len(fr.enab))[:len(fr.enab)]
 			fr.back = falses(fr.back, len(fr.enab))
 			fr.done = falses(fr.done, len(fr.enab))
 			switch {
@@ -463,7 +507,9 @@ func (x *explorer) push(m *model, sel, cut int) {
 	d := len(x.frames) - 1 // the new event's index
 	x.frames = slices.Grow(x.frames, 1)[:d+2]
 	fr, ch := &x.frames[d], &x.frames[d+1]
-	t, ft := fr.enab[sel], fr.enabFp[sel]
+	t := fr.enab[sel]
+	ft := m.dynFootprint(fr.s, t)
+	fr.enabFp[sel] = ft
 	if ch.s == nil {
 		// First time at this depth: size its buffers like the parent's,
 		// which have already grown to a working size.
@@ -490,9 +536,29 @@ func (x *explorer) push(m *model, sel, cut int) {
 		}
 	}
 
-	ch.s.copyFrom(fr.s)
+	ch.s.copyFrom(fr.s, m.nc, m.nt)
 	m.apply(ch.s, t)
+	if x.afterApply != nil {
+		x.afterApply(fr.s, ch.s, t, ft)
+	}
 	ch.visited = false
+}
+
+// fitShape readies the depth buffers for m: when m's CU or thread
+// count differs from the last model's, it clears every buffer's CUs and
+// loads past m's, which a wider program may have left behind and push
+// no longer overwrites. They would otherwise leak into outcome keys.
+func (x *explorer) fitShape(m *model) {
+	if x.nc == m.nc && x.nt == m.nt {
+		return
+	}
+	for _, fr := range x.frames[:cap(x.frames)] {
+		if fr.s != nil {
+			clear(fr.s.cus[m.nc:])
+			clear(fr.s.loads[m.nt:])
+		}
+	}
+	x.nc, x.nt = m.nc, m.nt
 }
 
 // appendEvent records event n (transition t, footprint ft), computing
@@ -587,39 +653,41 @@ func (x *explorer) reverseRace(i, n int, tn trans, covered []uint64) {
 	fr := &x.frames[i]
 	nw := x.nw
 
-	// notdep: events after i that do not happen-after event i.
+	// Walk notdep — the events after i that do not happen-after event i
+	// — in execution order, building it as it goes. An event of it is an
+	// initial of v when none of its happens-before predecessors is in
+	// notdep; they all precede it, so the part built so far decides.
+	// An initial already scheduled at frame i covers this race: stop
+	// there. Otherwise remember the first initial enabled at frame i.
 	notdep := x.notdep
 	clear(notdep)
 	iw, ib := i>>6, uint64(1)<<(i&63)
-	for j := i + 1; j < n; j++ {
-		if x.clocks[j*nw+iw]&ib == 0 {
-			notdep[j>>6] |= 1 << (j & 63)
-		}
-	}
-
-	// Initials of v: events with no happens-before predecessor inside
-	// v, in execution order. The new event qualifies when nothing in
-	// notdep happens-before it.
-	initials := x.initials[:0]
-	for w, word := range notdep {
-		for ; word != 0; word &= word - 1 {
-			j := w<<6 | bits.TrailingZeros64(word)
-			if !intersects(x.clock(j), notdep) {
-				initials = append(initials, x.ev[j].t)
+	first := -1
+	consider := func(q trans) bool {
+		if idx := slices.Index(fr.enab, q); idx >= 0 {
+			if fr.back[idx] {
+				return true
+			}
+			if first < 0 {
+				first = idx
 			}
 		}
+		return false
 	}
-	if !intersects(covered, notdep) {
-		initials = append(initials, tn)
-	}
-	x.initials = initials
-
-	// Source-set check: an initial already scheduled at frame i covers
-	// this race.
-	for idx, bt := range fr.back {
-		if bt && slices.Contains(initials, fr.enab[idx]) {
+	for j := i + 1; j < n; j++ {
+		if x.clocks[j*nw+iw]&ib != 0 {
+			continue
+		}
+		initial := !intersects(x.clock(j), notdep)
+		notdep[j>>6] |= 1 << (j & 63)
+		if initial && consider(x.ev[j].t) {
 			return
 		}
+	}
+	// The new event is an initial when nothing in notdep happens-before
+	// it.
+	if !intersects(covered, notdep) && consider(tn) {
+		return
 	}
 
 	// Schedule the first initial that is enabled at frame i. When none
@@ -627,11 +695,9 @@ func (x *explorer) reverseRace(i, n int, tn trans, covered []uint64) {
 	// event of v may only become enabled partway through it), fall back
 	// to scheduling every enabled transition — the always-sound
 	// Flanagan-Godefroid degenerate case.
-	for _, q := range initials {
-		if idx := slices.Index(fr.enab, q); idx >= 0 {
-			fr.back[idx] = true
-			return
-		}
+	if first >= 0 {
+		fr.back[first] = true
+		return
 	}
 	for idx := range fr.back {
 		fr.back[idx] = true

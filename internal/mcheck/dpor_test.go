@@ -86,7 +86,6 @@ var dporGap = map[string]bool{"DD/IRIW+scoped": true, "DD+RO/IRIW+scoped": true,
 // cells must be compared that way.
 func TestDPORConformance(t *testing.T) {
 	full := os.Getenv("MCHECK_FULL") == "1"
-	heavy := map[string]bool{"IRIW+sync": true, "IRIW+scoped": true, "ISA2+transitive": true}
 	var ran, compared atomic.Int32
 	// Cleanup runs once every parallel cell below has finished.
 	t.Cleanup(func() {
@@ -98,7 +97,7 @@ func TestDPORConformance(t *testing.T) {
 	})
 	for _, cfg := range Configs() {
 		for _, e := range litmus.Catalog() {
-			if !full && heavy[e.Program.Name] && cfg.Protocol == machine.ProtoDeNovo {
+			if !full && heavyPrograms[e.Program.Name] && cfg.Protocol == machine.ProtoDeNovo {
 				continue
 			}
 			t.Run(cfg.Name()+"/"+e.Program.Name, func(t *testing.T) {

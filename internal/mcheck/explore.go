@@ -115,11 +115,14 @@ func (m *model) enabledInto(buf []trans, s *state) []trans {
 	for i := range s.msgs {
 		g := &s.msgs[i]
 		t := mkTrans(tkDeliver, g.src, g.dst, g.v)
-		if !slices.Contains(ts[first:], t) {
-			ts = append(ts, t)
+		j := first
+		for j < len(ts) && ts[j] < t {
+			j++
+		}
+		if j == len(ts) || ts[j] != t {
+			ts = slices.Insert(ts, j, t)
 		}
 	}
-	slices.Sort(ts[first:])
 	return ts
 }
 

@@ -1,11 +1,21 @@
 package mcheck
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// The machine-readable invariant suite. Each named invariant is
-// checked on every explored state; the same names are used by the
-// runtime sanitizer's quiesced-state checks so a model-checker
-// counterexample and a simulator assertion failure read the same way.
+// The machine-readable invariant suite. Every explored state holds
+// each named invariant: the explorers check the root, every terminal
+// state and every split-phase node in full, and the DPOR explorer
+// checks any other state only over the variables and CUs its
+// transition's footprint names (checkInvariantsOver). That is exact by
+// induction: the parent held every invariant, each invariant reads one
+// variable's or one CU's state, and a transition changes nothing outside
+// its footprint (TestFootprintCoversTransitionWrites), so a violation
+// can only appear inside it. The same names are used by the runtime
+// sanitizer's quiesced-state checks so a model-checker counterexample
+// and a simulator assertion failure read the same way.
 
 // Invariant names a protocol invariant and documents what it protects.
 type Invariant struct {
@@ -38,11 +48,37 @@ func Invariants() []Invariant {
 // deadlock are detected where they occur, in the transition
 // application and the explorer.)
 func (m *model) checkInvariants(s *state) (string, string) {
+	return m.checkInvariantsOver(s, 1<<m.nv-1, 1<<m.nc-1)
+}
+
+// checkInvariantsOver checks the invariants of the variables in mask
+// vm and the CUs in mask cm, in checkInvariants' order, so it reports
+// the violation checkInvariants would whenever every violation of s
+// lies inside the masks. Each invariant reads one variable's
+// projection — its word state and mask bits in every CU, its memory
+// word and owner, and the messages about it — or one CU's store buffer
+// and lazy/registration masks. A state whose parent held every
+// invariant and that differs from it only on the variables and CUs its
+// transition's footprint names (touched) can therefore break one only
+// inside those masks.
+func (m *model) checkInvariantsOver(s *state, vm, cm uint8) (string, string) {
+	// The per-variable walk over the L1s also gathers what reg-single
+	// and l2-agreement need from them: each word's registered holder, the
+	// words some L1 has a registration, victim copy or deferred forward
+	// for, and the registration token a deferred forward holds for its
+	// requester (inflight, which the message pass below completes).
+	var (
+		inflight [maxCUs][maxVars]uint8
+		regCU    [maxVars]int8
+		held     uint8
+	)
 	// swmr-registration / dirty-protocol.
-	for v := 0; v < m.nv; v++ {
+	for vs := vm; vs != 0; vs &= vs - 1 {
+		v := bits.TrailingZeros8(vs)
 		ownerCU := -1
 		for ci := 0; ci < m.nc; ci++ {
-			switch s.cus[ci].st[v] {
+			cu := &s.cus[ci]
+			switch cu.st[v] {
 			case wReg:
 				if m.cfg.proto != protoDeNovo {
 					return "dirty-protocol", fmt.Sprintf("cu%d holds %s registered under a non-DeNovo protocol", ci, vname(v))
@@ -56,9 +92,16 @@ func (m *model) checkInvariants(s *state) (string, string) {
 					return "dirty-protocol", fmt.Sprintf("cu%d holds %s dirty outside GPU partial-block mode", ci, vname(v))
 				}
 			}
+			if d := cu.defFwd[v]; d != 0 {
+				inflight[d-1][v]++
+				held |= 1 << v
+			}
+			held |= (cu.regIn | cu.vPresent) & (1 << v)
 		}
+		regCU[v] = int8(ownerCU)
 	}
-	for ci := 0; ci < m.nc; ci++ {
+	for cs := cm; cs != 0; cs &= cs - 1 {
+		ci := bits.TrailingZeros8(cs)
 		cu := &s.cus[ci]
 		// sb-fifo: one coalesced slot per word.
 		var seen uint8
@@ -77,95 +120,76 @@ func (m *model) checkInvariants(s *state) (string, string) {
 			return "lazy-orphan", fmt.Sprintf("cu%d: %s is lazily delayed with no buffered write", ci, m.varOfBit(orphan))
 		}
 	}
-	// wt-balance: count in-flight writethrough traffic per (cu, var).
-	if m.cfg.proto == protoGPU {
-		var inflight [maxCUs][maxVars]int
-		for i := range s.msgs {
-			g := &s.msgs[i]
-			if g.kind == mWT && g.dst == home {
+
+	// One pass over the messages about vm counts, per (CU, variable),
+	// the writethrough traffic (GPU) or registration tokens (DeNovo) in
+	// flight, and marks the variables with registration or writeback
+	// traffic in flight.
+	var busy uint8
+	gpu := m.cfg.proto == protoGPU
+	for i := range s.msgs {
+		g := &s.msgs[i]
+		if vm&(1<<g.v) == 0 {
+			continue
+		}
+		if gpu {
+			switch {
+			case g.kind == mWT && g.dst == home:
 				inflight[g.src][g.v]++
-			}
-			if g.kind == mWTAck && g.src == home {
+			case g.kind == mWTAck && g.src == home:
 				inflight[g.dst][g.v]++
 			}
+			continue
 		}
+		switch g.kind {
+		case mRegReq:
+			inflight[g.src][g.v]++
+		case mRegAck, mRegXfer:
+			inflight[g.dst][g.v]++
+		case mRegFwd:
+			inflight[g.req][g.v]++
+		case mWB, mWBAck:
+		default:
+			continue
+		}
+		busy |= 1 << g.v
+	}
+	if gpu {
+		// wt-balance: the outstanding-writethrough count per (CU, var)
+		// equals the writethroughs and acks in flight.
 		for ci := 0; ci < m.nc; ci++ {
-			for v := 0; v < m.nv; v++ {
-				if int(s.cus[ci].wtCnt[v]) != inflight[ci][v] {
+			for vs := vm; vs != 0; vs &= vs - 1 {
+				v := bits.TrailingZeros8(vs)
+				if n := s.cus[ci].wtCnt[v]; n != inflight[ci][v] {
 					return "wt-balance", fmt.Sprintf("cu%d: %d writethroughs outstanding for %s but %d in flight",
-						ci, s.cus[ci].wtCnt[v], vname(v), inflight[ci][v])
+						ci, n, vname(v), inflight[ci][v])
 				}
+			}
+		}
+		return "", ""
+	}
+	// reg-single: exactly one registration token in flight per pending
+	// registration, zero otherwise.
+	for ci := 0; ci < m.nc; ci++ {
+		for vs := vm; vs != 0; vs &= vs - 1 {
+			v := bits.TrailingZeros8(vs)
+			want := s.cus[ci].regIn >> v & 1
+			if inflight[ci][v] != want {
+				return "reg-single", fmt.Sprintf("cu%d: %d registration tokens in flight for %s (want %d)",
+					ci, inflight[ci][v], vname(v), want)
 			}
 		}
 	}
-	if m.cfg.proto == protoDeNovo {
-		// reg-single: exactly one registration token in flight per
-		// pending registration, zero otherwise.
-		var tokens [maxCUs][maxVars]int
-		for i := range s.msgs {
-			g := &s.msgs[i]
-			switch g.kind {
-			case mRegReq:
-				tokens[g.src][g.v]++
-			case mRegAck, mRegXfer:
-				tokens[g.dst][g.v]++
-			case mRegFwd:
-				tokens[g.req][g.v]++
-			}
-		}
-		for ci := 0; ci < m.nc; ci++ {
-			for v := 0; v < m.nv; v++ {
-				if d := s.cus[ci].defFwd[v]; d != 0 {
-					tokens[d-1][v]++
-				}
-			}
-		}
-		for ci := 0; ci < m.nc; ci++ {
-			for v := 0; v < m.nv; v++ {
-				want := 0
-				if s.cus[ci].regIn&(1<<v) != 0 {
-					want = 1
-				}
-				if tokens[ci][v] != want {
-					return "reg-single", fmt.Sprintf("cu%d: %d registration tokens in flight for %s (want %d)",
-						ci, tokens[ci][v], vname(v), want)
-				}
-			}
-		}
-		// l2-agreement on quiescent words: no registration or writeback
-		// traffic touching v anywhere.
-		for v := uint8(0); int(v) < m.nv; v++ {
-			quiet := true
-			for i := range s.msgs {
-				g := &s.msgs[i]
-				if g.v != v {
-					continue
-				}
-				switch g.kind {
-				case mRegReq, mRegAck, mRegFwd, mRegXfer, mWB, mWBAck:
-					quiet = false
-				}
-			}
-			for ci := 0; quiet && ci < m.nc; ci++ {
-				if s.cus[ci].regIn&(1<<v) != 0 || s.cus[ci].vPresent&(1<<v) != 0 || s.cus[ci].defFwd[v] != 0 {
-					quiet = false
-				}
-			}
-			if !quiet {
-				continue
-			}
-			regCU := -1
-			for ci := 0; ci < m.nc; ci++ {
-				if s.cus[ci].st[v] == wReg {
-					regCU = ci
-				}
-			}
-			switch {
-			case s.owner[v] < 0 && regCU >= 0:
-				return "l2-agreement", fmt.Sprintf("cu%d holds %s registered but the registry says memory owns it", regCU, vname(v))
-			case s.owner[v] >= 0 && regCU != int(s.owner[v]):
-				return "l2-agreement", fmt.Sprintf("registry says cu%d owns %s but that L1 does not hold it registered", s.owner[v], vname(v))
-			}
+	// l2-agreement on quiescent words: no registration or writeback
+	// traffic touching v anywhere. swmr-registration held, so regCU is
+	// the one L1 holding v registered, if any.
+	for vs := vm &^ (busy | held); vs != 0; vs &= vs - 1 {
+		v := bits.TrailingZeros8(vs)
+		switch {
+		case s.owner[v] < 0 && regCU[v] >= 0:
+			return "l2-agreement", fmt.Sprintf("cu%d holds %s registered but the registry says memory owns it", regCU[v], vname(v))
+		case s.owner[v] >= 0 && regCU[v] != s.owner[v]:
+			return "l2-agreement", fmt.Sprintf("registry says cu%d owns %s but that L1 does not hold it registered", s.owner[v], vname(v))
 		}
 	}
 	return "", ""

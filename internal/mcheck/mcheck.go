@@ -4,8 +4,10 @@
 // word-granular model of a configuration's protocol — GPU
 // writethrough (with or without HRF partial blocks) or DeNovo
 // registration (eager or lazy) — checking a machine-readable
-// invariant suite on every reachable state and the consistency oracle
-// on every terminal outcome. Stateless source-DPOR with sleep sets
+// invariant suite on every reachable state (in full at the root and at
+// terminal states, elsewhere over what the transition into the state
+// can change) and the consistency oracle on every terminal outcome.
+// Stateless source-DPOR with sleep sets
 // over a footprint-based independence relation (dpor.go) keeps the
 // enumeration tractable at litmus-program sizes in O(depth) memory,
 // and splits into prefix units (shard.go) that Check runs on every

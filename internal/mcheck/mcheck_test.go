@@ -27,11 +27,10 @@ func TestCatalogClean(t *testing.T) {
 	// visited table completes all four DeNovo cells in seconds. They
 	// are checked here with it, so every IRIW+scoped cell has a verdict
 	// in the plain test run.
-	heavy := map[string]bool{"IRIW+sync": true, "IRIW+scoped": true, "ISA2+transitive": true}
 	for _, cfg := range Configs() {
 		for _, e := range litmus.Catalog() {
 			check := func() (*Result, error) { return Check(cfg, e.Program, Options{}) }
-			if heavy[e.Program.Name] && cfg.Protocol == machine.ProtoDeNovo {
+			if heavyPrograms[e.Program.Name] && cfg.Protocol == machine.ProtoDeNovo {
 				if e.Program.Name != "IRIW+scoped" {
 					continue
 				}
@@ -189,11 +188,10 @@ func TestCheckDeterministicAcrossWorkers(t *testing.T) {
 		p      *litmus.Program
 		budget int
 	}
-	heavy := map[string]bool{"IRIW+sync": true, "IRIW+scoped": true, "ISA2+transitive": true}
 	var cells []cell
 	for _, cfg := range Configs() {
 		for _, e := range litmus.Catalog() {
-			if !heavy[e.Program.Name] {
+			if !heavyPrograms[e.Program.Name] {
 				cells = append(cells, cell{cfg, e.Program, 0})
 			}
 		}

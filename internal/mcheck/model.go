@@ -252,17 +252,26 @@ type state struct {
 	violDetail string
 }
 
-// copyFrom overwrites s with p, reusing s's message backing array so
-// an explorer can keep one state buffer per depth for its whole run.
-func (s *state) copyFrom(p *state) {
-	msgs := s.msgs[:0]
-	*s = *p
-	s.msgs = append(msgs, p.msgs...)
+// copyFrom overwrites s with p for a model of nc CUs and nt threads,
+// reusing s's message backing array so an explorer can keep one state
+// buffer per depth for its whole run. The CUs and loads past nc and nt
+// are left alone: the model never touches them, so in both states they
+// hold what the initial state does as long as the buffer held only
+// states of this shape (see explorer.fitShape).
+func (s *state) copyFrom(p *state, nc, nt int) {
+	s.mem, s.owner = p.mem, p.owner
+	copy(s.cus[:nc], p.cus[:nc])
+	s.pcs, s.blocked, s.relIssued, s.finalRel = p.pcs, p.blocked, p.relIssued, p.finalRel
+	s.relWait = p.relWait
+	copy(s.loads[:nt], p.loads[:nt])
+	s.loadLen = p.loadLen
+	s.msgs = append(s.msgs[:0], p.msgs...)
+	s.viol, s.violDetail = p.viol, p.violDetail
 }
 
 func (s *state) clone() *state {
 	n := new(state)
-	n.copyFrom(s)
+	n.copyFrom(s, maxCUs, maxThreads)
 	return n
 }
 
@@ -1003,7 +1012,7 @@ func (m *model) cuDone(s *state, ci int) bool {
 // done, every CU's end-of-kernel release issued and drained, and no
 // message in flight.
 func (m *model) terminal(s *state) bool {
-	if !m.allOpsDone(s) || len(s.msgs) != 0 {
+	if len(s.msgs) != 0 || !m.allOpsDone(s) {
 		return false
 	}
 	for ci := 0; ci < m.nc; ci++ {
