@@ -115,12 +115,15 @@ type Cache struct {
 	setMask uint64
 	ways    int
 	keep    Keep
-	// frames[set*ways+way] is nil until Victim first hands that frame
-	// out; a nil frame is untagged. Frames are carved from slab, a
-	// chunk of slabFrames entries, so a cache costs the frames its
+	// frames[set*ways+way] is 0 until Victim first hands that frame
+	// out, then 1 + the frame's index among the allocated ones; a frame
+	// never handed out is untagged. Frames are carved from slabs,
+	// chunks of slabFrames entries that are never reallocated, so
+	// handed-out pointers stay valid and a cache costs the frames its
 	// cell touches, not its size.
-	frames []*Entry
-	slab   []Entry
+	frames []int32
+	slabs  []*[slabFrames]Entry
+	nalloc int32
 	// One bit per frame in each bitmap, both set whenever a frame
 	// pointer is handed out (Lookup, Peek, Victim, ForEach). Frames
 	// change only through handed-out pointers, and no caller keeps one
@@ -149,7 +152,7 @@ func New(sizeBytes, ways int, keep Keep) *Cache {
 		panic(fmt.Sprintf("cache: %d sets (size %d, ways %d) is not a power of two", sets, sizeBytes, ways))
 	}
 	words := (sets*ways + 63) / 64
-	return &Cache{setMask: uint64(sets - 1), ways: ways, keep: keep, frames: make([]*Entry, sets*ways),
+	return &Cache{setMask: uint64(sets - 1), ways: ways, keep: keep, frames: make([]int32, sets*ways),
 		occ: make([]uint64, words), since: make([]uint64, words)}
 }
 
@@ -158,13 +161,20 @@ const slabFrames = 16
 
 // alloc installs a fresh untagged frame at idx.
 func (c *Cache) alloc(idx int) *Entry {
-	if len(c.slab) == 0 {
-		c.slab = make([]Entry, slabFrames)
+	if c.nalloc%slabFrames == 0 {
+		c.slabs = append(c.slabs, new([slabFrames]Entry))
 	}
-	e := &c.slab[0]
-	c.slab = c.slab[1:]
-	c.frames[idx] = e
-	return e
+	c.nalloc++
+	c.frames[idx] = c.nalloc
+	return c.entry(c.nalloc)
+}
+
+// entry returns the frame a frames value names, nil for 0.
+func (c *Cache) entry(k int32) *Entry {
+	if k == 0 {
+		return nil
+	}
+	return &c.slabs[(k-1)/slabFrames][(k-1)%slabFrames]
 }
 
 // Sets returns the number of sets.
@@ -173,7 +183,7 @@ func (c *Cache) Sets() int { return int(c.setMask) + 1 }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) set(l mem.Line) (base int, set []*Entry) {
+func (c *Cache) set(l mem.Line) (base int, set []int32) {
 	s := int(uint64(l) & c.setMask)
 	return s * c.ways, c.frames[s*c.ways : (s+1)*c.ways]
 }
@@ -187,8 +197,8 @@ func (c *Cache) mark(idx int) {
 // Lookup returns the frame holding l and bumps its recency, or nil.
 func (c *Cache) Lookup(l mem.Line) *Entry {
 	base, set := c.set(l)
-	for i, e := range set {
-		if e != nil && e.Tag && e.Line == l {
+	for i, k := range set {
+		if e := c.entry(k); e != nil && e.Tag && e.Line == l {
 			c.tick++
 			e.lru = c.tick
 			c.mark(base + i)
@@ -201,8 +211,8 @@ func (c *Cache) Lookup(l mem.Line) *Entry {
 // Peek returns the frame holding l without touching recency, or nil.
 func (c *Cache) Peek(l mem.Line) *Entry {
 	base, set := c.set(l)
-	for i, e := range set {
-		if e != nil && e.Tag && e.Line == l {
+	for i, k := range set {
+		if e := c.entry(k); e != nil && e.Tag && e.Line == l {
 			c.mark(base + i)
 			return e
 		}
@@ -221,7 +231,8 @@ func (c *Cache) Victim(l mem.Line) *Entry {
 	base, set := c.set(l)
 	var lru *Entry
 	freeIdx, lruIdx := -1, -1
-	for i, e := range set {
+	for i, k := range set {
+		e := c.entry(k)
 		if e != nil && e.Tag && e.Line == l {
 			c.mark(base + i)
 			return e
@@ -241,7 +252,7 @@ func (c *Cache) Victim(l mem.Line) *Entry {
 	}
 	if freeIdx >= 0 {
 		c.mark(freeIdx)
-		if e := c.frames[freeIdx]; e != nil {
+		if e := c.entry(c.frames[freeIdx]); e != nil {
 			return e
 		}
 		return c.alloc(freeIdx)
@@ -265,7 +276,7 @@ func (c *Cache) ForEach(fn func(e *Entry)) {
 	for wi := range c.occ {
 		for rem := c.occ[wi]; rem != 0; rem &= rem - 1 {
 			i := wi<<6 + bits.TrailingZeros64(rem)
-			if e := c.frames[i]; e.Tag {
+			if e := c.entry(c.frames[i]); e.Tag {
 				c.mark(i)
 				fn(e)
 			}
@@ -292,7 +303,7 @@ func (c *Cache) Invalidate() int {
 		c.since[wi] = 0
 		for rem := sw; rem != 0; rem &= rem - 1 {
 			i := wi<<6 + bits.TrailingZeros64(rem)
-			if e := c.frames[i]; e.Tag {
+			if e := c.entry(c.frames[i]); e.Tag {
 				for w := 0; w < mem.WordsPerLine; w++ {
 					if e.State[w] != Invalid && !c.keep.spares(e, w) {
 						e.State[w] = Invalid
@@ -320,7 +331,8 @@ func (c *Cache) Unsettle() { copy(c.since, c.occ) }
 // CountWords returns the number of words currently in state s.
 func (c *Cache) CountWords(s WordState) int {
 	n := 0
-	for _, e := range c.frames {
+	for _, k := range c.frames {
+		e := c.entry(k)
 		if e == nil || !e.Tag {
 			continue
 		}

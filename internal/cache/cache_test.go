@@ -179,12 +179,12 @@ func TestNoSpuriousEvictionProperty(t *testing.T) {
 // allocatedFrames counts the frames a cache has handed out at least
 // once, and the frames it has carved from slabs.
 func allocatedFrames(c *Cache) (used, carved int) {
-	for _, e := range c.frames {
-		if e != nil {
+	for _, k := range c.frames {
+		if k != 0 {
 			used++
 		}
 	}
-	return used, used + len(c.slab)
+	return used, len(c.slabs) * slabFrames
 }
 
 // TestCacheAllocatesTouchedFrames: a cache holds frames only for the
@@ -196,11 +196,18 @@ func TestCacheAllocatesTouchedFrames(t *testing.T) {
 		t.Fatalf("a new cache holds %d frames (%d carved), want none", used, carved)
 	}
 	const n = 37
+	var first *Entry
 	for l := mem.Line(0); l < n; l++ {
 		e := c.Victim(l)
 		e.Reset(l)
 		e.State[0] = Valid
 		c.Touch(e)
+		if l == 0 {
+			first = e
+		}
+	}
+	if c.Peek(0) != first {
+		t.Fatal("a frame moved when later slabs were carved")
 	}
 	used, carved := allocatedFrames(c)
 	if used != n || carved > n+slabFrames {
@@ -241,18 +248,18 @@ func TestVictimHandsOutFreshFramesInWayOrder(t *testing.T) {
 	for k := 0; k < 3; k++ {
 		l := mem.Line(k) * stride
 		e := c.Victim(l)
-		if e != c.frames[k] {
+		if e != c.entry(c.frames[k]) {
 			t.Fatalf("line %d got way %d's slot, want way %d", l, frameIndex(c, e), k)
 		}
 		e.Reset(l)
 		e.State[0] = Valid
 	}
-	c.frames[1].State[0] = Invalid
-	c.frames[1].Prune()
-	if e := c.Victim(3 * stride); e != c.frames[1] {
+	c.entry(c.frames[1]).State[0] = Invalid
+	c.entry(c.frames[1]).Prune()
+	if e := c.Victim(3 * stride); e != c.entry(c.frames[1]) {
 		t.Fatalf("Victim picked frame %d, want the untagged way 1 before the fresh way 3", frameIndex(c, e))
 	}
-	if c.frames[3] != nil {
+	if c.entry(c.frames[3]) != nil {
 		t.Fatal("way 3 was allocated though Victim did not hand it out")
 	}
 }

@@ -14,7 +14,8 @@ import (
 // live word unless pinned.
 func refInvalidate(c *Cache, keep func(e *Entry, w int) bool) int {
 	n := 0
-	for _, e := range c.frames {
+	for i := range c.frames {
+		e := c.entry(c.frames[i])
 		if e == nil || !e.Tag {
 			continue
 		}
@@ -39,8 +40,8 @@ func refInvalidate(c *Cache, keep func(e *Entry, w int) bool) int {
 
 // refForEach visits every tagged frame by scanning all of them.
 func refForEach(c *Cache, fn func(e *Entry)) {
-	for _, e := range c.frames {
-		if e != nil && e.Tag {
+	for i := range c.frames {
+		if e := c.entry(c.frames[i]); e != nil && e.Tag {
 			fn(e)
 		}
 	}
@@ -50,8 +51,8 @@ func frameIndex(c *Cache, e *Entry) int {
 	if e == nil {
 		return -1
 	}
-	for i, f := range c.frames {
-		if f == e {
+	for i := range c.frames {
+		if c.entry(c.frames[i]) == e {
 			return i
 		}
 	}
@@ -176,7 +177,7 @@ func TestInvalidateDifferential(t *testing.T) {
 						got.Unsettle()
 					}
 					for i := range got.frames {
-						a, b := got.frames[i], ref.frames[i]
+						a, b := got.entry(got.frames[i]), ref.entry(ref.frames[i])
 						if (a == nil) != (b == nil) {
 							t.Fatalf("seed %d step %d (%s): frame %d allocated %v, reference %v", seed, step, op, i, a != nil, b != nil)
 						}

@@ -52,7 +52,7 @@ type sbSlot struct {
 //
 // Slots live in a fixed pool threaded by an intrusive doubly-linked
 // list in insertion order, with a free list for recycling, so every
-// operation — including Remove, which protocols call once per
+// operation — including RemoveLine, which DeNovo calls once per
 // completed registration — is O(1) plus a walk of at most one line's
 // slots, and iteration is O(live entries).
 //
@@ -340,29 +340,58 @@ func (b *StoreBuffer) popOldestLine() *LineGroup {
 // Remove deletes the slot for w (e.g. when its registration completes)
 // and returns its value.
 func (b *StoreBuffer) Remove(w mem.Word) (uint32, bool) {
-	l, bit := w.LineOf(), mem.Bit(w.Index())
+	var vals [mem.WordsPerLine]uint32
+	got := b.RemoveLine(w.LineOf(), mem.Bit(w.Index()), &vals)
+	return vals[w.Index()], got != 0
+}
+
+// RemoveLine deletes the slots of the words of l in mask (a
+// registration completing for a line's words), writing each removed
+// value into vals, and returns the mask of words it removed. The other
+// entries of vals are left alone. It costs one index probe and one walk
+// of the line's slot chain.
+func (b *StoreBuffer) RemoveLine(l mem.Line, mask mem.WordMask, vals *[mem.WordsPerLine]uint32) mem.WordMask {
 	e, ok := b.index.Ptr(uint64(l))
-	if !ok || e.buf&bit == 0 {
-		return 0, false
+	if !ok {
+		return 0
 	}
-	prev, s := nilSlot, e.first
-	for b.pool[s].word != w {
-		prev, s = s, b.pool[s].sib
+	got := mask & e.buf
+	if got == 0 {
+		return 0
 	}
-	if prev == nilSlot {
-		e.first = b.pool[s].sib
-	} else {
-		b.pool[prev].sib = b.pool[s].sib
+	prev := nilSlot
+	for s := e.first; s != nilSlot; {
+		next := b.pool[s].sib
+		if i := b.pool[s].word.Index(); got.Has(i) {
+			vals[i] = b.pool[s].val
+			if prev == nilSlot {
+				e.first = next
+			} else {
+				b.pool[prev].sib = next
+			}
+			b.unlink(s)
+		} else {
+			prev = s
+		}
+		s = next
 	}
-	if e.buf &^= bit; e.buf == 0 && e.wt == 0 {
+	if e.buf &^= got; e.buf == 0 && e.wt == 0 {
 		b.index.Delete(uint64(l))
 	}
-	v := b.pool[s].val
-	b.unlink(s)
 	if b.rec != nil {
-		b.rec.Emit(obs.SBDrain, b.track, 1)
+		b.rec.Emit(obs.SBDrain, b.track, uint64(got.Count()))
 	}
-	return v, true
+	return got
+}
+
+// ForEachLine calls fn for every line with buffered words, with their
+// mask, in unspecified order. fn must not change the buffer.
+func (b *StoreBuffer) ForEachLine(fn func(l mem.Line, buf mem.WordMask)) {
+	b.index.ForEach(func(k uint64, e sbLine) {
+		if e.buf != 0 {
+			fn(mem.Line(k), e.buf)
+		}
+	})
 }
 
 // PeekOldest returns the oldest live slot without removing it.

@@ -113,6 +113,20 @@ func (r *refStoreBuffer) Remove(w mem.Word) (uint32, bool) {
 	return v, true
 }
 
+// RemoveLine is Remove for each word of l in mask.
+func (r *refStoreBuffer) RemoveLine(l mem.Line, mask mem.WordMask, vals *[mem.WordsPerLine]uint32) (got mem.WordMask) {
+	for i := 0; i < mem.WordsPerLine; i++ {
+		if !mask.Has(i) {
+			continue
+		}
+		if v, ok := r.Remove(l.Word(i)); ok {
+			vals[i] = v
+			got |= mem.Bit(i)
+		}
+	}
+	return got
+}
+
 func (r *refStoreBuffer) PeekOldest() (SBEntry, bool) {
 	if len(r.entries) == 0 {
 		return SBEntry{}, false
@@ -278,6 +292,15 @@ func checkAgainstRef(t *testing.T, b *StoreBuffer, ref *refStoreBuffer, lines []
 	if b.Len() != len(ref.entries) || b.WTWords() != len(ref.inflight) {
 		t.Fatalf("Len %d WTWords %d, want %d and %d", b.Len(), b.WTWords(), len(ref.entries), len(ref.inflight))
 	}
+	wantLines := map[mem.Line]mem.WordMask{}
+	for _, e := range ref.entries {
+		wantLines[e.Word.LineOf()] |= mem.Bit(e.Word.Index())
+	}
+	gotLines := map[mem.Line]mem.WordMask{}
+	b.ForEachLine(func(l mem.Line, buf mem.WordMask) { gotLines[l] |= buf })
+	if !reflect.DeepEqual(gotLines, wantLines) {
+		t.Fatalf("ForEachLine visits %v, want %v", gotLines, wantLines)
+	}
 	const sentinel = 0xdeadbeef
 	for _, l := range lines {
 		var wantLookup, wantNewest mem.WordMask
@@ -327,6 +350,19 @@ func checkAgainstRef(t *testing.T, b *StoreBuffer, ref *refStoreBuffer, lines []
 	}
 }
 
+// removeLine removes the words of l in mask from b and ref, requiring
+// the same words and values, with the rest of vals left alone.
+func removeLine(t *testing.T, b *StoreBuffer, ref *refStoreBuffer, l mem.Line, mask mem.WordMask) {
+	t.Helper()
+	var got, want [mem.WordsPerLine]uint32
+	for i := range got {
+		got[i], want[i] = 0xdeadbeef, 0xdeadbeef
+	}
+	if g, w := b.RemoveLine(l, mask, &got), ref.RemoveLine(l, mask, &want); g != w || got != want {
+		t.Fatalf("RemoveLine(%v, %016b) = %016b %v, want %016b %v", l, mask, g, got, w, want)
+	}
+}
+
 // TestStoreBufferLineReadsMatchWordReads: for random need masks,
 // NewestLine and LookupLine return exactly the words, and the values,
 // that per-word Newest and Lookup find, on a buffer churned by inserts,
@@ -342,10 +378,12 @@ func TestStoreBufferLineReadsMatchWordReads(t *testing.T) {
 			l := lines[rng.Intn(len(lines))]
 			w := l.Word(rng.Intn(mem.WordsPerLine))
 			mask := mem.WordMask(rng.Uint32())
-			switch rng.Intn(8) {
+			switch rng.Intn(9) {
 			case 0:
 				b.Remove(w)
 				ref.Remove(w)
+			case 8:
+				removeLine(t, b, ref, l, mask)
 			case 1:
 				b.AppendDrain(nil)
 				ref.DrainAll()
@@ -424,7 +462,7 @@ func TestStoreBufferDrainLinesMatchesGroupedDrain(t *testing.T) {
 }
 
 // FuzzStoreBuffer decodes its input into a capacity and a stream of
-// inserts, removes, drains (by entry or by line) and writethroughs sent
+// inserts, removes (by word or by line), drains (by entry or by line) and writethroughs sent
 // and acked over four lines, runs it against the reference model, and
 // checks the buffer's structure and every read after each operation.
 // `go test` runs the seed corpus; `go test -fuzz=FuzzStoreBuffer
@@ -459,7 +497,11 @@ func FuzzStoreBuffer(f *testing.F) {
 				if gc != wc || !reflect.DeepEqual(ge, we) {
 					t.Fatalf("Insert(%v) = %v, %+v; want %v, %+v", w, gc, ge, wc, we)
 				}
-			case 2: // remove
+			case 2: // remove a word, or by line when op/6 is odd
+				if op/6%2 == 1 {
+					removeLine(t, b, ref, l, mem.WordMask(next(&i))|mem.WordMask(next(&i))<<8)
+					break
+				}
 				gv, gok := b.Remove(w)
 				wv, wok := ref.Remove(w)
 				if gv != wv || gok != wok {

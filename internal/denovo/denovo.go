@@ -23,6 +23,7 @@ package denovo
 
 import (
 	"fmt"
+	"math/bits"
 
 	"denovogpu/internal/cache"
 	"denovogpu/internal/coherence"
@@ -71,12 +72,6 @@ type syncOp struct {
 	cb       func(uint32)
 }
 
-// regTxn is an outstanding registration for one word.
-type regTxn struct {
-	dataWrite   bool // a store-buffer slot is waiting on this
-	syncWaiters []syncOp
-}
-
 type readWaiter struct {
 	need mem.WordMask
 	vals [mem.WordsPerLine]uint32
@@ -89,11 +84,6 @@ type readTxn struct {
 	requested mem.WordMask
 	arrived   mem.WordMask
 	waiters   []readWaiter
-}
-
-type victimWord struct {
-	servicedFwd   bool // a forward was already served from the victim copy
-	rejectedKnown bool // the registry rejected our writeback for this word
 }
 
 // Options configure protocol variants.
@@ -123,26 +113,20 @@ type Controller struct {
 
 	cache  *cache.Cache
 	sb     *cache.StoreBuffer // data writes awaiting registration (or delayed, when lazy)
-	lazy   wordmap.Map[bool]  // sb slots whose registration is delayed
 	victim *cache.VictimBuffer
-	vstate wordmap.Map[victimWord]
 
-	// The per-word/per-line transaction tables below are open-addressed
-	// (wordmap) rather than builtin maps: they sit on the protocol's
-	// hottest paths, and the dense tables reuse their backing storage
-	// across the insert/delete churn of transaction lifecycles.
-	regs        wordmap.Map[*regTxn]
-	deferredFwd wordmap.Map[*coherence.Msg]
-	// deferredReads holds forwarded reads that arrived while our own
-	// registration was still in flight: the registry has already made
-	// this node the owner, but the word's value has not arrived yet.
-	deferredReads wordmap.Map[[]*coherence.Msg]
-	pendingOwn    wordmap.Map[uint32] // owned words awaiting a cache frame
-
-	reads   wordmap.Map[*readTxn]
-	lineTxn wordmap.Map[uint64]
-
-	pins wordmap.Map[int32]
+	// lines is the transaction state of every line with any: per-word
+	// masks of registrations in flight (and which of them store-buffer
+	// slots or sync operations wait on), delayed (lazy) slots, owned
+	// words awaiting a frame, forwards and reads deferred behind our
+	// own registration, and victim copies' progress; plus the line's
+	// pins and current read transaction. Per-word payloads (sync
+	// waiters, deferred messages, frameless values) sit in a pooled
+	// record held only while a word needs one.
+	lines lineTable
+	// reads holds the open read transactions by id; several may be
+	// open for one line across an acquire (see ReadLine).
+	reads wordmap.Map[*readTxn]
 
 	nextID       uint64
 	epoch        uint64
@@ -156,7 +140,6 @@ type Controller struct {
 	readDoneFree  sim.FreeList[readDoneTask]
 	syncDoneFree  sim.FreeList[syncDoneTask]
 	retryFree     sim.FreeList[retryInstallTask]
-	regTxnFree    sim.FreeList[regTxn]
 	readTxnFree   sim.FreeList[readTxn]
 	relWaiterFree sim.FreeList[relWaiter]
 	sbFreedT      sbFreedTask
@@ -170,31 +153,27 @@ type Controller struct {
 	// branch each on the release and space-stall paths.
 	invariants bool
 
-	// Release-path scratch, reused across calls so the per-release walk
-	// over the store buffer allocates nothing.
+	// sbScratch is the lazy release's walk over the store buffer in
+	// FIFO order, reused across calls so it allocates nothing.
 	sbScratch []cache.SBEntry
-	regBatch  []lineMask
 
 	// rec, when non-nil, receives L1/sync events on track c.node.
 	rec *obs.Recorder
-}
-
-// lineMask accumulates one line's per-word mask while batching lazy
-// registrations at a release.
-type lineMask struct {
-	line mem.Line
-	mask mem.WordMask
 }
 
 // relWaiter is a release waiting for the store-buffer entries that
 // existed when it was issued. Entries buffered afterwards belong to
 // other thread blocks and must not block this release — they will be
 // covered by their own block's release (waiting for them can deadlock
-// if their block has already finished). Waiters are pooled; pending
-// keeps its backing storage across reuse.
+// if their block has already finished). pending maps each line to its
+// words still awaited. Waiters are pooled; pending keeps its backing
+// storage across reuse.
 type relWaiter struct {
-	pending wordmap.Map[bool]
+	pending wordmap.Map[mem.WordMask]
 	cb      func()
+	// last is the word whose removal completed the waiter, meaningful
+	// only within notifyReleases.
+	last int
 }
 
 // readDoneTask is the pooled payload of a read-completion event.
@@ -263,17 +242,9 @@ type sbFreedTask struct{ c *Controller }
 
 func (t *sbFreedTask) Run() { t.c.sbFreed() }
 
-// Transaction struct pools: regTxn/readTxn keep their waiter-slice
-// capacity across reuse, so steady-state transactions allocate nothing.
-// The free functions reset everything else, so a recycled transaction
-// from Get reads as new.
-
-func (c *Controller) freeRegTxn(t *regTxn) {
-	t.dataWrite = false
-	t.syncWaiters = t.syncWaiters[:0]
-	c.regTxnFree.Put(t)
-}
-
+// freeReadTxn recycles a read transaction, keeping its waiter slice's
+// capacity, so steady-state reads allocate nothing; everything else is
+// reset, so a recycled transaction from Get reads as new.
 func (c *Controller) freeReadTxn(t *readTxn) {
 	*t = readTxn{waiters: t.waiters[:0]}
 	c.readTxnFree.Put(t)
@@ -310,32 +281,24 @@ func (c *Controller) SetRecorder(rec *obs.Recorder) {
 	c.sb.SetRecorder(rec, int32(c.node))
 }
 
-// MSHROccupancy returns the number of outstanding miss/registration
-// transactions (the obs sampler's l1.mshr gauge).
-func (c *Controller) MSHROccupancy() int { return c.reads.Len() + c.regs.Len() }
+// MSHROccupancy returns the number of outstanding miss transactions
+// plus registering words (the obs sampler's l1.mshr gauge).
+func (c *Controller) MSHROccupancy() int { return c.reads.Len() + c.lines.regWords }
 
-// OutstandingRegistrations returns the number of in-flight registration
-// transactions (the obs sampler's l1.out_regs gauge).
-func (c *Controller) OutstandingRegistrations() int { return c.regs.Len() }
+// OutstandingRegistrations returns the number of words with a
+// registration in flight (the obs sampler's l1.out_regs gauge).
+func (c *Controller) OutstandingRegistrations() int { return c.lines.regWords }
 
-// pin management: lines with outstanding transactions must not be
-// evicted.
+// pinFrame and unpinFrame mirror a line's pins onto its frame, if
+// cached: lines with outstanding transactions must not be evicted.
 
-func (c *Controller) pin(l mem.Line) {
-	(*c.pins.Upsert(uint64(l)))++
+func (c *Controller) pinFrame(l mem.Line) {
 	if e := c.cache.Peek(l); e != nil {
 		e.Pinned = true
 	}
 }
 
-func (c *Controller) unpin(l mem.Line) {
-	if p, ok := c.pins.Ptr(uint64(l)); ok {
-		*p--
-		if *p > 0 {
-			return
-		}
-	}
-	c.pins.Delete(uint64(l))
+func (c *Controller) unpinFrame(l mem.Line) {
 	if e := c.cache.Peek(l); e != nil {
 		e.Pinned = false
 	}
@@ -356,8 +319,7 @@ func (c *Controller) frame(l mem.Line) *cache.Entry {
 		c.evict(e)
 	}
 	e.Reset(l)
-	n, _ := c.pins.Get(uint64(l))
-	e.Pinned = n > 0
+	e.Pinned = c.lines.get(l).pins > 0
 	return e
 }
 
@@ -374,11 +336,10 @@ func (c *Controller) evict(e *cache.Entry) {
 	}
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if reg.Has(i) {
-			w := e.Line.Word(i)
-			c.victim.Put(w, e.Data[i])
-			c.vstate.Put(uint64(w), victimWord{})
+			c.victim.Put(e.Line.Word(i), e.Data[i])
 		}
 	}
+	c.lines.victimPut(c.lines.upsert(e.Line), reg)
 	c.mesh.Send(c.pool.NewMsg(&coherence.Msg{
 		Kind: coherence.WriteBack, Src: c.node, Dst: c.home(e.Line), Port: noc.PortL2,
 		Line: e.Line, Mask: reg, Data: e.Data,
@@ -391,18 +352,19 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 	var vals [mem.WordsPerLine]uint32
 	entry := c.cache.Lookup(l)
 	missing := need &^ c.sb.LookupLine(l, need, &vals)
-	for i := 0; i < mem.WordsPerLine; i++ {
-		if !missing.Has(i) {
-			continue
+	var s *lineState
+	if missing != 0 && c.lines.ownWords != 0 {
+		if s = c.lines.ptr(l); s != nil && missing&s.own != 0 {
+			c.lines.ownVals(s, missing&s.own, &vals)
+			missing &^= s.own
 		}
-		if v, ok := c.pendingOwn.Get(uint64(l.Word(i))); ok {
-			vals[i] = v
-			missing &^= mem.Bit(i)
-			continue
-		}
-		if entry != nil && entry.State[i] != cache.Invalid {
-			vals[i] = entry.Data[i]
-			missing &^= mem.Bit(i)
+	}
+	if entry != nil {
+		for i := 0; i < mem.WordsPerLine; i++ {
+			if missing.Has(i) && entry.State[i] != cache.Invalid {
+				vals[i] = entry.Data[i]
+				missing &^= mem.Bit(i)
+			}
 		}
 	}
 	if missing == 0 {
@@ -418,8 +380,12 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 		c.rec.Emit(obs.L1ReadMiss, int32(c.node), uint64(l))
 	}
 	c.meter.L1Tag(1)
+	if s == nil {
+		s = c.lines.ptr(l)
+	}
 	var txn *readTxn
-	if id, ok := c.lineTxn.Get(uint64(l)); ok {
+	if s != nil && s.read != 0 {
+		id := s.read
 		// Join only current-epoch transactions that have not already
 		// received any of our demanded words (an already-arrived word
 		// would never be re-sent, and it may not have been installed).
@@ -443,8 +409,11 @@ func (c *Controller) ReadLine(l mem.Line, need mem.WordMask, cb func([mem.WordsP
 		txn = c.readTxnFree.Get()
 		txn.line, txn.epoch, txn.requested = l, c.epoch, missing
 		c.reads.Put(c.nextID, txn)
-		c.lineTxn.Put(uint64(l), c.nextID)
-		c.pin(l)
+		if s == nil {
+			s = c.lines.upsert(l)
+		}
+		c.lines.openRead(s, c.nextID)
+		c.pinFrame(l)
 		c.mesh.Send(c.pool.NewMsg(&coherence.Msg{
 			Kind: coherence.ReadReq, Src: c.node, Dst: c.home(l), Port: noc.PortL2,
 			Line: l, Mask: missing, ID: c.nextID,
@@ -470,7 +439,8 @@ func (c *Controller) WriteLine(l mem.Line, mask mem.WordMask, data [mem.WordsPer
 // in a single closure.
 func (c *Controller) writeRun(l mem.Line, mask mem.WordMask, data [mem.WordsPerLine]uint32, from int, cb func()) {
 	entry := c.cache.Peek(l)
-	var newReg mem.WordMask
+	s := c.lines.ptr(l)
+	var newReg, newLazy, ride mem.WordMask
 	for i := from; i < mem.WordsPerLine; i++ {
 		if !mask.Has(i) {
 			continue
@@ -484,8 +454,8 @@ func (c *Controller) writeRun(l mem.Line, mask mem.WordMask, data [mem.WordsPerL
 			}
 			continue
 		}
-		if p, ok := c.pendingOwn.Ptr(uint64(w)); ok {
-			*p = data[i]
+		if s != nil && s.own.Has(i) {
+			c.lines.setOwn(s, i, data[i])
 			c.st.IncKey(kL1WriteHits, 1)
 			if c.rec != nil {
 				c.rec.Emit(obs.L1WriteHit, int32(c.node), uint64(w))
@@ -497,20 +467,16 @@ func (c *Controller) writeRun(l mem.Line, mask mem.WordMask, data [mem.WordsPerL
 			c.st.IncKey(kSbCoalescedWrites, 1)
 			continue
 		}
-		if txn, _ := c.regs.Get(uint64(w)); txn != nil {
+		if s != nil && s.reg.Has(i) && !c.sb.Full() {
 			// A sync registration for this word is already in
 			// flight; ride it rather than double-registering.
-			if !c.sb.Full() {
-				c.meter.StoreBuffer(1)
-				c.sb.Insert(w, data[i])
-				txn.dataWrite = true
-				continue
-			}
+			c.meter.StoreBuffer(1)
+			c.sb.Insert(w, data[i])
+			ride |= mem.Bit(i)
+			continue
 		}
 		if c.sb.Full() {
-			if newReg != 0 {
-				c.sendRegReq(l, newReg, false, false)
-			}
+			c.noteWrites(l, newReg, newLazy, ride)
 			resumeAt := i
 			c.stallForSpace(func() { c.writeRun(l, mask, data, resumeAt, cb) })
 			return
@@ -518,19 +484,30 @@ func (c *Controller) writeRun(l mem.Line, mask mem.WordMask, data [mem.WordsPerL
 		c.meter.StoreBuffer(1)
 		c.sb.Insert(w, data[i])
 		if c.opts.LazyWrites {
-			c.lazy.Put(uint64(w), true)
+			newLazy |= mem.Bit(i)
 		} else {
-			txn := c.regTxnFree.Get()
-			txn.dataWrite = true
-			c.regs.Put(uint64(w), txn)
-			c.pin(l)
 			newReg |= mem.Bit(i)
 		}
 	}
+	c.noteWrites(l, newReg, newLazy, ride)
+	c.eng.Schedule(coherence.L1HitCycles, cb)
+}
+
+// noteWrites records the words of line l that writeRun buffered: ride
+// joins registrations already in flight, newLazy delays registration
+// to a release, and newReg starts registrations with one request.
+func (c *Controller) noteWrites(l mem.Line, newReg, newLazy, ride mem.WordMask) {
+	if newReg|newLazy|ride == 0 {
+		return
+	}
+	s := c.lines.upsert(l)
+	c.lines.ride(s, ride)
+	c.lines.delay(s, newLazy)
 	if newReg != 0 {
+		c.lines.register(s, newReg, newReg)
+		c.pinFrame(l)
 		c.sendRegReq(l, newReg, false, false)
 	}
-	c.eng.Schedule(coherence.L1HitCycles, cb)
 }
 
 // stallForSpace queues fn until a store-buffer slot frees; in lazy mode
@@ -549,17 +526,19 @@ func (c *Controller) kickOldestLazy() {
 	if !c.opts.LazyWrites {
 		return
 	}
-	if oldest, ok := c.sb.PeekOldest(); ok && c.lazy.Has(uint64(oldest.Word)) {
+	oldest, ok := c.sb.PeekOldest()
+	if !ok {
+		return
+	}
+	l, i := oldest.Word.LineOf(), oldest.Word.Index()
+	if s := c.lines.ptr(l); s != nil && s.lazy.Has(i) {
 		c.st.IncKey(kSbKickedRegs, 1)
-		c.lazy.Delete(uint64(oldest.Word))
-		if c.invariants && c.regs.Has(uint64(oldest.Word)) {
+		if c.invariants && s.reg.Has(i) {
 			panic(fmt.Sprintf("denovo: lazy-reg-exclusive: node %d kicked delayed %v over its in-flight registration", c.node, oldest.Word))
 		}
-		txn := c.regTxnFree.Get()
-		txn.dataWrite = true
-		c.regs.Put(uint64(oldest.Word), txn)
-		c.pin(oldest.Word.LineOf())
-		c.sendRegReq(oldest.Word.LineOf(), mem.Bit(oldest.Word.Index()), false, false)
+		c.lines.register(s, mem.Bit(i), 0)
+		c.pinFrame(l)
+		c.sendRegReq(l, mem.Bit(i), false, false)
 	}
 }
 
@@ -588,23 +567,26 @@ func (c *Controller) Atomic(op coherence.AtomicOp, w mem.Word, operand, operand2
 		c.localAtomic(op, w, operand, operand2, cb)
 		return
 	}
-	l := w.LineOf()
-	if e := c.cache.Lookup(l); e != nil && e.State[w.Index()] == cache.Registered && !c.regs.Has(uint64(w)) {
+	l, i := w.LineOf(), w.Index()
+	s := c.lines.ptr(l)
+	registering := s != nil && s.reg.Has(i)
+	if e := c.cache.Lookup(l); e != nil && e.State[i] == cache.Registered && !registering {
 		// Synchronization hit: the variable is owned here.
-		next, ret := op.Apply(e.Data[w.Index()], operand, operand2)
-		e.Data[w.Index()] = next
+		next, ret := op.Apply(e.Data[i], operand, operand2)
+		e.Data[i] = next
 		c.st.IncKey(kL1SyncHits, 1)
 		if c.rec != nil {
 			c.rec.Emit(obs.L1SyncHit, int32(c.node), uint64(w))
 		}
 		c.meter.L1Access(1)
 		c.scheduleSyncDone(coherence.L1HitCycles, ret, cb)
-		c.serviceDeferred(w)
+		c.serviceDeferred(l, s, i)
+		c.lines.tidy(l, s)
 		return
 	}
-	if p, ok := c.pendingOwn.Ptr(uint64(w)); ok && !c.regs.Has(uint64(w)) {
-		next, ret := op.Apply(*p, operand, operand2)
-		*p = next
+	if s != nil && s.own.Has(i) && !registering {
+		next, ret := op.Apply(c.lines.ownVal(s, i), operand, operand2)
+		c.lines.setOwn(s, i, next)
 		c.st.IncKey(kL1SyncHits, 1)
 		if c.rec != nil {
 			c.rec.Emit(obs.L1SyncHit, int32(c.node), uint64(w))
@@ -612,32 +594,28 @@ func (c *Controller) Atomic(op coherence.AtomicOp, w mem.Word, operand, operand2
 		c.scheduleSyncDone(coherence.L1HitCycles, ret, cb)
 		return
 	}
-	txn, _ := c.regs.Get(uint64(w))
-	if txn == nil {
-		txn = c.regTxnFree.Get()
-		if c.opts.LazyWrites && c.lazy.Has(uint64(w)) {
-			// A delayed (lazy) slot for this word sits in the store
-			// buffer; this registration absorbs it. Leaving the mark
-			// would let a release batch (or a space kick) re-register
-			// the word, overwriting this transaction — losing its sync
-			// waiters and sending a second request whose acknowledgment
-			// finds no transaction.
-			c.lazy.Delete(uint64(w))
-			txn.dataWrite = true
+	if !registering {
+		if s == nil {
+			s = c.lines.upsert(l)
 		}
-		c.regs.Put(uint64(w), txn)
-		c.pin(l)
+		// A delayed (lazy) slot for this word sits in the store buffer
+		// when s.lazy has it; register absorbs it. Leaving the mark
+		// would let a release batch (or a space kick) re-register the
+		// word, overwriting this registration — losing its sync waiters
+		// and sending a second request whose acknowledgment finds none.
+		c.lines.register(s, mem.Bit(i), 0)
+		c.pinFrame(l)
 		c.st.IncKey(kL1SyncMisses, 1)
 		if c.rec != nil {
 			c.rec.Emit(obs.L1SyncMiss, int32(c.node), uint64(w))
 		}
-		c.sendRegReq(l, mem.Bit(w.Index()), true, true)
+		c.sendRegReq(l, mem.Bit(i), true, true)
 	} else {
 		// Same-CU coalescing in the MSHR: another thread block on this
 		// CU already has a registration in flight for this word.
 		c.st.IncKey(kL1SyncCoalesced, 1)
 	}
-	txn.syncWaiters = append(txn.syncWaiters, syncOp{op, operand, operand2, cb})
+	c.lines.addSync(s, i, syncOp{op, operand, operand2, cb})
 }
 
 // localAtomic (DH) performs a locally scoped synchronization at the L1
@@ -669,10 +647,14 @@ func (c *Controller) localAtomic(op coherence.AtomicOp, w mem.Word, operand, ope
 		}
 		c.sb.Insert(w, next)
 		// Mark delayed only if no registration is already in flight for
-		// this slot (a global release may have kicked it); re-marking
-		// would double-register and corrupt the transaction state.
-		if !c.regs.Has(uint64(w)) {
-			c.lazy.Put(uint64(w), true)
+		// this slot (a global release may have kicked it), which the
+		// slot then rides; re-marking would double-register and corrupt
+		// the transaction state.
+		s := c.lines.upsert(l)
+		if s.reg.Has(w.Index()) {
+			c.lines.ride(s, mem.Bit(w.Index()))
+		} else {
+			c.lines.delay(s, mem.Bit(w.Index()))
 		}
 		if e := c.cache.Peek(l); e != nil && e.State[w.Index()] == cache.Valid {
 			e.Data[w.Index()] = next
@@ -683,8 +665,8 @@ func (c *Controller) localAtomic(op coherence.AtomicOp, w mem.Word, operand, ope
 		finish(v)
 		return
 	}
-	if v, ok := c.pendingOwn.Get(uint64(w)); ok {
-		finish(v)
+	if s := c.lines.ptr(l); s != nil && s.own.Has(w.Index()) {
+		finish(c.lines.ownVal(s, w.Index()))
 		return
 	}
 	if e := c.cache.Lookup(l); e != nil && e.State[w.Index()] != cache.Invalid {
@@ -752,100 +734,109 @@ func (c *Controller) Release(scope coherence.Scope, cb func()) {
 	if c.rec != nil {
 		c.rec.Emit(obs.SyncRelease, int32(c.node), uint64(c.sb.Len()))
 	}
-	if c.lazy.Len() > 0 {
-		// Batch delayed registrations by line. The line lookup is a
-		// linear scan over the batch built so far — a release covers few
-		// distinct lines, and the scan keeps this path allocation-free.
-		c.regBatch = c.regBatch[:0]
+	if c.lines.lazyWords > 0 {
+		// Batch delayed registrations by line, one request per line in
+		// the order of each line's oldest delayed slot.
 		c.sbScratch = c.sb.AppendEntries(c.sbScratch[:0])
 		for _, e := range c.sbScratch {
-			if !c.lazy.Has(uint64(e.Word)) {
+			l := e.Word.LineOf()
+			s := c.lines.ptr(l)
+			if s == nil || !s.lazy.Has(e.Word.Index()) {
 				continue
 			}
-			c.lazy.Delete(uint64(e.Word))
-			l := e.Word.LineOf()
-			gi := -1
-			for i := range c.regBatch {
-				if c.regBatch[i].line == l {
-					gi = i
-					break
-				}
+			batch := s.lazy
+			if c.invariants && s.reg&batch != 0 {
+				w := l.Word(lowest(s.reg & batch))
+				panic(fmt.Sprintf("denovo: lazy-reg-exclusive: node %d release batched delayed %v over its in-flight registration", c.node, w))
 			}
-			if gi < 0 {
-				gi = len(c.regBatch)
-				c.regBatch = append(c.regBatch, lineMask{line: l})
-			}
-			c.regBatch[gi].mask |= mem.Bit(e.Word.Index())
-			if c.invariants && c.regs.Has(uint64(e.Word)) {
-				panic(fmt.Sprintf("denovo: lazy-reg-exclusive: node %d release batched delayed %v over its in-flight registration", c.node, e.Word))
-			}
-			txn := c.regTxnFree.Get()
-			txn.dataWrite = true
-			c.regs.Put(uint64(e.Word), txn)
-			c.pin(l)
-		}
-		for _, lm := range c.regBatch {
-			c.sendRegReq(lm.line, lm.mask, false, false)
+			c.lines.register(s, batch, 0)
+			c.pinFrame(l)
+			c.sendRegReq(l, batch, false, false)
 		}
 	}
-	entries := c.sb.AppendEntries(c.sbScratch[:0])
-	c.sbScratch = entries
-	if len(entries) == 0 {
+	if c.sb.Len() == 0 {
 		c.eng.Schedule(coherence.L1HitCycles, cb)
 		return
 	}
 	c.st.IncKey(kSbReleaseDrains, 1)
 	w := c.relWaiterFree.Get()
 	w.cb = cb
-	for _, e := range entries {
-		w.pending.Put(uint64(e.Word), true)
-	}
+	c.sb.ForEachLine(func(l mem.Line, buf mem.WordMask) { w.pending.Put(uint64(l), buf) })
 	c.relWaiters = append(c.relWaiters, w)
 }
 
 // Drained implements coherence.L1.
 func (c *Controller) Drained() bool {
-	return c.sb.Len() == 0 && c.regs.Len() == 0 && c.reads.Len() == 0 &&
-		c.pendingOwn.Len() == 0 && c.victim.Len() == 0
+	return c.sb.Len() == 0 && c.lines.regWords == 0 && c.reads.Len() == 0 &&
+		c.lines.ownWords == 0 && c.victim.Len() == 0
 }
 
 // CheckInvariants validates the sanitizer's quiesced-state suite for
 // this controller (machine.CheckInvariants calls it after every kernel
 // when Config.Invariants is set): the store buffer's structure
-// (sb-fifo), every lazy mark backed by a live buffered write
-// (lazy-orphan), no word both delayed and mid-registration
-// (lazy-reg-exclusive), and the victim buffer's value/state tables in
-// step (wb-lost). It only reads state, so armed runs stay
-// report-identical to unarmed ones.
+// (sb-fifo); the line table's masks against its records, its pins
+// against the registrations and read transactions, and its word counts
+// (line-table); every lazy mark backed by a live buffered write
+// (lazy-orphan); no word both delayed and mid-registration
+// (lazy-reg-exclusive); every buffered word either delayed or waited
+// on by its registration (sb-unowned); and the victim buffer's values
+// in step with the victim marks (wb-lost). It only reads state, so
+// armed runs stay report-identical to unarmed ones.
 func (c *Controller) CheckInvariants() error {
 	if err := c.sb.CheckInvariants(); err != nil {
 		return fmt.Errorf("node %d: %w", c.node, err)
 	}
-	if c.lazy.Len() > 0 {
-		buffered := make(map[mem.Word]bool, c.sb.Len())
-		for _, e := range c.sb.Entries() {
-			buffered[e.Word] = true
-		}
-		var err error
-		c.lazy.ForEach(func(k uint64, _ bool) {
-			w := mem.Word(k)
-			if err != nil {
-				return
-			}
-			if !buffered[w] {
-				err = fmt.Errorf("denovo: lazy-orphan: node %d delays %v with no buffered write", c.node, w)
-			} else if c.regs.Has(uint64(w)) {
-				err = fmt.Errorf("denovo: lazy-reg-exclusive: node %d has %v both delayed and mid-registration", c.node, w)
-			}
-		})
+	if err := c.lines.check(); err != nil {
+		return fmt.Errorf("denovo: node %d: %w", c.node, err)
+	}
+	readPins := make(map[mem.Line]int32, c.reads.Len())
+	c.reads.ForEach(func(_ uint64, t *readTxn) { readPins[t.line]++ })
+	var err error
+	victims := 0
+	c.lines.index.ForEach(func(k uint64, s lineState) {
+		l := mem.Line(k)
 		if err != nil {
-			return err
+			return
+		}
+		victims += s.vic.Count()
+		var vals [mem.WordsPerLine]uint32
+		switch buffered := c.sb.LookupLine(l, mem.AllWords, &vals); {
+		case s.lazy&^buffered != 0:
+			err = fmt.Errorf("denovo: lazy-orphan: node %d delays %v with no buffered write", c.node, l.Word(lowest(s.lazy&^buffered)))
+		case s.pins != int32(s.reg.Count())+readPins[l]:
+			err = fmt.Errorf("denovo: line-table: node %d pins %v %d times for %d registering words and %d reads", c.node, l, s.pins, s.reg.Count(), readPins[l])
+		case s.read != 0 && !c.readOf(s.read, l):
+			err = fmt.Errorf("denovo: line-table: node %d names read %d for %v, which is not an open read of that line", c.node, s.read, l)
+		}
+		for m := s.vic; m != 0 && err == nil; m &= m - 1 {
+			if _, ok := c.victim.Get(l.Word(lowest(m))); !ok {
+				err = fmt.Errorf("denovo: wb-lost: node %d marks %v as a victim copy the victim buffer lacks", c.node, l.Word(lowest(m)))
+			}
+		}
+	})
+	c.sb.ForEachLine(func(l mem.Line, buf mem.WordMask) {
+		if s := c.lines.get(l); err == nil && buf&^(s.lazy|s.data) != 0 {
+			err = fmt.Errorf("denovo: sb-unowned: node %d buffers %v with its registration neither delayed nor in flight", c.node, l.Word(lowest(buf&^(s.lazy|s.data))))
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for l, n := range readPins {
+		if c.lines.get(l).pins < n {
+			return fmt.Errorf("denovo: line-table: node %d has %d reads of %v open but %d pins", c.node, n, l, c.lines.get(l).pins)
 		}
 	}
-	if c.victim.Len() != c.vstate.Len() {
-		return fmt.Errorf("denovo: wb-lost: node %d victim buffer holds %d values but %d states", c.node, c.victim.Len(), c.vstate.Len())
+	if c.victim.Len() != victims {
+		return fmt.Errorf("denovo: wb-lost: node %d victim buffer holds %d values but marks %d", c.node, c.victim.Len(), victims)
 	}
 	return nil
+}
+
+// readOf reports whether id is an open read transaction of line l.
+func (c *Controller) readOf(id uint64, l mem.Line) bool {
+	t, ok := c.reads.Get(id)
+	return ok && t.line == l
 }
 
 // sbFreed services stalled writers after store-buffer slots free.
@@ -863,23 +854,57 @@ func (c *Controller) sbFreed() {
 	}
 }
 
-// notifyReleases tells waiting releases that word w has obtained
-// ownership (left the store buffer); a release completes when every
-// entry it was issued over is registered.
-func (c *Controller) notifyReleases(w mem.Word) {
-	remaining := c.relWaiters[:0]
+// notifyReleases retires the words of line l in got, just removed from
+// the store buffer, from every waiting release; a release completes
+// when every entry it was issued over has obtained ownership. In word
+// order it wakes stalled writers once per word and schedules each
+// completed release right after the word that completed it.
+func (c *Controller) notifyReleases(l mem.Line, got mem.WordMask) {
+	var done mem.WordMask
 	for _, rw := range c.relWaiters {
-		rw.pending.Delete(uint64(w))
+		rw.last = -1
+		p, ok := rw.pending.Ptr(uint64(l))
+		if !ok || *p&got == 0 {
+			continue
+		}
+		hit := *p & got
+		if *p &^= hit; *p != 0 {
+			continue
+		}
+		rw.pending.Delete(uint64(l))
 		if rw.pending.Len() == 0 {
-			cb := rw.cb
-			c.eng.Schedule(0, cb)
-			rw.cb = nil
-			rw.pending.Reset()
-			c.relWaiterFree.Put(rw)
-		} else {
-			remaining = append(remaining, rw)
+			rw.last = mem.WordsPerLine - 1 - bits.LeadingZeros16(uint16(hit))
+			done |= mem.Bit(rw.last)
 		}
 	}
+	for m := got; m != 0; m &= m - 1 {
+		i := lowest(m)
+		// Wake stalled writers after this delivery finishes (zero-delay
+		// event) to avoid reentrant state mutation.
+		c.eng.ScheduleTask(0, &c.sbFreedT)
+		if !done.Has(i) {
+			continue
+		}
+		for _, rw := range c.relWaiters {
+			if rw.last == i {
+				c.eng.Schedule(0, rw.cb)
+			}
+		}
+	}
+	if done == 0 {
+		return
+	}
+	remaining := c.relWaiters[:0]
+	for _, rw := range c.relWaiters {
+		if rw.last < 0 {
+			remaining = append(remaining, rw)
+			continue
+		}
+		rw.cb = nil
+		rw.pending.Reset()
+		c.relWaiterFree.Put(rw)
+	}
+	clear(c.relWaiters[len(remaining):])
 	c.relWaiters = remaining
 }
 
@@ -959,10 +984,11 @@ func (c *Controller) fill(msg *coherence.Msg) {
 			panic("denovo: read transaction complete with unsatisfied waiters")
 		}
 		c.reads.Delete(msg.ID)
-		if id, _ := c.lineTxn.Get(uint64(txn.line)); id == msg.ID {
-			c.lineTxn.Delete(uint64(txn.line))
+		s := c.lines.ptr(txn.line)
+		if c.lines.closeRead(s, msg.ID) == 0 {
+			c.unpinFrame(txn.line)
 		}
-		c.unpin(txn.line)
+		c.lines.tidy(txn.line, s)
 		c.freeReadTxn(txn)
 	}
 }
@@ -977,25 +1003,26 @@ func (c *Controller) fill(msg *coherence.Msg) {
 func (c *Controller) readFwd(msg *coherence.Msg) {
 	var data [mem.WordsPerLine]uint32
 	var now mem.WordMask
+	e := c.cache.Peek(msg.Line)
+	s := c.lines.ptr(msg.Line)
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !msg.Mask.Has(i) {
 			continue
 		}
 		w := msg.Line.Word(i)
-		// Priority matters: a pendingOwn copy (current ownership,
+		// Priority matters: a frameless owned copy (current ownership,
 		// awaiting a frame) is newer than any victim-buffer copy left
 		// over from an earlier eviction of the same word.
-		if e := c.cache.Peek(msg.Line); e != nil && e.State[i] == cache.Registered {
+		if e != nil && e.State[i] == cache.Registered {
 			data[i] = e.Data[i]
-		} else if v, ok := c.pendingOwn.Get(uint64(w)); ok {
-			data[i] = v
+		} else if s != nil && s.own.Has(i) {
+			data[i] = c.lines.ownVal(s, i)
 		} else if v, ok := c.victim.Get(w); ok {
 			data[i] = v
-		} else if c.regs.Has(uint64(w)) {
+		} else if s != nil && s.reg.Has(i) {
 			m := c.pool.NewMsg(msg)
 			m.Mask = mem.Bit(i)
-			q := c.deferredReads.Upsert(uint64(w))
-			*q = append(*q, m)
+			c.lines.deferRead(s, i, m)
 			c.st.IncKey(kL1ReadsDeferred, 1)
 			continue
 		} else {
@@ -1021,88 +1048,91 @@ func (c *Controller) readFwd(msg *coherence.Msg) {
 // MSHR coalescing).
 func (c *Controller) ownershipArrived(l mem.Line, mask mem.WordMask, data [mem.WordsPerLine]uint32, carriesData bool) {
 	e := c.frame(l)
+	// Our buffered writes supersede any carried value.
+	var buffered [mem.WordsPerLine]uint32
+	got := c.sb.RemoveLine(l, mask, &buffered)
+	if got != 0 {
+		c.notifyReleases(l, got)
+	}
+	s := c.lines.ptr(l)
+	if s == nil || mask&^s.reg != 0 {
+		var reg mem.WordMask
+		if s != nil {
+			reg = s.reg
+		}
+		panic(fmt.Sprintf("denovo: node %d ownership for %v without transaction", c.node, l.Word(lowest(mask&^reg))))
+	}
+	c.st.IncKey(kL1OwnershipWords, uint64(mask.Count()))
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !mask.Has(i) {
 			continue
 		}
-		w := l.Word(i)
 		// Establish the word's current value.
 		var val uint32
-		if v, ok := c.sb.Remove(w); ok {
-			val = v // our buffered write supersedes any carried value
-			// Wake stalled writers after this delivery finishes
-			// (zero-delay event) to avoid reentrant state mutation.
-			c.eng.ScheduleTask(0, &c.sbFreedT)
-			c.notifyReleases(w)
+		if got.Has(i) {
+			val = buffered[i]
 		} else if carriesData {
 			val = data[i]
 		}
-		txn, _ := c.regs.Get(uint64(w))
-		if txn == nil {
-			panic(fmt.Sprintf("denovo: node %d ownership for %v without transaction", c.node, w))
-		}
-		c.st.IncKey(kL1OwnershipWords, 1)
 		delay := sim.Time(coherence.L1HitCycles)
-		for _, op := range txn.syncWaiters {
+		for _, op := range c.lines.syncOps(s, i) {
 			next, ret := op.op.Apply(val, op.operand, op.operand2)
 			val = next
 			c.scheduleSyncDone(delay, ret, op.cb)
 			delay++
 			c.st.IncKey(kL1SyncServicedOnArrival, 1)
 		}
-		c.regs.Delete(uint64(w))
-		c.unpin(l)
-		c.freeRegTxn(txn)
+		if c.lines.arrive(s, i) == 0 {
+			c.unpinFrame(l)
+		}
 		// Install.
 		if e != nil {
 			e.Data[i] = val
 			e.State[i] = cache.Registered
 			c.cache.Touch(e)
 		} else {
-			c.pendingOwn.Put(uint64(w), val)
-			c.scheduleRetryInstall(2, w)
+			c.lines.setOwn(s, i, val)
+			c.scheduleRetryInstall(2, l.Word(i))
 		}
 		c.meter.L1Access(1)
 		// Reads forwarded while the registration was in flight are served
 		// first (the registry ordered them before any later ownership
 		// transfer), then the distributed queue passes ownership onward if
 		// a remote request was queued behind our own accesses.
-		c.serveDeferredReads(w)
-		c.serviceDeferred(w)
+		c.serveDeferredReads(s, i)
+		c.serviceDeferred(l, s, i)
 	}
+	c.lines.tidy(l, s)
 }
 
 // retryInstall moves a frameless owned word into the cache once a frame
 // frees up.
 func (c *Controller) retryInstall(w mem.Word) {
-	val, ok := c.pendingOwn.Get(uint64(w))
-	if !ok {
+	l, i := w.LineOf(), w.Index()
+	if s := c.lines.ptr(l); s == nil || !s.own.Has(i) {
 		return // transferred away meanwhile
 	}
-	e := c.frame(w.LineOf())
+	e := c.frame(l) // an eviction may move line entries: look l up again below
 	if e == nil {
 		c.scheduleRetryInstall(2, w)
 		return
 	}
-	c.pendingOwn.Delete(uint64(w))
-	e.Data[w.Index()] = val
-	e.State[w.Index()] = cache.Registered
+	s := c.lines.ptr(l)
+	e.Data[i] = c.lines.dropOwn(s, i)
+	e.State[i] = cache.Registered
 	c.cache.Touch(e)
-	c.serviceDeferred(w)
+	c.serviceDeferred(l, s, i)
+	c.lines.tidy(l, s)
 }
 
-// serveDeferredReads replays forwarded reads that were waiting for this
-// word's ownership data to arrive.
-func (c *Controller) serveDeferredReads(w mem.Word) {
-	msgs, _ := c.deferredReads.Get(uint64(w))
-	if len(msgs) == 0 {
-		return
-	}
-	c.deferredReads.Delete(uint64(w))
-	for _, m := range msgs {
+// serveDeferredReads replays forwarded reads that were waiting for word
+// i's ownership data to arrive.
+func (c *Controller) serveDeferredReads(s *lineState, i int) {
+	for _, m := range c.lines.deferredReads(s, i) {
 		c.readFwd(m)
 		c.pool.Put(m)
 	}
+	c.lines.clearReads(s, i)
 }
 
 // regFwd handles the registry telling us to pass ownership of words to
@@ -1111,13 +1141,13 @@ func (c *Controller) serveDeferredReads(w mem.Word) {
 // would); words with our own registration still in flight defer
 // per-word into the distributed queue.
 func (c *Controller) regFwd(msg *coherence.Msg) {
+	s := c.lines.ptr(msg.Line)
 	var now mem.WordMask
 	for i := 0; i < mem.WordsPerLine; i++ {
 		if !msg.Mask.Has(i) {
 			continue
 		}
-		w := msg.Line.Word(i)
-		if vs, ok := c.vstate.Ptr(uint64(w)); ok && !vs.servicedFwd {
+		if s != nil && s.vic.Has(i) && !s.vServed.Has(i) {
 			// This forward targets the ownership we already evicted
 			// (the registry had not yet processed our writeback when it
 			// forwarded); serve it from the victim copy even if we have
@@ -1126,29 +1156,30 @@ func (c *Controller) regFwd(msg *coherence.Msg) {
 			now |= mem.Bit(i)
 			continue
 		}
-		if c.regs.Has(uint64(w)) {
+		if s != nil && s.reg.Has(i) {
 			// Our own registration (and coalesced same-CU accesses) are
 			// still in flight; the remote request waits its turn in the
 			// distributed queue.
-			if c.deferredFwd.Has(uint64(w)) {
-				panic(fmt.Sprintf("denovo: node %d second deferred forward for %v", c.node, w))
+			if s.fwd.Has(i) {
+				panic(fmt.Sprintf("denovo: node %d second deferred forward for %v", c.node, msg.Line.Word(i)))
 			}
 			m := c.pool.NewMsg(msg)
 			m.Mask = mem.Bit(i)
-			c.deferredFwd.Put(uint64(w), m)
+			c.lines.deferFwd(s, i, m)
 			c.st.IncKey(kL1FwdDeferred, 1)
 			continue
 		}
 		now |= mem.Bit(i)
 	}
 	if now != 0 {
-		c.transferMask(msg.Line, now, msg.Requester, msg.Sync, msg.ID)
+		c.transferMask(msg.Line, s, now, msg.Requester, msg.Sync, msg.ID)
 	}
+	c.lines.tidy(msg.Line, s)
 }
 
-// transferMask passes ownership and data of a set of words of one line
-// to the requester in a single RegXfer.
-func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, sync bool, id uint64) {
+// transferMask passes ownership and data of a set of words of line l,
+// whose entry is s (nil if none), to the requester in a single RegXfer.
+func (c *Controller) transferMask(l mem.Line, s *lineState, mask mem.WordMask, to noc.NodeID, sync bool, id uint64) {
 	var data [mem.WordsPerLine]uint32
 	e := c.cache.Peek(l)
 	for i := 0; i < mem.WordsPerLine; i++ {
@@ -1156,22 +1187,20 @@ func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, 
 			continue
 		}
 		w := l.Word(i)
-		// As in readFwd: pendingOwn (current ownership) outranks any
-		// stale victim-buffer copy of the same word.
+		// As in readFwd: a frameless owned copy (current ownership)
+		// outranks any stale victim-buffer copy of the same word.
 		if e != nil && e.State[i] == cache.Registered {
 			data[i] = e.Data[i]
 			e.State[i] = cache.Invalid
-		} else if v, ok := c.pendingOwn.Get(uint64(w)); ok {
-			data[i] = v
-			c.pendingOwn.Delete(uint64(w))
+		} else if s != nil && s.own.Has(i) {
+			data[i] = c.lines.dropOwn(s, i)
 		} else if v, ok := c.victim.Get(w); ok {
 			data[i] = v
-			vs, vok := c.vstate.Ptr(uint64(w))
-			if vok && vs.rejectedKnown {
+			if s != nil && s.vRejected.Has(i) {
 				c.victim.Drop(w)
-				c.vstate.Delete(uint64(w))
-			} else if vok {
-				vs.servicedFwd = true
+				c.lines.victimDrop(s, mem.Bit(i))
+			} else if s != nil && s.vic.Has(i) {
+				c.lines.victimServe(s, mem.Bit(i))
 			}
 		} else {
 			panic(fmt.Sprintf("denovo: node %d cannot transfer %v it does not own", c.node, w))
@@ -1188,15 +1217,15 @@ func (c *Controller) transferMask(l mem.Line, mask mem.WordMask, to noc.NodeID, 
 	}))
 }
 
-// serviceDeferred passes ownership to a queued remote requester once
-// local accesses have been serviced.
-func (c *Controller) serviceDeferred(w mem.Word) {
-	msg, _ := c.deferredFwd.Get(uint64(w))
-	if msg == nil || c.regs.Has(uint64(w)) {
+// serviceDeferred passes ownership of word i of line l, whose entry is
+// s (nil if none), to a queued remote requester once local accesses
+// have been serviced.
+func (c *Controller) serviceDeferred(l mem.Line, s *lineState, i int) {
+	if s == nil || !s.fwd.Has(i) || s.reg.Has(i) {
 		return
 	}
-	c.deferredFwd.Delete(uint64(w))
-	c.transferMask(w.LineOf(), mem.Bit(w.Index()), msg.Requester, msg.Sync, msg.ID)
+	msg := c.lines.takeFwd(s, i)
+	c.transferMask(l, s, mem.Bit(i), msg.Requester, msg.Sync, msg.ID)
 	c.pool.Put(msg)
 }
 
@@ -1205,29 +1234,25 @@ func (c *Controller) serviceDeferred(w mem.Word) {
 // arrived, so a forward either already came (serviced from the victim
 // copy) or is about to.
 func (c *Controller) writeBackAck(msg *coherence.Msg) {
-	for i := 0; i < mem.WordsPerLine; i++ {
-		if !msg.Mask.Has(i) {
-			continue
-		}
-		w := msg.Line.Word(i)
-		vs, ok := c.vstate.Ptr(uint64(w))
-		if !ok {
-			continue // already fully resolved
-		}
-		if msg.WBAccepted.Has(i) || vs.servicedFwd {
-			c.victim.Drop(w)
-			c.vstate.Delete(uint64(w))
-		} else {
-			vs.rejectedKnown = true
-		}
+	s := c.lines.ptr(msg.Line)
+	if s == nil {
+		return // already fully resolved
 	}
+	live := msg.Mask & s.vic
+	done := live & (msg.WBAccepted | s.vServed)
+	for m := done; m != 0; m &= m - 1 {
+		c.victim.Drop(msg.Line.Word(lowest(m)))
+	}
+	c.lines.victimDrop(s, done)
+	c.lines.victimReject(s, live&^done)
+	c.lines.tidy(msg.Line, s)
 }
 
 // Test and host hooks.
 
 // CacheWordState exposes a word's L1 state.
 func (c *Controller) CacheWordState(w mem.Word) cache.WordState {
-	if c.pendingOwn.Has(uint64(w)) {
+	if c.lines.get(w.LineOf()).own.Has(w.Index()) {
 		return cache.Registered
 	}
 	if e := c.cache.Peek(w.LineOf()); e != nil {
@@ -1242,8 +1267,8 @@ func (c *Controller) PeekWord(w mem.Word) (uint32, bool) {
 	if v, ok := c.sb.Lookup(w); ok {
 		return v, true
 	}
-	if v, ok := c.pendingOwn.Get(uint64(w)); ok {
-		return v, true
+	if s := c.lines.ptr(w.LineOf()); s != nil && s.own.Has(w.Index()) {
+		return c.lines.ownVal(s, w.Index()), true
 	}
 	if e := c.cache.Peek(w.LineOf()); e != nil && e.State[w.Index()] != cache.Invalid {
 		return e.Data[w.Index()], true
@@ -1264,7 +1289,7 @@ func (c *Controller) OwnsWord(w mem.Word) bool {
 	if e := c.cache.Peek(w.LineOf()); e != nil && e.State[w.Index()] == cache.Registered {
 		return true
 	}
-	if c.pendingOwn.Has(uint64(w)) {
+	if c.lines.get(w.LineOf()).own.Has(w.Index()) {
 		return true
 	}
 	if _, ok := c.victim.Get(w); ok {
@@ -1314,7 +1339,7 @@ func (c *Controller) HostSteal(w mem.Word) (uint32, bool) {
 func (c *Controller) HostDropClean() (int, error) {
 	if !c.Drained() {
 		return 0, fmt.Errorf("denovo: phase-drain: node %d not drained (sb=%d regs=%d reads=%d own=%d victim=%d)",
-			c.node, c.sb.Len(), c.regs.Len(), c.reads.Len(), c.pendingOwn.Len(), c.victim.Len())
+			c.node, c.sb.Len(), c.lines.regWords, c.reads.Len(), c.lines.ownWords, c.victim.Len())
 	}
 	if n := c.cache.CountWords(cache.Registered); n != 0 {
 		return 0, fmt.Errorf("denovo: phase-drain: node %d still owns %d words after recall", c.node, n)

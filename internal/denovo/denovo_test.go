@@ -432,13 +432,18 @@ func TestPinnedEmptyFrameUntaggedAfterUnpin(t *testing.T) {
 	r.Backing.Write(w, 9)
 	r.Eng.Schedule(0, func() {
 		c.ReadLine(l, mem.Bit(w.Index()), func([mem.WordsPerLine]uint32) {
-			c.pin(l)
+			c.lines.upsert(l).pins++ // as an outstanding transaction would
+			c.pinFrame(l)
 			c.Acquire(coherence.ScopeGlobal)
 			if e := c.cache.Peek(l); e == nil || e.MaskOf(cache.Valid) != 0 {
 				t.Error("a pinned frame must survive the acquire tagged, with no live word")
 			}
 			c.Acquire(coherence.ScopeGlobal)
-			c.unpin(l)
+			s := c.lines.ptr(l)
+			if s.pins--; s.pins == 0 {
+				c.unpinFrame(l)
+			}
+			c.lines.tidy(l, s)
 			c.Acquire(coherence.ScopeGlobal)
 			if c.cache.Peek(l) != nil {
 				t.Error("the acquire after unpin must untag the empty frame")

@@ -406,7 +406,8 @@ func (x *explorer) explore(m *model, oracle map[string]litmus.Outcome, u *splitN
 			// any other state differs from its parent, which held every
 			// invariant, only where its transition's footprint says, so
 			// only those variables and CUs are checked again.
-			term := m.terminal(s)
+			done := m.allOpsDone(s)
+			term := m.terminal(s, done)
 			var name, detail string
 			if d == 0 || term {
 				name, detail = m.checkInvariants(s)
@@ -435,7 +436,7 @@ func (x *explorer) explore(m *model, oracle map[string]litmus.Outcome, u *splitN
 				x.frames = x.frames[:d]
 				continue
 			}
-			fr.enab = m.enabledInto(fr.enab, s)
+			fr.enab = m.enabledInto(fr.enab, s, done)
 			if len(fr.enab) == 0 {
 				return states, violation("deadlock",
 					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",

@@ -64,14 +64,14 @@ func independent[T uint32 | uint64](fa, fb T) bool { return fa&fb == 0 }
 // enabledInto appends the enabled transitions of s to buf[:0] in a
 // fixed deterministic order — thread steps, final releases, background
 // cache actions, then channel deliveries by channel — and returns it.
-// Deliveries sort by trans value, which orders channels exactly as
-// (src, dst, v) does; callers pass a reused buffer so the DPOR hot
-// loop enumerates without allocating.
-func (m *model) enabledInto(buf []trans, s *state) []trans {
+// done is m.allOpsDone(s), which the caller has already computed for
+// terminal. Deliveries sort by trans value, which orders channels
+// exactly as (src, dst, v) does; callers pass a reused buffer so the
+// DPOR hot loop enumerates without allocating.
+func (m *model) enabledInto(buf []trans, s *state, done bool) []trans {
 	// At most: every thread, every CU's final release, two background
 	// actions per (CU, word), one delivery per message.
 	ts := slices.Grow(buf[:0], m.nt+m.nc+2*m.nc*m.nv+len(s.msgs))
-	done := m.allOpsDone(s)
 	for ti := range m.p.Threads {
 		if int(s.pcs[ti]) >= len(m.p.Threads[ti].Ops) || s.blocked&(1<<ti) != 0 {
 			continue

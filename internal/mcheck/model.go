@@ -1009,10 +1009,11 @@ func (m *model) cuDone(s *state, ci int) bool {
 }
 
 // terminal reports whether the execution is complete: all operations
-// done, every CU's end-of-kernel release issued and drained, and no
-// message in flight.
-func (m *model) terminal(s *state) bool {
-	if len(s.msgs) != 0 || !m.allOpsDone(s) {
+// done (done is m.allOpsDone(s), which callers also pass to
+// enabledInto), every CU's end-of-kernel release issued and drained,
+// and no message in flight.
+func (m *model) terminal(s *state, done bool) bool {
+	if len(s.msgs) != 0 || !done {
 		return false
 	}
 	for ci := 0; ci < m.nc; ci++ {

@@ -229,7 +229,8 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 			return expanded, outcomes, violation(name, detail, nil, fr.trace), nil
 		}
 
-		if m.terminal(s) {
+		done := m.allOpsDone(s)
+		if m.terminal(s, done) {
 			o, ok := m.outcome(s)
 			if !ok {
 				return expanded, outcomes, violation(s.viol, s.violDetail, nil, fr.trace), nil
@@ -244,7 +245,7 @@ func (m *model) explore(oracle map[string]litmus.Outcome, budget int, disablePOR
 			continue
 		}
 
-		ts := m.enabledInto(nil, s)
+		ts := m.enabledInto(nil, s, done)
 		if len(ts) == 0 {
 			return expanded, outcomes, violation("deadlock",
 				"no transition enabled in a non-terminal state (lost wakeup or stranded request)",

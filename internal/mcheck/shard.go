@@ -124,7 +124,8 @@ func (x *explorer) split(m *model, oracle map[string]litmus.Outcome, budget, tar
 			if name, detail := m.checkInvariants(s); name != "" {
 				return fail(name, detail, nil, nd.prefix), nil
 			}
-			if m.terminal(s) {
+			done := m.allOpsDone(s)
+			if m.terminal(s, done) {
 				key, ok := m.outcomeKey(s)
 				if !ok {
 					return fail(s.viol, s.violDetail, nil, nd.prefix), nil
@@ -141,7 +142,7 @@ func (x *explorer) split(m *model, oracle map[string]litmus.Outcome, budget, tar
 				}
 				continue
 			}
-			x.enab = m.enabledInto(x.enab, s)
+			x.enab = m.enabledInto(x.enab, s, done)
 			if len(x.enab) == 0 {
 				return fail("deadlock",
 					"no transition enabled in a non-terminal state (lost wakeup or stranded request)",
